@@ -2,8 +2,9 @@
 
 Two layers live here: the exact nonsmooth margins (max over regions of the
 min over faces and agent vertices) and their differentiable log-sum-exp
-counterpart with analytic gradient and time partial.  All evaluations are
-stabilized so that exponents of magnitude up to ~1e4 cannot overflow.
+counterpart with analytic gradient and time partial.  Both come from one
+kernel, `_evaluate`, which is stabilized so that exponents of magnitude up
+to ~1e4 cannot overflow.
 """
 
 from __future__ import annotations
@@ -38,12 +39,15 @@ class CbfParams:
     alpha_gain: float = 1.0
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if self.buffer < 0:
-            raise ValueError(f"buffer must be nonnegative, got {self.buffer}")
-        if not self.alpha_gain > 0:
-            raise ValueError(f"alpha_gain must be positive, got {self.alpha_gain}")
+        if not 0 < self.kappa < np.inf:
+            raise ValueError(
+                f"kappa must be positive and finite, got {self.kappa}")
+        if not 0 <= self.buffer < np.inf:
+            raise ValueError(
+                f"buffer must be nonnegative and finite, got {self.buffer}")
+        if not 0 < self.alpha_gain < np.inf:
+            raise ValueError(
+                f"alpha_gain must be positive and finite, got {self.alpha_gain}")
 
 
 @dataclass
@@ -91,31 +95,87 @@ def smooth_min(values, kappa: float) -> float:
     return bottom - float(np.log(np.sum(np.exp(-kappa * (values - bottom))))) / kappa
 
 
-def _face_values(env: PolytopeEnvironment, shape: AgentShape, center: np.ndarray,
-                 t: float, with_rates: bool, frame=None):
-    """Per-face, per-vertex barrier values and optionally their time rates.
+def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
+              params: CbfParams | None = None, derivatives: bool = False):
+    """The one composition behind every barrier and margin in this module.
 
-    Returns (values, rates) with shape (N_w, N_v); rates is None for static
-    environments or when not requested.
+    The agent translates without rotating, so vertex k shifts face i by the
+    constant n_i . dp_k, and the agent's vertex axis reduces to one support
+    per face: the hard support min_k n_i . dp_k for the exact margin psi and
+    the soft support -(1/kappa) ln sum_k exp(-kappa n_i . dp_k) for h, since
+    sum_k exp(-kappa psi_ik) = exp(-kappa (n_i . p - c_i)) sum_k
+    exp(-kappa n_i . dp_k).  The rest is the point-agent composition over
+    the per-face values n_i . p - c_i + support_i.  Every exponential is
+    shifted by its group's exact minimum (or soft maximum), so no exponent
+    exceeds ln N_v.
+
+    Parameters
+    ----------
+    centers : array_like, shape (p,) or (M, p)
+    params : CbfParams, optional
+        Without it only psi is computed.
+    derivatives : bool
+        Also compute the gradient (shape of centers) and the time partial.
+
+    Returns
+    -------
+    (h, gradient, time_partial, psi)
+        Scalars for one center, arrays of leading length M for a batch;
+        the quantities not asked for are None.
     """
-    normals, anchors, normal_rates, anchor_rates = \
-        env.frame(t) if frame is None else frame
-    base = np.einsum("ij,ij->i", normals, center - anchors)
-    values = base[:, None] + normals @ shape.offsets.T
-    rates = None
-    if with_rates and normal_rates is not None:
-        rate_base = (
-            np.einsum("ij,ij->i", normal_rates, center - anchors)
-            - np.einsum("ij,ij->i", normals, anchor_rates)
-        )
-        rates = rate_base[:, None] + normal_rates @ shape.offsets.T
-    return values, rates
+    if shape.dimension != env.dimension:
+        raise ValueError(
+            f"agent dimension {shape.dimension} != environment dimension "
+            f"{env.dimension}")
+    rows, segments, row_region = env._rows, env._segments, env._row_region
+    normals, levels, normal_rates, level_rates = env.frame(t)
+    vertex_dots = normals @ shape.offsets.T                  # (N_w, N_v)
+    hard = np.minimum.reduce(vertex_dots, axis=1)
+    # Face-major layout, (N_w,) or (N_w, M): per-face constants are folded
+    # in before the transpose so they broadcast for one center or many.
+    spatial = centers @ normals.T
+    exact = (spatial + (hard - levels)).T[rows]              # (R, ...)
+    mins = np.minimum.reduceat(exact, segments)              # (N_p, ...)
+    psi = np.maximum.reduce(mins)
+    if params is None:
+        return None, None, None, psi
+
+    # Soft values sit at most ln(N_v)/kappa below the exact ones and the
+    # argmin term is at least one, so shifting by the exact region minima
+    # keeps every sum in [1, R * N_v].
+    kappa = params.kappa
+    vertex_exp = np.exp((hard[:, None] - vertex_dots) * kappa)
+    vertex_sums = np.add.reduce(vertex_exp, axis=1)          # >= 1 each
+    soft = hard - np.log(vertex_sums) / kappa
+    values = (spatial + (soft - levels)).T[rows]
+    shifted = np.exp((mins[row_region] - values) * kappa)
+    region_sums = np.add.reduceat(shifted, segments)
+    soft_mins = mins - np.log(region_sums) / kappa
+    top = np.maximum.reduce(soft_mins)
+    outer = np.exp((soft_mins - top) * kappa)
+    outer_total = np.add.reduce(outer)                       # >= 1
+    h = top + (np.log(outer_total) - params.buffer) / kappa
+    if not derivatives:
+        return h, None, None, psi
+
+    # Region weight times within-region softmin weight: they sum to one,
+    # so the gradient is a convex combination of face normals.
+    weights = shifted * (outer / (outer_total * region_sums))[row_region]
+    gradient = weights.T @ normals[rows]
+    if normal_rates is None:                                 # dh/dt = 0
+        return h, gradient, h * 0.0, psi
+    support_rates = np.einsum("ik,ik->i", vertex_exp,
+                              normal_rates @ shape.offsets.T) / vertex_sums
+    rates = (centers @ normal_rates.T + (support_rates - level_rates)).T
+    time_partial = np.add.reduce(weights * rates[rows])
+    return h, gradient, time_partial, psi
 
 
-def _region_minima(env: PolytopeEnvironment, values: np.ndarray) -> np.ndarray:
-    """Exact min over faces x vertices within each region."""
-    row_min = values[env._rows].min(axis=1)
-    return np.minimum.reduceat(row_min, env._segments)
+def _as_centers(env: PolytopeEnvironment, centers) -> np.ndarray:
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != env.dimension:
+        raise ValueError(f"centers must have shape (M, {env.dimension})")
+    return centers
 
 
 def margin_agent(env: PolytopeEnvironment, shape: AgentShape, center,
@@ -127,13 +187,7 @@ def margin_agent(env: PolytopeEnvironment, shape: AgentShape, center,
     environment.  The max-of-mins order is essential: all vertices must sit
     in a common convex region.
     """
-    center = np.asarray(center, dtype=float)
-    if shape.dimension != env.dimension:
-        raise ValueError(
-            f"agent dimension {shape.dimension} != environment dimension "
-            f"{env.dimension}")
-    values, _ = _face_values(env, shape, center, t, with_rates=False)
-    return float(_region_minima(env, values).max())
+    return float(_evaluate(env, shape, np.asarray(center, dtype=float), t)[3])
 
 
 def margin_point(env: PolytopeEnvironment, p, t: float = 0.0) -> float:
@@ -145,17 +199,7 @@ def margin_point(env: PolytopeEnvironment, p, t: float = 0.0) -> float:
 def margin_field(env: PolytopeEnvironment, shape: AgentShape, centers,
                  t: float = 0.0) -> np.ndarray:
     """Exact nonsmooth margins over a batch of agent centers, shape (M,)."""
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != env.dimension:
-        raise ValueError(f"centers must have shape (M, {env.dimension})")
-    normals, anchors, _, _ = env.frame(t)
-    offset_dots = normals @ shape.offsets.T
-    anchor_dots = np.einsum("ij,ij->i", normals, anchors)
-    base = centers @ normals.T - anchor_dots                 # (M, N_w)
-    values = base[:, :, None] + offset_dots[None, :, :]
-    row_min = values[:, env._rows, :].min(axis=2)
-    mins = np.minimum.reduceat(row_min, env._segments, axis=1)
-    return mins.max(axis=1)
+    return _evaluate(env, shape, _as_centers(env, centers), t)[3]
 
 
 def smooth_barrier(env: PolytopeEnvironment, shape: AgentShape, center,
@@ -166,13 +210,9 @@ def smooth_barrier(env: PolytopeEnvironment, shape: AgentShape, center,
         (1/kappa) * ln( sum_j ( sum_{i in I_j, k} exp(-kappa psi_ik) )^-1 )
             - buffer/kappa,
     a soft max over regions of the soft min over each region's face-vertex
-    values psi_ik.  The inner sum per region is accumulated flat (faces and
-    vertices together) with the region minimum factored out, and the outer
-    log uses the same shift, so no exponent ever exceeds zero.
-
-    The gradient with respect to the agent center is the convex combination
-    of face normals induced by the soft weights; the time partial applies
-    the identical weights to the face-value time rates.
+    values psi_ik.  The gradient with respect to the agent center is the
+    convex combination of face normals induced by the soft weights; the
+    time partial applies the identical weights to the face-value time rates.
 
     Returns
     -------
@@ -180,44 +220,11 @@ def smooth_barrier(env: PolytopeEnvironment, shape: AgentShape, center,
         value, gradient (shape (p,)), time_partial, and the exact nonsmooth
         margin for diagnostics.
     """
-    center = np.asarray(center, dtype=float)
-    if shape.dimension != env.dimension:
-        raise ValueError(
-            f"agent dimension {shape.dimension} != environment dimension "
-            f"{env.dimension}")
-    kappa = params.kappa
-    frame = env.frame(t)
-    values, rates = _face_values(env, shape, center, t, with_rates=True,
-                                 frame=frame)
-    normals = frame[0]
-
-    gathered = values[env._rows]                        # (R, N_v)
-    row_min = gathered.min(axis=1)
-    mins = np.minimum.reduceat(row_min, env._segments)  # per-region exact min
-    nonsmooth = float(mins.max())
-
-    shifted = np.exp(-kappa * (gathered - mins[env._row_region][:, None]))
-    row_sums = shifted.sum(axis=1)
-    region_sums = np.add.reduceat(row_sums, env._segments)   # >= 1 each
-    soft_mins = mins - np.log(region_sums) / kappa
-
-    top = soft_mins.max()
-    outer = np.exp(kappa * (soft_mins - top))
-    outer_total = outer.sum()                                # >= 1
-    value = float(top + np.log(outer_total) / kappa - params.buffer / kappa)
-
-    # Weights: region weight times within-region softmin weight; they sum
-    # to one, so the gradient is a convex combination of face normals.
-    region_weights = outer / outer_total
-    row_scale = (region_weights / region_sums)[env._row_region]
-    weights = row_scale[:, None] * shifted               # (R, N_v)
-    gradient = weights.sum(axis=1) @ normals[env._rows]
-
-    time_partial = 0.0
-    if rates is not None:
-        time_partial = float(np.sum(weights * rates[env._rows]))
-
-    return BarrierEvaluation(value, gradient, time_partial, nonsmooth)
+    h, gradient, time_partial, psi = _evaluate(
+        env, shape, np.asarray(center, dtype=float), t, params,
+        derivatives=True)
+    return BarrierEvaluation(float(h), gradient, float(time_partial),
+                             float(psi))
 
 
 def barrier_field(env: PolytopeEnvironment, shape: AgentShape, centers,
@@ -237,32 +244,13 @@ def barrier_field(env: PolytopeEnvironment, shape: AgentShape, centers,
     -------
     (h, margin) : two arrays of shape (M,)
     """
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != env.dimension:
-        raise ValueError(f"centers must have shape (M, {env.dimension})")
-    kappa = params.kappa
-    normals, anchors, _, _ = env.frame(t)
-    offset_dots = normals @ shape.offsets.T            # (N_w, N_v)
-    anchor_dots = np.einsum("ij,ij->i", normals, anchors)
-
+    centers = _as_centers(env, centers)
+    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     h_out = np.empty(centers.shape[0])
     margin_out = np.empty(centers.shape[0])
     for start in range(0, centers.shape[0], chunk):
-        block = centers[start:start + chunk]
-        base = block @ normals.T - anchor_dots         # (m, N_w)
-        values = base[:, :, None] + offset_dots[None, :, :]
-        gathered = values[:, env._rows, :]             # (m, R, N_v)
-        row_min = gathered.min(axis=2)
-        mins = np.minimum.reduceat(row_min, env._segments, axis=1)
-        margin_out[start:start + chunk] = mins.max(axis=1)
-
-        shift = mins[:, env._row_region]
-        expd = np.exp(-kappa * (gathered - shift[:, :, None]))
-        region_sums = np.add.reduceat(expd.sum(axis=2), env._segments, axis=1)
-        soft_mins = mins - np.log(region_sums) / kappa
-        top = soft_mins.max(axis=1)
-        outer = np.exp(kappa * (soft_mins - top[:, None])).sum(axis=1)
-        h_out[start:start + chunk] = (
-            top + np.log(outer) / kappa - params.buffer / kappa
-        )
+        block = slice(start, start + chunk)
+        h_out[block], _, _, margin_out[block] = _evaluate(
+            env, shape, centers[block], t, params)
     return h_out, margin_out

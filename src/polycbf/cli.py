@@ -17,10 +17,9 @@ import time
 import numpy as np
 
 from . import scenarios, svgplot, verify
-from .barrier import (BarrierEvaluation, CbfParams, barrier_field,
-                      provable_buffer, smooth_max, smooth_min)
-from .safety_filter import DegenerateGradientError, DesiredController, safe_velocity
-from .sim import SimConfig, Termination, UnsafeStartError, run
+from .barrier import CbfParams, barrier_field, provable_buffer
+from .safety_filter import DegenerateGradientError
+from .sim import Termination, UnsafeStartError, run
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -52,33 +51,27 @@ def _resolve_scenario(ref: str) -> scenarios.Scenario:
         f"({', '.join(scenarios.BUILTIN_NAMES)}) and no such file")
 
 
+def _given(args, *names) -> dict:
+    """The command-line values among names that were set, by name."""
+    return {name: getattr(args, name) for name in names
+            if getattr(args, name, None) is not None}
+
+
 def _apply_overrides(scenario, args) -> scenarios.Scenario:
+    """Scenario with the command line's settings; an invalid value raises
+    ScenarioError."""
     # Precedence: command line > scenario file > builtin defaults.
-    cbf = scenario.cbf
-    if args.kappa is not None or args.buffer is not None \
-            or args.alpha_gain is not None:
-        cbf = CbfParams(
-            kappa=args.kappa if args.kappa is not None else cbf.kappa,
-            buffer=args.buffer if args.buffer is not None else cbf.buffer,
-            alpha_gain=(args.alpha_gain if args.alpha_gain is not None
-                        else cbf.alpha_gain),
-        )
-    sim = scenario.default_sim
-    if args.dt is not None or args.t_end is not None or args.start is not None:
-        sim = SimConfig(
-            dt=args.dt if args.dt is not None else sim.dt,
-            t_end=args.t_end if args.t_end is not None else sim.t_end,
-            x0=np.asarray(args.start) if args.start is not None else sim.x0,
-            goal_tolerance=sim.goal_tolerance,
-            record_stride=sim.record_stride,
-        )
-    controller = scenario.controller
-    if args.goal is not None:
-        controller = DesiredController(goal=np.asarray(args.goal),
-                                       gain=controller.gain,
-                                       u_max=controller.u_max)
-    return dataclasses.replace(scenario, cbf=cbf, default_sim=sim,
-                               controller=controller)
+    try:
+        return dataclasses.replace(
+            scenario,
+            cbf=dataclasses.replace(
+                scenario.cbf, **_given(args, "kappa", "buffer", "alpha_gain")),
+            default_sim=dataclasses.replace(
+                scenario.default_sim, **_given(args, "dt", "t_end", "x0")),
+            controller=dataclasses.replace(
+                scenario.controller, **_given(args, "goal")))
+    except ValueError as err:
+        raise scenarios.ScenarioError(str(err)) from None
 
 
 def cmd_simulate(args) -> int:
@@ -116,15 +109,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_field(args) -> int:
     try:
-        scenario = _resolve_scenario(args.scenario)
-        if args.kappa is not None or args.buffer is not None \
-                or args.alpha_gain is not None:
-            cbf = scenario.cbf
-            scenario = dataclasses.replace(scenario, cbf=CbfParams(
-                kappa=args.kappa if args.kappa is not None else cbf.kappa,
-                buffer=args.buffer if args.buffer is not None else cbf.buffer,
-                alpha_gain=(args.alpha_gain if args.alpha_gain is not None
-                            else cbf.alpha_gain)))
+        scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
         dim = scenario.environment.dimension
         if args.bounds is not None:
             if len(args.bounds) != 2 * dim:
@@ -171,23 +156,7 @@ def _suite_reports(args) -> list[verify.AuditReport]:
                 worst=worst, passed=bool(worst <= 1e-5), seed=args.seed))
 
     if args.suite in ("qp", "all"):
-        worst_slack, worst_comp = 0.0, 0.0
-        dims = [2, 3]
-        for _ in range(args.n):
-            dim = dims[int(rng.integers(len(dims)))]
-            ev = BarrierEvaluation(
-                value=float(rng.normal()), gradient=rng.normal(size=dim),
-                time_partial=float(rng.normal()), nonsmooth_value=0.0)
-            params = CbfParams(kappa=5.0, alpha_gain=float(rng.uniform(0.5, 4)))
-            res = safe_velocity(ev, rng.normal(size=dim), params)
-            worst_slack = max(worst_slack, -res.slack)
-            coeff = (res.u_safe - res.u_desired) @ ev.gradient \
-                / max(ev.gradient @ ev.gradient, 1e-30)
-            worst_comp = max(worst_comp, abs(coeff * res.slack))
-        worst = max(worst_slack, worst_comp)
-        reports.append(verify.AuditReport(
-            name="qp-closed-form", parameters={"n": args.n},
-            worst=worst, passed=bool(worst <= 1e-10), seed=args.seed))
+        reports.append(verify.qp_closed_form_audit(args.n, rng, args.seed))
 
     if args.suite in ("hull", "all"):
         for s in scens():
@@ -210,22 +179,7 @@ def _suite_reports(args) -> list[verify.AuditReport]:
                 worst=worst, passed=bool(worst <= 1e-12), seed=args.seed))
 
     if args.suite in ("sandwich", "all"):
-        worst = 0.0
-        for _ in range(200):
-            size = int(rng.integers(1, 9))
-            values = rng.normal(scale=10.0, size=size)
-            kappa = float(rng.uniform(0.5, 50.0))
-            hi, lo = smooth_max(values, kappa), smooth_min(values, kappa)
-            worst = max(
-                worst,
-                values.max() - hi,
-                hi - values.max() - np.log(size) / kappa,
-                lo - values.min(),
-                values.min() - np.log(size) / kappa - lo,
-            )
-        reports.append(verify.AuditReport(
-            name="smoothing-sandwich", parameters={"n": 200},
-            worst=worst, passed=bool(worst <= 1e-12), seed=args.seed))
+        reports.append(verify.smoothing_sandwich_audit(rng, args.seed))
 
     return reports
 
@@ -261,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--alpha-gain", type=float, dest="alpha_gain")
     sim.add_argument("--dt", type=float)
     sim.add_argument("--t-end", type=float, dest="t_end")
-    sim.add_argument("--start", type=float, nargs="+")
+    sim.add_argument("--start", type=float, nargs="+", dest="x0")
     sim.add_argument("--goal", type=float, nargs="+")
     sim.add_argument("--method", choices=("rk4", "euler"), default="rk4")
     sim.add_argument("--csv", help="trajectory CSV output path")

@@ -271,17 +271,20 @@ class PolytopeEnvironment:
         self._row_region = np.repeat(np.arange(len(self.regions)), counts)
 
         self._normals0 = np.array([hs.normal for hs in self.half_spaces])
-        self._anchors0 = np.array([hs.anchor for hs in self.half_spaces])
+        anchors0 = np.array([hs.anchor for hs in self.half_spaces])
+        self._levels0 = np.einsum("ij,ij->i", self._normals0, anchors0)
         # Half-spaces sharing a motion object are transformed as one block.
+        # A rotation preserves n0 . (w0 - c), the level relative to the
+        # pivot c, so only the pivot's own displacement moves the level.
         groups: dict[int, list[int]] = {}
-        self._motions: dict[int, RigidMotion] = {}
         for i, hs in enumerate(self.half_spaces):
             if hs.motion is not None:
                 groups.setdefault(id(hs.motion), []).append(i)
-                self._motions[id(hs.motion)] = hs.motion
-        self._motion_groups = [
-            (self._motions[key], np.array(idx)) for key, idx in groups.items()
-        ]
+        self._motion_groups = []
+        for idx in map(np.array, groups.values()):
+            motion = self.half_spaces[idx[0]].motion
+            pivot_levels = self._levels0[idx] - self._normals0[idx] @ motion.center
+            self._motion_groups.append((motion, idx, pivot_levels))
 
     @property
     def num_half_spaces(self) -> int:
@@ -296,29 +299,31 @@ class PolytopeEnvironment:
         return not self._motion_groups
 
     def frame(self, t: float):
-        """Normals, anchors, and their time rates for all half-spaces at t.
+        """Normals, face levels c_i = n_i . w_i, and their time rates at t.
+
+        Half-space i reads n_i . p - c_i, so the levels carry everything
+        the anchors contribute.
 
         Returns
         -------
-        (normals, anchors, normal_rates, anchor_rates)
-            Arrays of shape (N_w, p); the two rate arrays are None for a
-            fully static environment.
+        (normals, levels, normal_rates, level_rates)
+            Shapes (N_w, p), (N_w,), (N_w, p), (N_w,); the two rate arrays
+            are None for a fully static environment.
         """
         if self.is_static:
-            return self._normals0, self._anchors0, None, None
+            return self._normals0, self._levels0, None, None
         normals = self._normals0.copy()
-        anchors = self._anchors0.copy()
+        levels = self._levels0.copy()
         normal_rates = np.zeros_like(normals)
-        anchor_rates = np.zeros_like(anchors)
-        for motion, idx in self._motion_groups:
-            rot = motion.rotation(t)
-            rot_rate = motion.rotation_rate(t)
-            rel = self._anchors0[idx] - motion.center
-            normals[idx] = self._normals0[idx] @ rot.T
-            anchors[idx] = motion.center + rel @ rot.T + motion.linear_velocity * t
-            normal_rates[idx] = self._normals0[idx] @ rot_rate.T
-            anchor_rates[idx] = rel @ rot_rate.T + motion.linear_velocity
-        return normals, anchors, normal_rates, anchor_rates
+        level_rates = np.zeros_like(levels)
+        for motion, idx, pivot_levels in self._motion_groups:
+            pivot = motion.center + motion.linear_velocity * t
+            normals[idx] = self._normals0[idx] @ motion.rotation(t).T
+            normal_rates[idx] = self._normals0[idx] @ motion.rotation_rate(t).T
+            levels[idx] = pivot_levels + normals[idx] @ pivot
+            level_rates[idx] = (normal_rates[idx] @ pivot
+                                + normals[idx] @ motion.linear_velocity)
+        return normals, levels, normal_rates, level_rates
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolytopeEnvironment):

@@ -38,10 +38,12 @@ class DesiredController:
 
     def __post_init__(self):
         self.goal = _as_point(self.goal, name="goal")
-        if not self.gain > 0:
-            raise ValueError(f"gain must be positive, got {self.gain}")
-        if not self.u_max > 0:
-            raise ValueError(f"u_max must be positive, got {self.u_max}")
+        if not 0 < self.gain < np.inf:
+            raise ValueError(
+                f"gain must be positive and finite, got {self.gain}")
+        if not 0 < self.u_max < np.inf:
+            raise ValueError(
+                f"u_max must be positive and finite, got {self.u_max}")
 
     def velocity(self, p) -> np.ndarray:
         p = _as_point(p, self.goal.shape[0], "p")

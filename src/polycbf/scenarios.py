@@ -413,7 +413,7 @@ def _scenario_from_dict(data: dict) -> Scenario:
             t_end=float(_require(sim_obj, "t_end", "sim")),
             x0=_vector(_require(sim_obj, "x0", "sim"), dim, "sim.x0"),
             goal_tolerance=float(_require(sim_obj, "goal_tolerance", "sim")),
-            record_stride=int(sim_obj.get("record_stride", 1)),
+            record_stride=float(sim_obj.get("record_stride", 1)),
         )
     except ValueError as err:
         raise ScenarioError(f"sim: {err}") from None

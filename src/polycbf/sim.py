@@ -44,14 +44,16 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < self.dt:
-            raise ValueError(f"t_end must be at least dt, got {self.t_end}")
-        if not self.goal_tolerance > 0:
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.dt <= self.t_end < np.inf:
             raise ValueError(
-                f"goal_tolerance must be positive, got {self.goal_tolerance}")
-        if int(self.record_stride) < 1:
+                f"t_end must be finite and at least dt, got {self.t_end}")
+        if not 0 < self.goal_tolerance < np.inf:
+            raise ValueError(
+                f"goal_tolerance must be positive and finite, got "
+                f"{self.goal_tolerance}")
+        if not 1 <= self.record_stride < np.inf:
             raise ValueError(
                 f"record_stride must be a positive integer, got "
                 f"{self.record_stride}")

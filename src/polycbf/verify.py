@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barrier import (BarrierEvaluation, CbfParams, barrier_field,
-                      margin_field, smooth_barrier)
+from .barrier import (BarrierEvaluation, CbfParams, _evaluate, barrier_field,
+                      margin_field, smooth_max, smooth_min)
 from .geometry import AgentShape, PolytopeEnvironment
 from .safety_filter import safe_velocity
 
@@ -27,6 +27,8 @@ __all__ = [
     "hull_containment_audit",
     "under_approximation_audit",
     "gradient_audit",
+    "qp_closed_form_audit",
+    "smoothing_sandwich_audit",
     "scenario_bounds",
     "grid_points",
 ]
@@ -173,40 +175,83 @@ def gradient_audit(scenario, n_states: int = 1000, seed: int = 0,
     times = rng.uniform(0.0, t_max, size=n_states) if t_max > 0 \
         else np.zeros(n_states)
 
-    # One +/- probe pair per axis per state, batched per evaluation time.
+    # One +/- probe pair per axis per state.  Everything is batched per
+    # evaluation time: one call for a static world, one per state otherwise.
     probes = np.repeat(centers, 2 * dim, axis=0)
+    probe_times = np.repeat(times, 2 * dim)
     signs = np.tile(np.repeat([1.0, -1.0], 1), dim * n_states)
     axes = np.tile(np.repeat(np.arange(dim), 2), n_states)
     probes[np.arange(probes.shape[0]), axes] += signs * step
 
-    if env.is_static:
-        h_probe = barrier_field(env, shape, probes, 0.0, params)[0]
-    else:
-        h_probe = np.empty(probes.shape[0])
-        for i in range(n_states):
-            sl = slice(2 * dim * i, 2 * dim * (i + 1))
-            h_probe[sl] = barrier_field(env, shape, probes[sl],
-                                        float(times[i]), params)[0]
+    h_probe = np.empty(probes.shape[0])
+    grads = np.empty((n_states, dim))
+    partials = np.empty(n_states)
+    fd_partials = np.zeros(n_states)
+    for t in map(float, np.unique(times)):
+        at, probe_at = times == t, probe_times == t
+        h_probe[probe_at] = barrier_field(env, shape, probes[probe_at], t,
+                                          params)[0]
+        _, grads[at], partials[at], _ = _evaluate(
+            env, shape, centers[at], t, params, derivatives=True)
+        if not env.is_static:
+            plus = barrier_field(env, shape, centers[at], t + step, params)[0]
+            minus = barrier_field(env, shape, centers[at], t - step, params)[0]
+            fd_partials[at] = (plus - minus) / (2.0 * step)
     fd_grads = (h_probe[0::2] - h_probe[1::2]).reshape(n_states, dim) \
         / (2.0 * step)
 
+    grad_errors = np.linalg.norm(grads - fd_grads, axis=1) \
+        / np.maximum(np.linalg.norm(fd_grads, axis=1), 1.0)
+    time_errors = np.abs(partials - fd_partials) \
+        / np.maximum(np.abs(fd_partials), 1.0)
+    return float(np.max(np.maximum(grad_errors, time_errors), initial=0.0))
+
+
+def qp_closed_form_audit(n: int, rng: np.random.Generator,
+                         seed: int | None = None) -> AuditReport:
+    """KKT residuals of the closed-form filter on n random problems.
+
+    Each problem draws a dimension, a barrier evaluation, a class-K gain and
+    a desired input from rng.  The worst of the constraint violation and the
+    complementary-slackness product must vanish to rounding.
+    """
+    worst_slack, worst_comp = 0.0, 0.0
+    for _ in range(n):
+        dim = 2 + int(rng.integers(2))
+        ev = BarrierEvaluation(
+            value=float(rng.normal()), gradient=rng.normal(size=dim),
+            time_partial=float(rng.normal()), nonsmooth_value=0.0)
+        params = CbfParams(kappa=5.0, alpha_gain=float(rng.uniform(0.5, 4)))
+        res = safe_velocity(ev, rng.normal(size=dim), params)
+        worst_slack = max(worst_slack, -res.slack)
+        coeff = (res.u_safe - res.u_desired) @ ev.gradient \
+            / max(ev.gradient @ ev.gradient, 1e-30)
+        worst_comp = max(worst_comp, abs(coeff * res.slack))
+    worst = max(worst_slack, worst_comp)
+    return AuditReport(name="qp-closed-form", parameters={"n": n},
+                       worst=worst, passed=bool(worst <= 1e-10), seed=seed)
+
+
+def smoothing_sandwich_audit(rng: np.random.Generator,
+                             seed: int | None = None) -> AuditReport:
+    """Worst breach of max <= smooth_max <= max + ln(N)/kappa and
+    min - ln(N)/kappa <= smooth_min <= min over 200 random value sets
+    drawn from rng."""
     worst = 0.0
-    for i, (center, t) in enumerate(zip(centers, times)):
-        ev = smooth_barrier(env, shape, center, float(t), params)
-        denom = max(float(np.linalg.norm(fd_grads[i])), 1.0)
-        worst = max(worst,
-                    float(np.linalg.norm(ev.gradient - fd_grads[i])) / denom)
-        if not env.is_static:
-            plus = barrier_field(env, shape, center[None, :],
-                                 float(t) + step, params)[0][0]
-            minus = barrier_field(env, shape, center[None, :],
-                                  float(t) - step, params)[0][0]
-            fd_t = (plus - minus) / (2.0 * step)
-            worst = max(worst,
-                        abs(ev.time_partial - fd_t) / max(abs(fd_t), 1.0))
-        else:
-            worst = max(worst, abs(ev.time_partial))
-    return worst
+    for _ in range(200):
+        size = int(rng.integers(1, 9))
+        values = rng.normal(scale=10.0, size=size)
+        kappa = float(rng.uniform(0.5, 50.0))
+        hi, lo = smooth_max(values, kappa), smooth_min(values, kappa)
+        worst = max(
+            worst,
+            values.max() - hi,
+            hi - values.max() - np.log(size) / kappa,
+            lo - values.min(),
+            values.min() - np.log(size) / kappa - lo,
+        )
+    return AuditReport(name="smoothing-sandwich", parameters={"n": 200},
+                       worst=worst, passed=bool(worst <= 1e-12), seed=seed)
 
 
 def scenario_bounds(scenario, pad: float | None = None):

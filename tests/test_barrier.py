@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polycbf.barrier import (CbfParams, barrier_field, margin_agent,
                              margin_field, margin_point, provable_buffer,
                              smooth_barrier, smooth_max, smooth_min)
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
-from polycbf.scenarios import builtin
+from polycbf.scenarios import BUILTIN_NAMES, builtin
+from polycbf.verify import scenario_bounds
 
 import oracles
 
@@ -318,6 +321,67 @@ class TestBarrierField:
         with pytest.raises(ValueError):
             barrier_field(s.environment, s.agent, np.zeros((4, 3)), 0.0, s.cbf)
 
+    @pytest.mark.parametrize("chunk", [0, -1, 2.5])
+    def test_rejects_bad_chunk(self, chunk):
+        s = builtin("l-shape")
+        with pytest.raises(ValueError, match="chunk"):
+            barrier_field(s.environment, s.agent, np.zeros((4, 2)), 0.0,
+                          s.cbf, chunk=chunk)
+
+
+class TestBatchOracles:
+    """The batch paths against the naive loops, which share no code with
+    the kernel."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_fields_match_naive_loops(self, name):
+        s = builtin(name)
+        env, shape = s.environment, s.agent
+        rng = np.random.default_rng(59)
+        low, high = scenario_bounds(s)
+        for _ in range(3):
+            t = float(rng.uniform(0.0, s.default_sim.t_end))
+            centers = rng.uniform(low, high, size=(11, env.dimension))
+            # chunk 4 puts block boundaries after centers 4 and 8
+            h, margin = barrier_field(env, shape, centers, t, s.cbf, chunk=4)
+            margins = margin_field(env, shape, centers, t)
+            for c, hv, mv, mf in zip(centers, h, margin, margins):
+                psi = oracles.naive_margin(env, shape, c, t)
+                assert hv == pytest.approx(
+                    oracles.naive_smooth_value(env, shape, c, t, s.cbf),
+                    abs=1e-12)
+                assert mv == pytest.approx(psi, abs=1e-12)
+                assert mf == pytest.approx(psi, abs=1e-12)
+
+    @pytest.mark.parametrize("name, kappa", [("ellipse", 200.0),
+                                             ("ellipse", 1000.0),
+                                             ("revolving-door", 2000.0)])
+    def test_large_kappa(self, name, kappa):
+        # kappa * psi reaches 1e3 to 1e4 here, beyond the naive smooth
+        # loop's range, and from kappa = 1000 on kappa * n_i . dp_k alone
+        # passes the exp overflow point.  The exact margin bounds h from
+        # both sides, and the normals are unit vectors.
+        s = builtin(name)
+        env, shape = s.environment, s.agent
+        params = CbfParams(kappa=kappa)
+        rng = np.random.default_rng(61)
+        low, high = scenario_bounds(s)
+        t = 0.0 if env.is_static else float(rng.uniform(0.0, 10.0))
+        centers = rng.uniform(low, high, size=(40, env.dimension))
+        n_rows = sum(len(r) for r in env.regions) * shape.num_vertices
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            h, margin = barrier_field(env, shape, centers, t, params,
+                                      chunk=16)
+            for c, hv, mv in zip(centers, h, margin):
+                psi = oracles.naive_margin(env, shape, c, t)
+                assert mv == pytest.approx(psi, abs=1e-12)
+                assert psi - math.log(n_rows) / kappa - 1e-12 <= hv
+                assert hv <= psi + math.log(env.num_regions) / kappa + 1e-12
+                ev = smooth_barrier(env, shape, c, t, params)
+                assert ev.value == pytest.approx(hv, abs=1e-12)
+                assert np.linalg.norm(ev.gradient) <= 1.0 + 1e-12
+                assert np.isfinite(ev.time_partial)
+
 
 class TestCbfParams:
     def test_validation(self):
@@ -329,6 +393,22 @@ class TestCbfParams:
             CbfParams(kappa=5.0, alpha_gain=0.0)
         # b = 0 is allowed: single-region smoothing is already conservative
         CbfParams(kappa=5.0, buffer=0.0)
+
+    @pytest.mark.parametrize("field", ["kappa", "buffer", "alpha_gain"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            CbfParams(**{"kappa": 5.0, field: value})
+
+    @given(st.floats(), st.floats(), st.floats())
+    def test_rejected_or_finite(self, kappa, buffer, alpha_gain):
+        try:
+            params = CbfParams(kappa=kappa, buffer=buffer,
+                               alpha_gain=alpha_gain)
+        except ValueError:
+            return
+        assert all(map(math.isfinite,
+                       (params.kappa, params.buffer, params.alpha_gain)))
 
     def test_provable_buffer(self):
         assert provable_buffer(builtin("l-shape").environment) == \

@@ -53,6 +53,22 @@ class TestSimulateCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ScenarioError"
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "l-shape", "--dt", "-1"],
+        ["simulate", "l-shape", "--kappa", "-1"],
+        ["simulate", "l-shape", "--t-end", "nan"],
+        ["simulate", "l-shape", "--t-end", "inf"],
+        ["field", "l-shape", "--kappa", "-1", "--out", "unused.csv"],
+    ])
+    def test_bad_override_exits_2(self, argv, capsys, tmp_path,
+                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError"
+        assert argv[2].lstrip("-").replace("-", "_") in err["message"]
+        assert not (tmp_path / "unused.csv").exists()
+
     def test_unsafe_start_exits_4(self, capsys):
         code = main(["simulate", "l-shape", "--start", "1.0", "0.5"])
         assert code == 4

@@ -42,6 +42,12 @@ class TestDesiredController:
         with pytest.raises(ValueError):
             DesiredController(goal=(0.0, 0.0), u_max=-1.0)
 
+    @pytest.mark.parametrize("field", ["gain", "u_max"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DesiredController(goal=(0.0, 0.0), **{field: value})
+
 
 class TestSafeVelocity:
     def test_inactive_when_constraint_holds(self):

@@ -188,6 +188,21 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match="kappa"):
             load(self.write(tmp_path, config))
 
+    @pytest.mark.parametrize("section, key", [("cbf", "kappa"),
+                                              ("cbf", "buffer"),
+                                              ("cbf", "alpha_gain"),
+                                              ("sim", "dt"),
+                                              ("sim", "t_end"),
+                                              ("sim", "record_stride"),
+                                              ("controller", "gain"),
+                                              ("controller", "u_max")])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_number_rejected(self, tmp_path, section, key, value):
+        config = self.good_config()
+        config[section][key] = value  # written as NaN / Infinity
+        with pytest.raises(ScenarioError, match=key):
+            load(self.write(tmp_path, config))
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

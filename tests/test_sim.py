@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from polycbf.barrier import CbfParams
 from polycbf.geometry import AgentShape, ConvexRegion, HalfSpace, PolytopeEnvironment
@@ -153,6 +155,27 @@ class TestSimConfig:
             SimConfig(goal_tolerance=0.0)
         with pytest.raises(ValueError):
             SimConfig(record_stride=0)
+
+    @pytest.mark.parametrize("field", ["dt", "t_end", "goal_tolerance",
+                                       "record_stride"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(**{field: value})
+
+    @given(st.floats(), st.floats(), st.floats(),
+           st.one_of(st.integers(), st.floats()))
+    def test_rejected_or_finite(self, dt, t_end, goal_tolerance,
+                                record_stride):
+        try:
+            config = SimConfig(dt=dt, t_end=t_end,
+                               goal_tolerance=goal_tolerance,
+                               record_stride=record_stride)
+        except ValueError:
+            return
+        assert all(map(math.isfinite, (config.dt, config.t_end,
+                                       config.goal_tolerance,
+                                       config.record_stride)))
 
 
 class TestCsv:

@@ -10,7 +10,9 @@ from polycbf.scenarios import builtin
 from polycbf.verify import (AuditReport, InfeasibleGridError, grid_points,
                             gradient_audit, hull_containment_audit,
                             hull_containment_sample, qp_bruteforce,
-                            scenario_bounds, under_approximation_audit)
+                            qp_closed_form_audit, scenario_bounds,
+                            smoothing_sandwich_audit,
+                            under_approximation_audit)
 
 
 def make_eval(grad, h, dht=0.0):
@@ -176,3 +178,16 @@ class TestHelpers:
         assert payload["passed"] is True
         assert payload["seed"] == 42
         assert payload["worst"] == -1e-13
+
+
+class TestRandomizedAudits:
+    def test_qp_closed_form(self):
+        report = qp_closed_form_audit(500, np.random.default_rng(3), seed=3)
+        assert report.name == "qp-closed-form"
+        assert report.parameters == {"n": 500}
+        assert report.passed and report.seed == 3
+
+    def test_smoothing_sandwich(self):
+        report = smoothing_sandwich_audit(np.random.default_rng(3), seed=3)
+        assert report.name == "smoothing-sandwich"
+        assert report.passed and report.worst <= 1e-12
