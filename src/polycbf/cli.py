@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import scenarios, svgplot, verify
-from .barrier import CbfParams, barrier_field, provable_buffer
+from .barrier import barrier_field
 from .safety_filter import DegenerateGradientError
 from .sim import Termination, UnsafeStartError, run
 
@@ -138,57 +138,13 @@ def cmd_field(args) -> int:
     return EXIT_OK
 
 
-def _suite_reports(args) -> list[verify.AuditReport]:
-    names = [args.scenario] if args.scenario else list(scenarios.BUILTIN_NAMES)
-    reports = []
-    rng = np.random.default_rng(args.seed)
-
-    def scens():
-        return (scenarios.builtin(n) for n in names)
-
-    if args.suite in ("gradients", "all"):
-        for s in scens():
-            worst = verify.gradient_audit(s, n_states=min(args.n, 1000),
-                                          seed=args.seed)
-            reports.append(verify.AuditReport(
-                name="gradients", parameters={"scenario": s.name,
-                                              "n_states": min(args.n, 1000)},
-                worst=worst, passed=bool(worst <= 1e-5), seed=args.seed))
-
-    if args.suite in ("qp", "all"):
-        reports.append(verify.qp_closed_form_audit(args.n, rng, args.seed))
-
-    if args.suite in ("hull", "all"):
-        for s in scens():
-            reports.append(verify.hull_containment_audit(s, seed=args.seed))
-
-    if args.suite in ("under", "all"):
-        for s in scens():
-            low, high = verify.scenario_bounds(s)
-            res = 50 if s.environment.dimension == 3 else 200
-            grid = verify.grid_points(low, high, res)
-            params = CbfParams(kappa=s.cbf.kappa,
-                               buffer=provable_buffer(s.environment),
-                               alpha_gain=s.cbf.alpha_gain)
-            worst = verify.under_approximation_audit(
-                s.environment, s.agent, params, grid)
-            reports.append(verify.AuditReport(
-                name="under-approximation",
-                parameters={"scenario": s.name, "buffer": params.buffer,
-                            "resolution": res},
-                worst=worst, passed=bool(worst <= 1e-12), seed=args.seed))
-
-    if args.suite in ("sandwich", "all"):
-        reports.append(verify.smoothing_sandwich_audit(rng, args.seed))
-
-    return reports
-
-
 def cmd_verify(args) -> int:
+    names = [args.scenario] if args.scenario else scenarios.BUILTIN_NAMES
     try:
-        reports = _suite_reports(args)
+        scens = [scenarios.builtin(name) for name in names]
     except scenarios.ScenarioError as err:
         return _fail(EXIT_VALIDATION, err)
+    reports = verify.run_suite(args.suite, scens, args.seed, args.n)
     payload = json.dumps([r.to_dict() for r in reports], indent=2,
                          sort_keys=True)
     if args.out:
@@ -208,11 +164,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Safety-filtered navigation in polytope environments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run a scenario and log the trajectory")
+    cbf = argparse.ArgumentParser(add_help=False)
+    cbf.add_argument("--kappa", type=float)
+    cbf.add_argument("--buffer", type=float)
+    cbf.add_argument("--alpha-gain", type=float, dest="alpha_gain")
+
+    sim = sub.add_parser("simulate", parents=[cbf],
+                         help="run a scenario and log the trajectory")
     sim.add_argument("scenario", help="builtin name or config file path")
-    sim.add_argument("--kappa", type=float)
-    sim.add_argument("--buffer", type=float)
-    sim.add_argument("--alpha-gain", type=float, dest="alpha_gain")
     sim.add_argument("--dt", type=float)
     sim.add_argument("--t-end", type=float, dest="t_end")
     sim.add_argument("--start", type=float, nargs="+", dest="x0")
@@ -222,21 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--svg", help="trajectory SVG output path")
     sim.set_defaults(func=cmd_simulate)
 
-    fld = sub.add_parser("field", help="dump a grid of (psi, h) values")
+    fld = sub.add_parser("field", parents=[cbf],
+                         help="dump a grid of (psi, h) values")
     fld.add_argument("scenario")
     fld.add_argument("--bounds", type=float, nargs="+",
                      help="xmin xmax ymin ymax [zmin zmax]")
     fld.add_argument("--resolution", type=int, default=100)
     fld.add_argument("--time", type=float, default=0.0)
-    fld.add_argument("--kappa", type=float)
-    fld.add_argument("--buffer", type=float)
-    fld.add_argument("--alpha-gain", type=float, dest="alpha_gain")
     fld.add_argument("--out", required=True)
     fld.set_defaults(func=cmd_field)
 
     ver = sub.add_parser("verify", help="run verification audits")
-    ver.add_argument("suite", choices=("gradients", "qp", "hull", "under",
-                                       "sandwich", "all"))
+    ver.add_argument("suite", choices=(*verify.SUITES, "all"))
     ver.add_argument("--scenario", help="restrict to one builtin")
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--n", type=int, default=100000)

@@ -10,12 +10,12 @@ is seeded and deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .barrier import (BarrierEvaluation, CbfParams, _evaluate, barrier_field,
-                      margin_field, smooth_max, smooth_min)
+                      margin_field, provable_buffer, smooth_max, smooth_min)
 from .geometry import AgentShape, PolytopeEnvironment
 from .safety_filter import safe_velocity
 
@@ -29,9 +29,16 @@ __all__ = [
     "gradient_audit",
     "qp_closed_form_audit",
     "smoothing_sandwich_audit",
+    "SUITES",
+    "run_suite",
     "scenario_bounds",
     "grid_points",
 ]
+
+
+# Audit suites in the order `run_suite("all", ...)` reports them.
+SUITES = ("gradients", "qp", "hull", "under", "sandwich")
+_QP_BLOCK = 4096  # filter problems drawn at once, bounding the audit's memory
 
 
 class InfeasibleGridError(RuntimeError):
@@ -48,17 +55,9 @@ class AuditReport:
     worst: float
     passed: bool
     seed: int | None = None
-    details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "worst": self.worst,
-            "passed": self.passed,
-            "seed": self.seed,
-            **({"details": self.details} if self.details else {}),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -116,15 +115,13 @@ def hull_containment_sample(env: PolytopeEnvironment, shape: AgentShape,
 
 
 def hull_containment_audit(scenario, n_states: int = 500,
-                           n_weights: int = 20, seed: int = 0,
-                           t_max: float | None = None) -> AuditReport:
-    """Hull-containment gap over random (state, weights) pairs drawn inside
-    the scenario's bounding box (states need not be safe)."""
+                           n_weights: int = 20, seed: int = 0) -> AuditReport:
+    """Hull-containment gap, passing at >= -1e-12, over random (state,
+    weights) pairs drawn in the scenario's box (states need not be safe)."""
     rng = np.random.default_rng(seed)
     low, high = scenario_bounds(scenario)
     env, shape = scenario.environment, scenario.agent
-    if t_max is None:
-        t_max = 0.0 if env.is_static else scenario.default_sim.t_end
+    t_max = 0.0 if env.is_static else scenario.default_sim.t_end
     worst = np.inf
     for _ in range(n_states):
         center = rng.uniform(low, high)
@@ -141,33 +138,47 @@ def hull_containment_audit(scenario, n_states: int = 500,
     )
 
 
-def under_approximation_audit(env: PolytopeEnvironment, shape: AgentShape,
-                              params: CbfParams, grid) -> float:
-    """Worst value of h - margin over the given grid of agent centers.
+def under_approximation_audit(scenario, params: CbfParams | None = None,
+                              resolution: int | None = None) -> AuditReport:
+    """Worst value of h - margin at t = 0 over a grid of agent centers
+    spanning the scenario's bounding box, 200 points per axis in 2D and 50
+    in 3D unless resolution says otherwise.
 
     Nonpositive means the smooth barrier under-approximates the exact
-    margin on the grid; guaranteed when buffer >= log(num regions), and for
-    a single region already at buffer = 0.
+    margin on the grid; guaranteed when buffer >= log(num regions), the
+    default with the scenario's kappa and gamma, and for a single region
+    already at buffer = 0.  Passes at worst <= 1e-12; draws nothing.
     """
-    grid = np.asarray(grid, dtype=float)
-    h, margin = barrier_field(env, shape, grid, 0.0, params)
-    return float(np.max(h - margin))
+    env = scenario.environment
+    if params is None:
+        params = replace(scenario.cbf, buffer=provable_buffer(env))
+    if resolution is None:
+        resolution = 50 if env.dimension == 3 else 200
+    grid = grid_points(*scenario_bounds(scenario), resolution)
+    h, margin = barrier_field(env, scenario.agent, grid, 0.0, params)
+    worst = float(np.max(h - margin))
+    return AuditReport(
+        name="under-approximation",
+        parameters={"scenario": scenario.name, "buffer": params.buffer,
+                    "resolution": resolution},
+        worst=worst, passed=bool(worst <= 1e-12))
 
 
 def gradient_audit(scenario, n_states: int = 1000, seed: int = 0,
-                   step: float = 1e-5, kappa: float | None = None) -> float:
+                   step: float = 1e-5,
+                   kappa: float | None = None) -> AuditReport:
     """Worst relative mismatch between analytic and central finite
     difference derivatives of the smooth barrier.
 
     Covers the spatial gradient and, for time-varying environments, the
     time partial.  Errors are measured relative to the larger of the
     finite-difference magnitude and one (the scale of unit normals).
+    Passes at worst <= 1e-5.
     """
     rng = np.random.default_rng(seed)
     env, shape = scenario.environment, scenario.agent
-    params = scenario.cbf if kappa is None else CbfParams(
-        kappa=kappa, buffer=scenario.cbf.buffer,
-        alpha_gain=scenario.cbf.alpha_gain)
+    params = scenario.cbf if kappa is None else replace(
+        scenario.cbf, kappa=kappa)
     low, high = scenario_bounds(scenario)
     dim = env.dimension
     centers = rng.uniform(low, high, size=(n_states, dim))
@@ -204,39 +215,49 @@ def gradient_audit(scenario, n_states: int = 1000, seed: int = 0,
         / np.maximum(np.linalg.norm(fd_grads, axis=1), 1.0)
     time_errors = np.abs(partials - fd_partials) \
         / np.maximum(np.abs(fd_partials), 1.0)
-    return float(np.max(np.maximum(grad_errors, time_errors), initial=0.0))
+    worst = float(np.max(np.maximum(grad_errors, time_errors), initial=0.0))
+    return AuditReport(
+        name="gradients",
+        parameters={"scenario": scenario.name, "n_states": n_states},
+        worst=worst, passed=bool(worst <= 1e-5), seed=seed)
 
 
-def qp_closed_form_audit(n: int, rng: np.random.Generator,
-                         seed: int | None = None) -> AuditReport:
+def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
     """KKT residuals of the closed-form filter on n random problems.
 
     Each problem draws a dimension, a barrier evaluation, a class-K gain and
-    a desired input from rng.  The worst of the constraint violation and the
-    complementary-slackness product must vanish to rounding.
+    a desired input.  r = grad(h) . u + dh/dt + gamma * h is recomputed at
+    the returned input, scaled by the sum of its terms' magnitudes.  Passes
+    when -r and, where the filter changed the input, |r| stay <= 1e-12.
     """
-    worst_slack, worst_comp = 0.0, 0.0
-    for _ in range(n):
-        dim = 2 + int(rng.integers(2))
-        ev = BarrierEvaluation(
-            value=float(rng.normal()), gradient=rng.normal(size=dim),
-            time_partial=float(rng.normal()), nonsmooth_value=0.0)
-        params = CbfParams(kappa=5.0, alpha_gain=float(rng.uniform(0.5, 4)))
-        res = safe_velocity(ev, rng.normal(size=dim), params)
-        worst_slack = max(worst_slack, -res.slack)
-        coeff = (res.u_safe - res.u_desired) @ ev.gradient \
-            / max(ev.gradient @ ev.gradient, 1e-30)
-        worst_comp = max(worst_comp, abs(coeff * res.slack))
-    worst = max(worst_slack, worst_comp)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for start in range(0, n, _QP_BLOCK):
+        size = min(_QP_BLOCK, n - start)
+        dims = 2 + rng.integers(2, size=size)
+        values, partials = rng.normal(size=(2, size))
+        grads, u_des = rng.normal(size=(2, size, 3))
+        grads[np.arange(3) >= dims[:, None]] = 0.0  # unused axis of 2D rows
+        gains = rng.uniform(0.5, 4.0, size=size)
+        u_safe = u_des.copy()
+        for i, dim in enumerate(dims):
+            ev = BarrierEvaluation(values[i], grads[i, :dim], partials[i], 0.0)
+            params = CbfParams(kappa=5.0, alpha_gain=gains[i])
+            u_safe[i, :dim] = safe_velocity(ev, u_des[i, :dim], params).u_safe
+        terms = np.column_stack((grads * u_safe, partials, gains * values))
+        r, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        changed = np.any(u_safe != u_des, axis=1)
+        worst = np.max(np.where(changed, abs(r), -r) / scale, initial=worst)
     return AuditReport(name="qp-closed-form", parameters={"n": n},
-                       worst=worst, passed=bool(worst <= 1e-10), seed=seed)
+                       worst=float(worst), passed=bool(worst <= 1e-12),
+                       seed=seed)
 
 
-def smoothing_sandwich_audit(rng: np.random.Generator,
-                             seed: int | None = None) -> AuditReport:
+def smoothing_sandwich_audit(seed: int = 0) -> AuditReport:
     """Worst breach of max <= smooth_max <= max + ln(N)/kappa and
-    min - ln(N)/kappa <= smooth_min <= min over 200 random value sets
-    drawn from rng."""
+    min - ln(N)/kappa <= smooth_min <= min over 200 random value sets.
+    Passes at <= 1e-12."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(200):
         size = int(rng.integers(1, 9))
@@ -252,6 +273,29 @@ def smoothing_sandwich_audit(rng: np.random.Generator,
         )
     return AuditReport(name="smoothing-sandwich", parameters={"n": 200},
                        worst=worst, passed=bool(worst <= 1e-12), seed=seed)
+
+
+def run_suite(suite: str, scenarios, seed: int, n: int) -> list[AuditReport]:
+    """Reports of one suite in SUITES, or of all in SUITES order for "all".
+
+    Each audit seeds its own generator, so a suite reports the same alone as
+    inside "all".  n sizes the qp audit; the gradient audit takes at most
+    1000 states."""
+    if suite not in (*SUITES, "all"):
+        raise ValueError(f"unknown suite {suite!r}")
+    reports = []
+    if suite in ("gradients", "all"):
+        reports += [gradient_audit(s, n_states=min(n, 1000), seed=seed)
+                    for s in scenarios]
+    if suite in ("qp", "all"):
+        reports.append(qp_closed_form_audit(n, seed))
+    if suite in ("hull", "all"):
+        reports += [hull_containment_audit(s, seed=seed) for s in scenarios]
+    if suite in ("under", "all"):
+        reports += [under_approximation_audit(s) for s in scenarios]
+    if suite in ("sandwich", "all"):
+        reports.append(smoothing_sandwich_audit(seed))
+    return reports
 
 
 def scenario_bounds(scenario, pad: float | None = None):

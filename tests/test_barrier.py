@@ -383,6 +383,58 @@ class TestBatchOracles:
                 assert np.isfinite(ev.time_partial)
 
 
+def random_moving_env(rng, dim):
+    """Seven random faces in three regions: three ride a motion that pivots
+    off the origin and drifts, two a motion that only turns, two are static.
+    Every region mixes faces of different motions."""
+    def spin():
+        if dim == 2:
+            return {"omega": float(rng.uniform(-1.0, 1.0))}
+        return {"axis_rate": rng.uniform(-1.0, 1.0, 3)}
+
+    drifting = RigidMotion(rng.uniform(-2.0, 2.0, dim),
+                           linear_velocity=rng.uniform(-0.5, 0.5, dim),
+                           **spin())
+    turning = RigidMotion(rng.uniform(-2.0, 2.0, dim), **spin())
+    walls = []
+    for motion in [drifting] * 3 + [turning] * 2 + [None] * 2:
+        normal = rng.normal(size=dim)
+        walls.append(HalfSpace(normal / np.linalg.norm(normal),
+                               rng.uniform(-1.5, 1.5, dim), motion))
+    return PolytopeEnvironment(walls, [[0, 3, 5], [1, 4], [2, 6]])
+
+
+class TestMovingWorlds:
+    """Frames with a drifting, off-origin pivot and 3D axis rates, which the
+    builtins (one door turning about the origin) do not reach."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_kernel_matches_naive_loops(self, dim):
+        rng = np.random.default_rng(67 + dim)
+        for _ in range(10):
+            env = random_moving_env(rng, dim)
+            shape = AgentShape(rng.uniform(-0.3, 0.3, size=(4, dim)))
+            params = CbfParams(kappa=float(rng.uniform(2.0, 8.0)),
+                               buffer=float(rng.uniform(0.0, 1.0)))
+
+            def h(x, t):
+                return oracles.naive_smooth_value(env, shape, x, t, params)
+
+            for _ in range(10):
+                c = rng.uniform(-3.0, 3.0, dim)
+                t = float(rng.uniform(0.0, 5.0))
+                ev = smooth_barrier(env, shape, c, t, params)
+                assert ev.value == pytest.approx(h(c, t), abs=1e-12)
+                assert ev.nonsmooth_value == pytest.approx(
+                    oracles.naive_margin(env, shape, c, t), abs=1e-12)
+                fd = oracles.fd_gradient(lambda x: h(x, t), c)
+                assert np.linalg.norm(ev.gradient - fd) \
+                    / max(np.linalg.norm(fd), 1.0) <= 1e-5
+                fd_t = oracles.fd_scalar(lambda tt: h(c, tt), t)
+                assert abs(ev.time_partial - fd_t) / max(abs(fd_t), 1.0) \
+                    <= 1e-5
+
+
 class TestCbfParams:
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from polycbf.cli import main
 from polycbf.scenarios import builtin, save
+from polycbf.verify import SUITES
 
 
 class TestSimulateCommand:
@@ -171,6 +172,16 @@ class TestVerifyCommand:
 
     def test_unknown_builtin_exits_2(self, capsys):
         assert main(["verify", "hull", "--scenario", "nope"]) == 2
+
+    def test_suite_alone_matches_all(self, capsys):
+        # A report's seed reproduces it on its own: each suite reports
+        # exactly its share of `verify all` under the same seed and n.
+        def reports(suite):
+            assert main(["verify", suite, "--seed", "5", "--n", "2000"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        alone = [report for suite in SUITES for report in reports(suite)]
+        assert alone == reports("all")
 
 
 class TestUsage:

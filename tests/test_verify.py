@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+import polycbf.verify
 from polycbf.barrier import BarrierEvaluation, CbfParams, provable_buffer
-from polycbf.safety_filter import safe_velocity
+from polycbf.safety_filter import FilterResult, safe_velocity
 from polycbf.scenarios import builtin
 from polycbf.verify import (AuditReport, InfeasibleGridError, grid_points,
                             gradient_audit, hull_containment_audit,
                             hull_containment_sample, qp_bruteforce,
-                            qp_closed_form_audit, scenario_bounds,
+                            qp_closed_form_audit, run_suite, scenario_bounds,
                             smoothing_sandwich_audit,
                             under_approximation_audit)
 
@@ -110,37 +111,31 @@ class TestHullContainment:
 class TestUnderApproximation:
     def test_single_region_exact(self):
         s = builtin("convex-corner")
-        low, high = scenario_bounds(s)
-        grid = grid_points(low, high, 80)
-        worst = under_approximation_audit(s.environment, s.agent, s.cbf, grid)
+        worst = under_approximation_audit(s, s.cbf, 80).worst
         assert worst <= 0.0
 
     def test_l_shape_provable_buffer(self):
         s = builtin("l-shape")
-        low, high = scenario_bounds(s)
-        grid = grid_points(low, high, 200)
         params = CbfParams(kappa=5.0, buffer=math.log(5), alpha_gain=2.0)
-        worst = under_approximation_audit(s.environment, s.agent, params, grid)
+        worst = under_approximation_audit(s, params, 200).worst
         assert worst <= 0.0
 
     def test_l_shape_bundled_buffer_reported(self):
         # with the bundled b = 0.7 < ln 5 the margin is informational only
         s = builtin("l-shape")
-        low, high = scenario_bounds(s)
-        grid = grid_points(low, high, 100)
-        worst = under_approximation_audit(s.environment, s.agent, s.cbf, grid)
+        worst = under_approximation_audit(s, s.cbf, 100).worst
         assert np.isfinite(worst)
         # smaller buffer can only raise h, hence the reported worst value
         provable = under_approximation_audit(
-            s.environment, s.agent,
-            CbfParams(kappa=5.0, buffer=math.log(5), alpha_gain=2.0), grid)
+            s, CbfParams(kappa=5.0, buffer=math.log(5), alpha_gain=2.0),
+            100).worst
         assert worst >= provable
 
 
 class TestGradientAudit:
     @pytest.mark.parametrize("name", ["l-shape", "revolving-door", "pyramid"])
     def test_small_error_on_builtins(self, name):
-        worst = gradient_audit(builtin(name), n_states=60, seed=5)
+        worst = gradient_audit(builtin(name), n_states=60, seed=5).worst
         assert worst <= 1e-5
 
     def test_deterministic_under_seed(self):
@@ -150,7 +145,7 @@ class TestGradientAudit:
 
     def test_kappa_override(self):
         worst = gradient_audit(builtin("l-shape"), n_states=30, seed=5,
-                               kappa=20.0)
+                               kappa=20.0).worst
         assert worst <= 1e-5
 
 
@@ -182,12 +177,42 @@ class TestHelpers:
 
 class TestRandomizedAudits:
     def test_qp_closed_form(self):
-        report = qp_closed_form_audit(500, np.random.default_rng(3), seed=3)
+        report = qp_closed_form_audit(500, seed=3)
         assert report.name == "qp-closed-form"
         assert report.parameters == {"n": 500}
         assert report.passed and report.seed == 3
 
+    @pytest.mark.parametrize("u_safe", [
+        lambda u: u,                          # input left alone
+        lambda u: np.full_like(u, np.nan),    # NaN output
+    ])
+    def test_qp_closed_form_catches_false_projection(self, monkeypatch,
+                                                     u_safe):
+        # A filter that claims to have projected every input onto the
+        # boundary, with zero slack, while it did not.
+        def fake(evaluation, u_desired, params):
+            return FilterResult(u_safe(u_desired), u_desired,
+                                evaluation.value, constraint_active=True,
+                                slack=0.0)
+
+        monkeypatch.setattr(polycbf.verify, "safe_velocity", fake)
+        report = qp_closed_form_audit(500, seed=3)
+        assert report.passed is False
+        assert not report.worst <= 1e-3
+
+    def test_under_approximation_defaults(self):
+        s = builtin("l-shape")
+        report = under_approximation_audit(s)
+        assert report.parameters == {"scenario": "l-shape",
+                                     "buffer": provable_buffer(s.environment),
+                                     "resolution": 200}
+        assert report.passed and report.seed is None
+
+    def test_run_suite_rejects_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite("everything", [], seed=0, n=10)
+
     def test_smoothing_sandwich(self):
-        report = smoothing_sandwich_audit(np.random.default_rng(3), seed=3)
+        report = smoothing_sandwich_audit(seed=3)
         assert report.name == "smoothing-sandwich"
         assert report.passed and report.worst <= 1e-12
