@@ -2,8 +2,8 @@
 polytope environments, with a projection-based safety filter and simulator."""
 
 from .barrier import (BarrierEvaluation, CbfParams, barrier_field,
-                      margin_agent, margin_field, margin_point,
-                      provable_buffer, smooth_barrier, smooth_max, smooth_min)
+                      margin_agent, margin_field, provable_buffer,
+                      smooth_barrier)
 from .geometry import (AgentShape, ConvexRegion, HalfSpace,
                        PolytopeEnvironment, RigidMotion)
 from .safety_filter import (DegenerateGradientError, DesiredController,
@@ -37,14 +37,11 @@ __all__ = [
     "load",
     "margin_agent",
     "margin_field",
-    "margin_point",
     "provable_buffer",
     "run",
     "safe_velocity",
     "save",
     "smooth_barrier",
-    "smooth_max",
-    "smooth_min",
     "static_variant",
     "step",
     "__version__",

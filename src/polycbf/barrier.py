@@ -18,9 +18,6 @@ from .geometry import AgentShape, PolytopeEnvironment
 __all__ = [
     "CbfParams",
     "BarrierEvaluation",
-    "smooth_max",
-    "smooth_min",
-    "margin_point",
     "margin_agent",
     "margin_field",
     "smooth_barrier",
@@ -65,34 +62,6 @@ def provable_buffer(env: PolytopeEnvironment) -> float:
     """Buffer log(N_p) that makes the smooth barrier a guaranteed
     under-approximation of the nonsmooth margin."""
     return float(np.log(env.num_regions))
-
-
-def smooth_max(values, kappa: float) -> float:
-    """Log-sum-exp over-approximation of max: (1/kappa) ln sum exp(kappa a_i).
-
-    Satisfies max a_i <= smooth_max(a) <= max a_i + ln(N)/kappa.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("smooth_max of an empty collection")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    top = float(values.max())
-    return top + float(np.log(np.sum(np.exp(kappa * (values - top))))) / kappa
-
-
-def smooth_min(values, kappa: float) -> float:
-    """Log-sum-exp under-approximation of min: -(1/kappa) ln sum exp(-kappa b_i).
-
-    Satisfies min b_i - ln(N)/kappa <= smooth_min(b) <= min b_i.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("smooth_min of an empty collection")
-    if not kappa > 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    bottom = float(values.min())
-    return bottom - float(np.log(np.sum(np.exp(-kappa * (values - bottom))))) / kappa
 
 
 def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
@@ -188,12 +157,6 @@ def margin_agent(env: PolytopeEnvironment, shape: AgentShape, center,
     in a common convex region.
     """
     return float(_evaluate(env, shape, np.asarray(center, dtype=float), t)[3])
-
-
-def margin_point(env: PolytopeEnvironment, p, t: float = 0.0) -> float:
-    """Exact nonsmooth margin of a point: max over regions of the min of the
-    region's face values."""
-    return margin_agent(env, AgentShape.point(env.dimension), p, t)
 
 
 def margin_field(env: PolytopeEnvironment, shape: AgentShape, centers,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -55,6 +56,12 @@ def _given(args, *names) -> dict:
     """The command-line values among names that were set, by name."""
     return {name: getattr(args, name) for name in names
             if getattr(args, name, None) is not None}
+
+
+def _require(condition: bool, message: str) -> None:
+    """Raise ScenarioError with message unless condition holds."""
+    if not condition:
+        raise scenarios.ScenarioError(message)
 
 
 def _apply_overrides(scenario, args) -> scenarios.Scenario:
@@ -109,12 +116,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_field(args) -> int:
     try:
+        _require(args.resolution >= 1,
+                 f"resolution must be at least 1, got {args.resolution}")
+        _require(math.isfinite(args.time),
+                 f"time must be finite, got {args.time}")
         scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
         dim = scenario.environment.dimension
         if args.bounds is not None:
-            if len(args.bounds) != 2 * dim:
-                raise scenarios.ScenarioError(
-                    f"--bounds needs {2 * dim} numbers for a {dim}D scenario")
+            _require(len(args.bounds) == 2 * dim,
+                     f"--bounds needs {2 * dim} numbers for a {dim}D scenario")
             bounds = np.asarray(args.bounds).reshape(dim, 2)
             low, high = bounds[:, 0], bounds[:, 1]
         else:
@@ -141,6 +151,8 @@ def cmd_field(args) -> int:
 def cmd_verify(args) -> int:
     names = [args.scenario] if args.scenario else scenarios.BUILTIN_NAMES
     try:
+        _require(args.n >= 1, f"n must be at least 1, got {args.n}")
+        _require(args.seed >= 0, f"seed must be nonnegative, got {args.seed}")
         scens = [scenarios.builtin(name) for name in names]
     except scenarios.ScenarioError as err:
         return _fail(EXIT_VALIDATION, err)

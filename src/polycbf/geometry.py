@@ -166,26 +166,6 @@ class HalfSpace:
         return m.center + m.rotation(t) @ (self.anchor - m.center) \
             + m.linear_velocity * t
 
-    def value(self, p, t: float = 0.0) -> float:
-        """Signed barrier value n(t) . (p - w(t))."""
-        p = _as_point(p, self.dimension, "p")
-        return float(self.normal_at(t) @ (p - self.anchor_at(t)))
-
-    def time_derivative(self, p, t: float = 0.0) -> float:
-        """Analytic partial derivative of :meth:`value` with respect to t.
-
-        Equals dn/dt . (p - w) - n . dw/dt; identically zero for a static
-        half-space.
-        """
-        if self.motion is None:
-            return 0.0
-        p = _as_point(p, self.dimension, "p")
-        m = self.motion
-        rd = m.rotation_rate(t)
-        n_dot = rd @ self.normal
-        w_dot = rd @ (self.anchor - m.center) + m.linear_velocity
-        return float(n_dot @ (p - self.anchor_at(t)) - self.normal_at(t) @ w_dot)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HalfSpace):
             return NotImplemented

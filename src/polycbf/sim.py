@@ -53,7 +53,8 @@ class SimConfig:
             raise ValueError(
                 f"goal_tolerance must be positive and finite, got "
                 f"{self.goal_tolerance}")
-        if not 1 <= self.record_stride < np.inf:
+        if not (1 <= self.record_stride < np.inf
+                and self.record_stride % 1 == 0):
             raise ValueError(
                 f"record_stride must be a positive integer, got "
                 f"{self.record_stride}")

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .barrier import (BarrierEvaluation, CbfParams, _evaluate, barrier_field,
-                      margin_field, provable_buffer, smooth_max, smooth_min)
+                      margin_field, provable_buffer)
 from .geometry import AgentShape, PolytopeEnvironment
 from .safety_filter import safe_velocity
 
@@ -253,26 +253,32 @@ def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
                        seed=seed)
 
 
-def smoothing_sandwich_audit(seed: int = 0) -> AuditReport:
-    """Worst breach of max <= smooth_max <= max + ln(N)/kappa and
-    min - ln(N)/kappa <= smooth_min <= min over 200 random value sets.
-    Passes at <= 1e-12."""
+def smoothing_sandwich_audit(scenario, seed: int = 0) -> AuditReport:
+    """Worst breach of psi - ln(L)/kappa <= h <= psi + ln(N_p)/kappa for the
+    kernel's h at buffer 0, with L = max_j |I_j| * N_v.
+
+    Each region's soft min lies within ln(|I_j| N_v)/kappa below its exact
+    min, and the soft max over regions within ln(N_p)/kappa above the max.
+    Draws 8 pairs of kappa in [0.3, 60] and t (0 in a static world), each
+    with 250 agent centers in the scenario's box.  Passes at <= 1e-12.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(200):
-        size = int(rng.integers(1, 9))
-        values = rng.normal(scale=10.0, size=size)
-        kappa = float(rng.uniform(0.5, 50.0))
-        hi, lo = smooth_max(values, kappa), smooth_min(values, kappa)
-        worst = max(
-            worst,
-            values.max() - hi,
-            hi - values.max() - np.log(size) / kappa,
-            lo - values.min(),
-            values.min() - np.log(size) / kappa - lo,
-        )
-    return AuditReport(name="smoothing-sandwich", parameters={"n": 200},
-                       worst=worst, passed=bool(worst <= 1e-12), seed=seed)
+    env, shape = scenario.environment, scenario.agent
+    low, high = scenario_bounds(scenario)
+    t_max = 0.0 if env.is_static else scenario.default_sim.t_end
+    below = np.log(max(map(len, env.regions)) * shape.num_vertices)
+    above = np.log(env.num_regions)
+    breaches = []
+    for _ in range(8):
+        kappa, t = rng.uniform((0.3, 0.0), (60.0, t_max))
+        centers = rng.uniform(low, high, size=(250, env.dimension))
+        h, psi = barrier_field(env, shape, centers, t, CbfParams(kappa))
+        breaches += [psi - below / kappa - h, h - psi - above / kappa]
+    worst = float(np.max(breaches))
+    return AuditReport(
+        name="smoothing-sandwich",
+        parameters={"scenario": scenario.name, "n_draws": 8, "n_states": 250},
+        worst=worst, passed=bool(worst <= 1e-12), seed=seed)
 
 
 def run_suite(suite: str, scenarios, seed: int, n: int) -> list[AuditReport]:
@@ -294,7 +300,7 @@ def run_suite(suite: str, scenarios, seed: int, n: int) -> list[AuditReport]:
     if suite in ("under", "all"):
         reports += [under_approximation_audit(s) for s in scenarios]
     if suite in ("sandwich", "all"):
-        reports.append(smoothing_sandwich_audit(seed))
+        reports += [smoothing_sandwich_audit(s, seed) for s in scenarios]
     return reports
 
 

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polycbf.barrier import (CbfParams, barrier_field, margin_agent,
-                             margin_field, margin_point, provable_buffer,
-                             smooth_barrier, smooth_max, smooth_min)
+                             margin_field, provable_buffer, smooth_barrier)
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
 from polycbf.scenarios import BUILTIN_NAMES, builtin
@@ -28,40 +27,27 @@ def box_env(width=4.0):
 
 
 class TestSmoothMinMax:
-    def test_hand_values(self):
-        assert smooth_max([0.0, 0.0], 5.0) == pytest.approx(math.log(2) / 5)
-        assert smooth_min([0.0, 0.0], 5.0) == pytest.approx(-math.log(2) / 5)
-
-    def test_single_value_collapses(self):
-        for v in (-3.7, 0.0, 12.0):
-            assert smooth_max([v], 17.0) == v
-            assert smooth_min([v], 17.0) == v
-
-    def test_dominated_term_no_overflow(self):
-        with np.errstate(over="raise", invalid="raise"):
-            assert smooth_max([0.0, -100.0], 5.0) == pytest.approx(0.0, abs=1e-12)
-            assert smooth_min([0.0, 100.0], 5.0) == pytest.approx(0.0, abs=1e-12)
-            # exponents around 1e4 stay finite
-            assert np.isfinite(smooth_max([2000.0, -2000.0], 5.0))
-            assert np.isfinite(smooth_min([2000.0, -2000.0], 5.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            smooth_max([], 5.0)
-        with pytest.raises(ValueError):
-            smooth_min([], 5.0)
-
     def test_sandwich_bounds(self):
+        # The kernel's soft min over a region's face-vertex pairs lies within
+        # ln(|I_j| N_v)/kappa below the exact min, and its soft max over
+        # regions within ln(N_p)/kappa above the exact max.
         rng = np.random.default_rng(11)
+        scenarios = [builtin(name) for name in BUILTIN_NAMES]
         for _ in range(500):
-            n = int(rng.integers(1, 9))
-            values = rng.normal(scale=10.0, size=n)
+            s = scenarios[rng.integers(len(scenarios))]
+            env = s.environment
             kappa = float(rng.uniform(0.3, 60.0))
-            hi = smooth_max(values, kappa)
-            lo = smooth_min(values, kappa)
-            slack = math.log(n) / kappa
-            assert values.max() - 1e-12 <= hi <= values.max() + slack + 1e-12
-            assert values.min() - slack - 1e-12 <= lo <= values.min() + 1e-12
+            t_max = 0.0 if env.is_static else s.default_sim.t_end
+            t = float(rng.uniform(0.0, t_max))
+            low, high = scenario_bounds(s)
+            centers = rng.uniform(low, high, size=(8, env.dimension))
+            h, psi = barrier_field(env, s.agent, centers, t,
+                                   CbfParams(kappa=kappa))
+            pairs = max(len(r) for r in env.regions) * s.agent.num_vertices
+            below = math.log(pairs) / kappa
+            above = math.log(env.num_regions) / kappa
+            assert np.all(psi - below - 1e-12 <= h)
+            assert np.all(h <= psi + above + 1e-12)
 
 
 class TestMargins:
@@ -69,22 +55,23 @@ class TestMargins:
         walls = [HalfSpace((1.0, 0.0), (2.0, 2.0)),
                  HalfSpace((0.0, 1.0), (2.0, 2.0))]
         env = PolytopeEnvironment(walls, [ConvexRegion([0, 1])])
-        assert margin_point(env, (3.0, 4.0)) == 1.0
+        assert margin_agent(env, AgentShape.point(2), (3.0, 4.0)) == 1.0
 
     def test_concave_corner_boundary_point(self):
         # On one boundary, inside the other half-space: the max is positive.
         walls = [HalfSpace((1.0, 0.0), (2.0, 2.0)),
                  HalfSpace((0.0, 1.0), (2.0, 2.0))]
         env = PolytopeEnvironment(walls, [ConvexRegion([0]), ConvexRegion([1])])
-        assert margin_point(env, (2.0, 3.0)) == 1.0
+        assert margin_agent(env, AgentShape.point(2), (2.0, 3.0)) == 1.0
 
     def test_l_shape_inside_notch(self):
         env = builtin("l-shape").environment
         p = (1.7, 1.6)
         # deep inside the notch region the margin equals min of its two faces
-        assert margin_point(env, p) == pytest.approx(0.6, abs=1e-15)
-        assert margin_point(env, p) == pytest.approx(
-            oracles.naive_margin(env, AgentShape.point(2), p), abs=1e-15)
+        point = AgentShape.point(2)
+        assert margin_agent(env, point, p) == pytest.approx(0.6, abs=1e-15)
+        assert margin_agent(env, point, p) == pytest.approx(
+            oracles.naive_margin(env, point, p), abs=1e-15)
 
     def test_crossroad_diamond_touching_both_roads(self):
         s = builtin("crossroad")
@@ -99,15 +86,6 @@ class TestMargins:
         assert value == pytest.approx(1.2, abs=1e-15)  # to the y=0 wall
         assert value == pytest.approx(
             oracles.naive_margin(env, square, center), abs=1e-15)
-
-    def test_point_agent_reduces_to_point_margin(self):
-        rng = np.random.default_rng(5)
-        env = builtin("l-shape").environment
-        point = AgentShape.point(2)
-        for _ in range(200):
-            p = rng.uniform(-2, 4, 2)
-            assert margin_agent(env, point, p) == pytest.approx(
-                margin_point(env, p), abs=1e-15)
 
     def test_matches_bruteforce_on_builtins(self):
         rng = np.random.default_rng(9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polycbf.cli import main
-from polycbf.scenarios import builtin, save
+from polycbf.scenarios import BUILTIN_NAMES, builtin, save
 from polycbf.verify import SUITES
 
 
@@ -60,6 +60,13 @@ class TestSimulateCommand:
         ["simulate", "l-shape", "--t-end", "nan"],
         ["simulate", "l-shape", "--t-end", "inf"],
         ["field", "l-shape", "--kappa", "-1", "--out", "unused.csv"],
+        ["field", "l-shape", "--resolution", "-1", "--out", "unused.csv"],
+        ["field", "l-shape", "--resolution", "0", "--out", "unused.csv"],
+        ["field", "revolving-door", "--time", "nan", "--out", "unused.csv"],
+        ["field", "revolving-door", "--time", "inf", "--out", "unused.csv"],
+        ["verify", "gradients", "--n", "-5", "--scenario", "l-shape"],
+        ["verify", "qp", "--n", "0"],
+        ["verify", "sandwich", "--seed", "-1"],
     ])
     def test_bad_override_exits_2(self, argv, capsys, tmp_path,
                                   monkeypatch):
@@ -69,6 +76,17 @@ class TestSimulateCommand:
         assert err["error"] == "ScenarioError"
         assert argv[2].lstrip("-").replace("-", "_") in err["message"]
         assert not (tmp_path / "unused.csv").exists()
+
+    def test_fractional_record_stride_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "strided.json"
+        save(builtin("convex-corner"), path)
+        config = json.loads(path.read_text())
+        config["sim"]["record_stride"] = 2.5
+        path.write_text(json.dumps(config))
+        assert main(["simulate", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError"
+        assert "record_stride" in err["message"]
 
     def test_unsafe_start_exits_4(self, capsys):
         code = main(["simulate", "l-shape", "--start", "1.0", "0.5"])
@@ -137,7 +155,16 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == 0
         reports = json.loads(out)
+        assert [r["parameters"]["scenario"] for r in reports] == \
+            list(BUILTIN_NAMES)
         assert all(r["passed"] for r in reports)
+
+    def test_sandwich_suite_single_scenario(self, capsys):
+        code = main(["verify", "sandwich", "--scenario", "crossroad"])
+        assert code == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert len(reports) == 1
+        assert reports[0]["parameters"]["scenario"] == "crossroad"
 
     def test_qp_suite(self, capsys):
         code = main(["verify", "qp", "--n", "2000"])

@@ -7,26 +7,46 @@ from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
 import oracles
 
 
+def frame(hs, t):
+    return PolytopeEnvironment([hs], [[0]]).frame(t)
+
+
+def face_value(hs, p, t=0.0):
+    """n(t) . p - c(t) of one half-space, from the environment frame the
+    barrier kernel reads."""
+    normals, levels, _, _ = frame(hs, t)
+    return normals[0] @ np.asarray(p, dtype=float) - levels[0]
+
+
+def face_rate(hs, p, t=0.0):
+    """Time partial dn/dt . p - dc/dt of face_value, from the same frame."""
+    _, _, normal_rates, level_rates = frame(hs, t)
+    if normal_rates is None:
+        return 0.0
+    return normal_rates[0] @ np.asarray(p, dtype=float) - level_rates[0]
+
+
 class TestHalfSpaceValue:
     def test_static_example(self):
         hs = HalfSpace((1.0, 0.0), (2.0, 2.0))
-        assert hs.value((3.0, 3.0)) == 1.0
+        assert face_value(hs, (3.0, 3.0)) == 1.0
 
     def test_point_on_boundary(self):
         hs = HalfSpace((0.3, -0.7), (1.0, -2.0))
-        assert hs.value((1.0, -2.0)) == 0.0
+        assert face_value(hs, (1.0, -2.0)) == 0.0
 
     def test_quarter_turn(self):
         # n rotates to (0, 1) after a quarter turn at pi/2 rad/s
         motion = RigidMotion(center=(0.0, 0.0), omega=np.pi / 2)
         hs = HalfSpace((1.0, 0.0), (0.0, 0.0), motion)
-        assert hs.value((0.0, 1.0), t=1.0) == pytest.approx(1.0, abs=1e-12)
+        assert face_value(hs, (0.0, 1.0), t=1.0) == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_translation(self):
         motion = RigidMotion(center=(0.0, 0.0), omega=0.0,
                              linear_velocity=(1.0, 0.0))
         hs = HalfSpace((1.0, 0.0), (0.0, 0.0), motion)
-        assert hs.value((3.0, 0.0), t=2.0) == pytest.approx(1.0)
+        assert face_value(hs, (3.0, 0.0), t=2.0) == pytest.approx(1.0)
 
     def test_identity_at_time_zero(self):
         motion = RigidMotion(center=(0.5, -1.0), omega=0.7,
@@ -34,20 +54,23 @@ class TestHalfSpaceValue:
         hs = HalfSpace((0.6, 0.8), (1.0, 1.0), motion)
         static = HalfSpace((0.6, 0.8), (1.0, 1.0))
         p = np.array([2.0, -3.0])
-        assert hs.value(p, 0.0) == pytest.approx(static.value(p), abs=1e-15)
+        assert face_value(hs, p, 0.0) == pytest.approx(
+            face_value(static, p), abs=1e-15)
 
 
 class TestTimeDerivative:
     def test_static_is_zero(self):
         hs = HalfSpace((1.0, 2.0), (0.5, 0.5))
-        assert hs.time_derivative((3.0, 1.0), t=1.7) == 0.0
+        assert face_rate(hs, (3.0, 1.0), t=1.7) == 0.0
 
     def test_hand_values(self):
         motion = RigidMotion(center=(0.0, 0.0), omega=0.2)
         hs = HalfSpace((1.0, 0.0), (0.0, 0.0), motion)
         # dn/dt(0) = (0, 0.2): zero against p=(1,0), 0.2 against p=(0,1)
-        assert hs.time_derivative((1.0, 0.0), t=0.0) == pytest.approx(0.0, abs=1e-12)
-        assert hs.time_derivative((0.0, 1.0), t=0.0) == pytest.approx(0.2, abs=1e-12)
+        assert face_rate(hs, (1.0, 0.0), t=0.0) == pytest.approx(
+            0.0, abs=1e-12)
+        assert face_rate(hs, (0.0, 1.0), t=0.0) == pytest.approx(
+            0.2, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_finite_differences(self, dim):
@@ -64,8 +87,8 @@ class TestTimeDerivative:
             hs = HalfSpace(rng.normal(size=dim), rng.uniform(-2, 2, dim), motion)
             p = rng.uniform(-10, 10, dim)
             t = float(rng.uniform(0, 10))
-            fd = oracles.fd_scalar(lambda tt: hs.value(p, tt), t)
-            analytic = hs.time_derivative(p, t)
+            fd = oracles.fd_scalar(lambda tt: face_value(hs, p, tt), t)
+            analytic = face_rate(hs, p, t)
             assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
 
@@ -113,8 +136,8 @@ class TestRigidMotion:
                 moved_p = (motion.center
                            + motion.rotation(t) @ (p0 - motion.center)
                            + motion.linear_velocity * t)
-                assert moving.value(moved_p, t) == pytest.approx(
-                    static.value(p0), abs=1e-10)
+                assert face_value(moving, moved_p, t) == pytest.approx(
+                    face_value(static, p0), abs=1e-10)
 
     def test_normal_norm_preserved(self):
         motion = RigidMotion((0.3, -0.2), omega=0.8)

@@ -203,6 +203,15 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match=key):
             load(self.write(tmp_path, config))
 
+    def test_fractional_record_stride_rejected(self, tmp_path):
+        config = self.good_config()
+        config["sim"]["record_stride"] = 2.5
+        with pytest.raises(ScenarioError, match="record_stride"):
+            load(self.write(tmp_path, config))
+        config["sim"]["record_stride"] = 2.0
+        loaded = load(self.write(tmp_path, config))
+        assert loaded.default_sim.record_stride == 2
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -156,6 +156,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(record_stride=0)
 
+    @pytest.mark.parametrize("stride", [2.5, 1.000001, 7.999])
+    def test_rejects_fractional_record_stride(self, stride):
+        with pytest.raises(ValueError, match="record_stride"):
+            SimConfig(record_stride=stride)
+
+    def test_integral_float_record_stride_accepted(self):
+        config = SimConfig(record_stride=2.0)
+        assert config.record_stride == 2
+        assert isinstance(config.record_stride, int)
+
     @pytest.mark.parametrize("field", ["dt", "t_end", "goal_tolerance",
                                        "record_stride"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])

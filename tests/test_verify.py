@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 import polycbf.verify
-from polycbf.barrier import BarrierEvaluation, CbfParams, provable_buffer
+from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
+                             margin_agent, provable_buffer)
+from polycbf.geometry import AgentShape
 from polycbf.safety_filter import FilterResult, safe_velocity
-from polycbf.scenarios import builtin
+from polycbf.scenarios import BUILTIN_NAMES, builtin
 from polycbf.verify import (AuditReport, InfeasibleGridError, grid_points,
                             gradient_audit, hull_containment_audit,
                             hull_containment_sample, qp_bruteforce,
@@ -85,14 +87,15 @@ class TestHullContainment:
 
     def test_one_hot_weights_nonnegative(self):
         # a vertex itself: margin(vertex) >= agent margin by definition
-        from polycbf.barrier import margin_agent, margin_point
         s = builtin("crossroad")
+        point = AgentShape.point(2)
         rng = np.random.default_rng(3)
         for _ in range(100):
             center = rng.uniform(-3, 3, 2)
             agent_margin = margin_agent(s.environment, s.agent, center)
             for vertex in s.agent.vertices(center):
-                assert margin_point(s.environment, vertex) >= agent_margin - 1e-15
+                assert margin_agent(s.environment, point, vertex) \
+                    >= agent_margin - 1e-15
 
     @pytest.mark.parametrize("name", ["crossroad", "ellipse",
                                       "revolving-door", "pyramid"])
@@ -213,6 +216,28 @@ class TestRandomizedAudits:
             run_suite("everything", [], seed=0, n=10)
 
     def test_smoothing_sandwich(self):
-        report = smoothing_sandwich_audit(seed=3)
-        assert report.name == "smoothing-sandwich"
-        assert report.passed and report.worst <= 1e-12
+        for name in BUILTIN_NAMES:
+            report = smoothing_sandwich_audit(builtin(name), seed=3)
+            assert report.name == "smoothing-sandwich"
+            assert report.parameters == {"scenario": name, "n_draws": 8,
+                                         "n_states": 250}
+            assert report.passed and report.worst <= 1e-12
+            assert report.seed == 3
+
+    @pytest.mark.parametrize("name", ["convex-corner", "l-shape",
+                                      "revolving-door", "pyramid"])
+    @pytest.mark.parametrize("side", ["above", "below", "nan"])
+    def test_smoothing_sandwich_catches_breach(self, monkeypatch, name, side):
+        # A barrier 1e-9 outside the sandwich on one side, or NaN.
+        def fake(env, shape, centers, t, params):
+            psi = barrier_field(env, shape, centers, t, params)[1]
+            pairs = max(len(r) for r in env.regions) * shape.num_vertices
+            h = {"above": psi + math.log(env.num_regions) / params.kappa,
+                 "below": psi - math.log(pairs) / params.kappa,
+                 "nan": np.full_like(psi, np.nan)}[side]
+            return h + (1e-9 if side == "above" else -1e-9), psi
+
+        monkeypatch.setattr(polycbf.verify, "barrier_field", fake)
+        report = smoothing_sandwich_audit(builtin(name), seed=3)
+        assert report.passed is False
+        assert not report.worst <= 5e-10
