@@ -64,17 +64,68 @@ def provable_buffer(env: PolytopeEnvironment) -> float:
     return float(np.log(env.num_regions))
 
 
-def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
-              params: CbfParams | None = None, derivatives: bool = False):
-    """The one composition behind every barrier and margin in this module.
+def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t: float,
+                kappa: float | None):
+    """The centre-independent half of `_evaluate`, memoised on env.
 
     The agent translates without rotating, so vertex k shifts face i by the
     constant n_i . dp_k, and the agent's vertex axis reduces to one support
     per face: the hard support min_k n_i . dp_k for the exact margin psi and
     the soft support -(1/kappa) ln sum_k exp(-kappa n_i . dp_k) for h, since
     sum_k exp(-kappa psi_ik) = exp(-kappa (n_i . p - c_i)) sum_k
-    exp(-kappa n_i . dp_k).  The rest is the point-agent composition over
-    the per-face values n_i . p - c_i + support_i.  Every exponential is
+    exp(-kappa n_i . dp_k).  None of this depends on the centre, so it is
+    kept in a one-entry memo on env keyed by (shape identity, kappa, t),
+    where t is ignored in a static world.  The entry is read once and
+    replaced by a single assignment, so concurrent callers each see a
+    whole entry.
+
+    Returns
+    -------
+    (normals, hard_offsets, soft_offsets, row_normals, normal_rates,
+     rate_offsets)
+        Per face: hard - c_i, soft - c_i, and the soft support's rate less
+        the level rate (the softmin-weighted mean of ndot_i . dp_k, minus
+        cdot_i); row_normals are the normals per region row.  Without
+        kappa the soft, row and rate-offset terms are None; in a static
+        world both rate terms are.
+    """
+    entry = env._memo
+    if (entry is not None and entry[0] is shape and entry[1] == kappa
+            and (env.is_static or entry[2] == t)):
+        return entry[3]
+    if shape.dimension != env.dimension:
+        raise ValueError(
+            f"agent dimension {shape.dimension} != environment dimension "
+            f"{env.dimension}")
+    normals, levels, normal_rates, level_rates = env.frame(t)
+    vertex_dots = normals @ shape.offsets.T                  # (N_w, N_v)
+    hard = np.minimum.reduce(vertex_dots, axis=1)
+    soft_offsets = row_normals = rate_offsets = None
+    if kappa is not None:
+        # Shifting by the hard support keeps every sum in [1, N_v].
+        vertex_exp = np.exp((hard[:, None] - vertex_dots) * kappa)
+        vertex_sums = np.add.reduce(vertex_exp, axis=1)      # >= 1 each
+        soft = hard - np.log(vertex_sums) / kappa
+        soft_offsets = soft - levels
+        row_normals = normals[env._rows]
+        if normal_rates is not None:
+            support_rates = np.einsum("ik,ik->i", vertex_exp,
+                                      normal_rates @ shape.offsets.T) \
+                / vertex_sums
+            rate_offsets = support_rates - level_rates
+    terms = (normals, hard - levels, soft_offsets, row_normals, normal_rates,
+             rate_offsets)
+    env._memo = (shape, kappa, t, terms)
+    return terms
+
+
+def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
+              params: CbfParams | None = None, derivatives: bool = False):
+    """The one composition behind every barrier and margin in this module.
+
+    The agent reduces to a point with one support per face (see
+    `_face_terms`), and the rest is the point-agent composition over the
+    per-face values n_i . p - c_i + support_i.  Every exponential is
     shifted by its group's exact minimum (or soft maximum), so no exponent
     exceeds ln N_v.
 
@@ -92,18 +143,14 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
         Scalars for one center, arrays of leading length M for a batch;
         the quantities not asked for are None.
     """
-    if shape.dimension != env.dimension:
-        raise ValueError(
-            f"agent dimension {shape.dimension} != environment dimension "
-            f"{env.dimension}")
+    kappa = None if params is None else params.kappa
+    (normals, hard_offsets, soft_offsets, row_normals, normal_rates,
+     rate_offsets) = _face_terms(env, shape, t, kappa)
     rows, segments, row_region = env._rows, env._segments, env._row_region
-    normals, levels, normal_rates, level_rates = env.frame(t)
-    vertex_dots = normals @ shape.offsets.T                  # (N_w, N_v)
-    hard = np.minimum.reduce(vertex_dots, axis=1)
     # Face-major layout, (N_w,) or (N_w, M): per-face constants are folded
     # in before the transpose so they broadcast for one center or many.
     spatial = centers @ normals.T
-    exact = (spatial + (hard - levels)).T[rows]              # (R, ...)
+    exact = (spatial + hard_offsets).T[rows]                 # (R, ...)
     mins = np.minimum.reduceat(exact, segments)              # (N_p, ...)
     psi = np.maximum.reduce(mins)
     if params is None:
@@ -112,11 +159,7 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
     # Soft values sit at most ln(N_v)/kappa below the exact ones and the
     # argmin term is at least one, so shifting by the exact region minima
     # keeps every sum in [1, R * N_v].
-    kappa = params.kappa
-    vertex_exp = np.exp((hard[:, None] - vertex_dots) * kappa)
-    vertex_sums = np.add.reduce(vertex_exp, axis=1)          # >= 1 each
-    soft = hard - np.log(vertex_sums) / kappa
-    values = (spatial + (soft - levels)).T[rows]
+    values = (spatial + soft_offsets).T[rows]
     shifted = np.exp((mins[row_region] - values) * kappa)
     region_sums = np.add.reduceat(shifted, segments)
     soft_mins = mins - np.log(region_sums) / kappa
@@ -130,12 +173,10 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
     # Region weight times within-region softmin weight: they sum to one,
     # so the gradient is a convex combination of face normals.
     weights = shifted * (outer / (outer_total * region_sums))[row_region]
-    gradient = weights.T @ normals[rows]
+    gradient = weights.T @ row_normals
     if normal_rates is None:                                 # dh/dt = 0
         return h, gradient, h * 0.0, psi
-    support_rates = np.einsum("ik,ik->i", vertex_exp,
-                              normal_rates @ shape.offsets.T) / vertex_sums
-    rates = (centers @ normal_rates.T + (support_rates - level_rates)).T
+    rates = (centers @ normal_rates.T + rate_offsets).T
     time_partial = np.add.reduce(weights * rates[rows])
     return h, gradient, time_partial, psi
 

@@ -125,6 +125,8 @@ def cmd_field(args) -> int:
         if args.bounds is not None:
             _require(len(args.bounds) == 2 * dim,
                      f"--bounds needs {2 * dim} numbers for a {dim}D scenario")
+            _require(all(map(math.isfinite, args.bounds)),
+                     f"--bounds must be finite, got {args.bounds}")
             bounds = np.asarray(args.bounds).reshape(dim, 2)
             low, high = bounds[:, 0], bounds[:, 1]
         else:
@@ -160,8 +162,11 @@ def cmd_verify(args) -> int:
     payload = json.dumps([r.to_dict() for r in reports], indent=2,
                          sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as err:
+            return _fail(EXIT_RUNTIME, err)
     else:
         print(payload)
     if not all(r.passed for r in reports):

@@ -2,7 +2,10 @@
 
 The environment is a union of convex regions, each region an intersection of
 half-spaces drawn from one shared list.  Every value here is immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  The one exception is the
+barrier kernel's one-entry memo on each `PolytopeEnvironment`: it is only
+ever replaced whole, by a single attribute assignment, and read once per
+call, so a thread sees either the old entry or the new one.
 """
 
 from __future__ import annotations
@@ -214,6 +217,11 @@ class PolytopeEnvironment:
     The region topology is fixed at construction; only the half-space
     normals/anchors move (through their rigid motions), so the composition
     itself does not depend on time.
+
+    The barrier kernel keeps the centre-independent terms of its last call
+    (frame, per-face agent supports and face levels) in `_memo`, one tuple
+    keyed by (agent shape identity, kappa, t) and replaced by a single
+    assignment; t is ignored when the environment is static.
     """
 
     def __init__(self, half_spaces, regions):
@@ -265,6 +273,7 @@ class PolytopeEnvironment:
             motion = self.half_spaces[idx[0]].motion
             pivot_levels = self._levels0[idx] - self._normals0[idx] @ motion.center
             self._motion_groups.append((motion, idx, pivot_levels))
+        self._memo = None
 
     @property
     def num_half_spaces(self) -> int:
@@ -322,13 +331,16 @@ class AgentShape:
     """Bounded polytope agent given by vertex offsets from its center.
 
     The agent translates without rotating, so the offsets are constant.
-    A single zero offset recovers the point agent.
+    A single zero offset recovers the point agent.  The shape keeps its own
+    read-only copy of the offsets: mutating the caller's array later does
+    not move the agent, and the barrier kernel can key its memo on the
+    shape's identity.
     """
 
     __slots__ = ("offsets", "dimension")
 
     def __init__(self, offsets):
-        arr = np.asarray(offsets, dtype=float)
+        arr = np.array(offsets, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError(
                 f"offsets must be an (N_v, p) array with N_v >= 1, got shape "
@@ -337,8 +349,14 @@ class AgentShape:
             raise ValueError(f"offsets must be 2- or 3-dimensional, got {arr.shape[1]}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("offsets must be finite")
+        arr.setflags(write=False)
         self.offsets = arr
         self.dimension = arr.shape[1]
+
+    def __reduce__(self):
+        # Copies and unpickled shapes also go through __init__, so they
+        # own read-only offsets too.
+        return type(self), (self.offsets,)
 
     @classmethod
     def point(cls, dimension: int) -> "AgentShape":

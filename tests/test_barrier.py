@@ -1,12 +1,17 @@
+import copy
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polycbf.barrier import (CbfParams, barrier_field, margin_agent,
-                             margin_field, provable_buffer, smooth_barrier)
+from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
+                             margin_agent, margin_field, provable_buffer,
+                             smooth_barrier)
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
 from polycbf.scenarios import BUILTIN_NAMES, builtin
@@ -411,6 +416,96 @@ class TestMovingWorlds:
                 fd_t = oracles.fd_scalar(lambda tt: h(c, tt), t)
                 assert abs(ev.time_partial - fd_t) / max(abs(fd_t), 1.0) \
                     <= 1e-5
+
+
+def assert_same_bits(got, want):
+    """Equal results bit for bit: BarrierEvaluation fields, tuples of
+    arrays, arrays or floats."""
+    if isinstance(want, BarrierEvaluation):
+        got, want = astuple(got), astuple(want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+        return
+    assert np.array_equal(got, want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype
+
+
+class TestFaceTermMemo:
+    """The kernel memoises the centre-independent terms on the environment;
+    any mix of shapes, kappas, psi-only calls and times must return exactly
+    what a never-used environment returns."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_interleaved_calls_match_fresh_env(self, name):
+        s = builtin(name)
+        env = s.environment
+        pristine = copy.deepcopy(env)
+        shapes = (s.agent, AgentShape.point(env.dimension))
+        params = (s.cbf, replace(s.cbf, kappa=2.5 * s.cbf.kappa))
+        if env.is_static:
+            times = (0.0, 1.3, 0.0)
+        else:
+            t, dt = 1.1, s.default_sim.dt
+            times = (t, 2.9, t, t + 0.5 * dt, t + 0.5 * dt, t + dt)
+        rng = np.random.default_rng(71)
+        centers = rng.uniform(*scenario_bounds(s), size=(40, env.dimension))
+
+        def calls(shape, p, t):
+            if p is None:  # psi only
+                return [(margin_field, shape, centers, t),
+                        (margin_agent, shape, centers[1], t)]
+            return [(smooth_barrier, shape, centers[0], t, p),
+                    (barrier_field, shape, centers, t, p)]
+
+        # Consecutive keys differ in the shape alone, in kappa alone (or
+        # kappa against psi only), and in t alone.
+        order = []
+        for t in times:
+            order += [(shape, p, t) for p in (*params, None)
+                      for shape in shapes]
+            order += [(shape, p, t) for shape in shapes
+                      for p in (None, *params, None)]
+        order += [(shape, p, t) for shape in shapes for p in (*params, None)
+                  for t in times]
+        for fn, *args in (c for key in order for c in calls(*key)):
+            got = fn(env, *args)
+            assert_same_bits(got, fn(copy.deepcopy(pristine), *args))
+
+    def test_shared_env_across_threads(self):
+        s = builtin("revolving-door")
+        env, dt = s.environment, s.default_sim.dt
+        pristine = copy.deepcopy(env)
+        shapes = (s.agent, AgentShape.point(2))
+        times = (0.4, 0.4 + 0.5 * dt, 0.4 + dt, 3.0)
+        center = np.array([-1.5, 0.5])
+
+        def sequence(seed):
+            # Runs of one key, so that a thread's own memo hits race with
+            # the other threads' replacements.
+            rng = np.random.default_rng(seed)
+            keys = zip(rng.integers(2, size=60), rng.integers(4, size=60))
+            return [(int(k), float(times[j])) for k, j in keys
+                    for _ in range(5)]
+
+        def evaluate(on, seq):
+            return [smooth_barrier(on, shapes[k], center, t, s.cbf)
+                    for k, t in seq]
+
+        sequences = [sequence(seed) for seed in range(4)]
+        serial = [evaluate(copy.deepcopy(pristine), seq) for seq in sequences]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(evaluate, [env] * 4, sequences,
+                                         timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(threaded, serial):
+            for g, w in zip(got, want):
+                assert_same_bits(g, w)
 
 
 class TestCbfParams:

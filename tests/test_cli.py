@@ -67,6 +67,12 @@ class TestSimulateCommand:
         ["verify", "gradients", "--n", "-5", "--scenario", "l-shape"],
         ["verify", "qp", "--n", "0"],
         ["verify", "sandwich", "--seed", "-1"],
+        ["field", "l-shape", "--bounds", "0", "nan", "0", "1",
+         "--resolution", "2", "--out", "unused.csv"],
+        ["field", "l-shape", "--bounds", "0", "inf", "0", "1",
+         "--resolution", "2", "--out", "unused.csv"],
+        ["field", "l-shape", "--bounds", "0", "1", "0", "inf",
+         "--resolution", "2", "--out", "unused.csv"],
     ])
     def test_bad_override_exits_2(self, argv, capsys, tmp_path,
                                   monkeypatch):
@@ -199,6 +205,14 @@ class TestVerifyCommand:
 
     def test_unknown_builtin_exits_2(self, capsys):
         assert main(["verify", "hull", "--scenario", "nope"]) == 2
+
+    def test_unwritable_report_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(["verify", "qp", "--n", "10", "--out", str(out)])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError"
+        assert not out.exists()
 
     def test_suite_alone_matches_all(self, capsys):
         # A report's seed reproduces it on its own: each suite reports

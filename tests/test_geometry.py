@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -222,3 +225,17 @@ class TestAgentShape:
             AgentShape(np.zeros((0, 2)))
         with pytest.raises(ValueError):
             AgentShape([(np.inf, 0.0)])
+
+    def test_owns_read_only_offsets(self):
+        source = np.zeros((1, 2))
+        shape = AgentShape(source)
+        source[0, 0] = 5.0
+        assert np.array_equal(shape.offsets, [[0.0, 0.0]])
+        assert np.array_equal(shape.vertices((1.0, 2.0)), [[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            shape.offsets[0, 0] = 5.0
+        assert source.flags.writeable
+        for copied in (copy.copy(shape), copy.deepcopy(shape),
+                       pickle.loads(pickle.dumps(shape))):
+            assert copied == shape
+            assert not copied.offsets.flags.writeable
