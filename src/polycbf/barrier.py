@@ -50,12 +50,14 @@ class CbfParams:
 @dataclass
 class BarrierEvaluation:
     """Smooth barrier value with its spatial gradient, time partial, and the
-    exact nonsmooth margin kept alongside for diagnostics."""
+    exact nonsmooth margin kept alongside for diagnostics.  `safe_velocity`
+    also takes a batch: a gradient of shape (M, p), with the scalars given
+    per row, shape (M,), or once for all rows."""
 
-    value: float
+    value: float | np.ndarray
     gradient: np.ndarray
-    time_partial: float
-    nonsmooth_value: float
+    time_partial: float | np.ndarray
+    nonsmooth_value: float | np.ndarray
 
 
 def provable_buffer(env: PolytopeEnvironment) -> float:

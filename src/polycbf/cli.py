@@ -64,6 +64,16 @@ def _require(condition: bool, message: str) -> None:
         raise scenarios.ScenarioError(message)
 
 
+def _open_outputs(*paths) -> None:
+    """Open each given output path for appending and close it again, so a
+    path that cannot be written fails before the work rather than after
+    it.  An existing file keeps its contents until the real write."""
+    for path in paths:
+        if path:
+            with open(path, "a", encoding="utf-8"):
+                pass
+
+
 def _apply_overrides(scenario, args) -> scenarios.Scenario:
     """Scenario with the command line's settings; an invalid value raises
     ScenarioError."""
@@ -87,10 +97,11 @@ def cmd_simulate(args) -> int:
     except scenarios.ScenarioError as err:
         return _fail(EXIT_VALIDATION, err)
     try:
+        _open_outputs(args.csv, args.svg)
         t0 = time.perf_counter()
         result = run(scenario, method=args.method)
         wall = time.perf_counter() - t0
-    except (UnsafeStartError, DegenerateGradientError) as err:
+    except (OSError, UnsafeStartError, DegenerateGradientError) as err:
         return _fail(EXIT_RUNTIME, err)
 
     try:
@@ -133,6 +144,10 @@ def cmd_field(args) -> int:
             low, high = verify.scenario_bounds(scenario)
     except scenarios.ScenarioError as err:
         return _fail(EXIT_VALIDATION, err)
+    try:
+        _open_outputs(args.out)
+    except OSError as err:
+        return _fail(EXIT_RUNTIME, err)
 
     grid = verify.grid_points(low, high, args.resolution)
     h, margin = barrier_field(scenario.environment, scenario.agent, grid,
@@ -158,6 +173,10 @@ def cmd_verify(args) -> int:
         scens = [scenarios.builtin(name) for name in names]
     except scenarios.ScenarioError as err:
         return _fail(EXIT_VALIDATION, err)
+    try:
+        _open_outputs(args.out)
+    except OSError as err:
+        return _fail(EXIT_RUNTIME, err)
     reports = verify.run_suite(args.suite, scens, args.seed, args.n)
     payload = json.dumps([r.to_dict() for r in reports], indent=2,
                          sort_keys=True)

@@ -4,6 +4,13 @@ For single-integrator dynamics the barrier constraint
 grad(h) . u + dh/dt + gamma * h >= 0 is a single half-space in input space,
 so the minimum-deviation safe input is the Euclidean projection of the
 desired input onto it; no numeric QP solver is involved.
+
+Both the controller and the filter take one row (p,) or a batch of rows
+(M, p) through the same code, and every row of a batch equals the one-row
+call bit for bit.  Row dot products go through np.vecdot, which rounds like
+the one-row `a @ b` (broadcast products summed with .sum(-1) or einsum do
+not).  On one row every intermediate is a numpy scalar, whose arithmetic is
+cheap; the few reductions over rows go through `_count`.
 """
 
 from __future__ import annotations
@@ -27,6 +34,12 @@ class DegenerateGradientError(RuntimeError):
     small for the geometry or the state is deep outside the safe set."""
 
 
+def _count(mask) -> int:
+    """Number of set entries of a boolean scalar or array.  np.count_nonzero
+    of an ndarray costs a fraction of np.any or .any() on a numpy bool."""
+    return np.count_nonzero(np.asarray(mask))
+
+
 @dataclass
 class DesiredController:
     """Saturated proportional controller toward a goal point:
@@ -46,11 +59,22 @@ class DesiredController:
                 f"u_max must be positive and finite, got {self.u_max}")
 
     def velocity(self, p) -> np.ndarray:
-        p = _as_point(p, self.goal.shape[0], "p")
+        """Desired input at a position (p,) or at each row of (M, p)."""
+        p = np.asarray(p, dtype=float)
+        dim = self.goal.shape[0]
+        if p.ndim not in (1, 2) or p.shape[-1] != dim:
+            raise ValueError(
+                f"p must have shape ({dim},) or (M, {dim}), got {p.shape}")
         u = self.gain * (self.goal - p)
-        speed = np.linalg.norm(u)
-        if speed > self.u_max:
-            u = u * (self.u_max / speed)
+        speed = np.sqrt(np.vecdot(u, u))
+        # A finite speed needs a finite p, so p itself is only scanned when
+        # some speed is not finite (a non-finite p, or an overflow).
+        if _count(speed < np.inf) < speed.size and not np.isfinite(p).all():
+            raise ValueError(f"p must be finite, got {p}")
+        # Scale u in place through its transpose, which lines each row up
+        # with its scale; rows at or below u_max are scaled by exactly 1.0.
+        rows = u.T
+        rows *= self.u_max / np.maximum(speed, self.u_max)
         return u
 
     def __eq__(self, other) -> bool:
@@ -62,18 +86,13 @@ class DesiredController:
 
 @dataclass
 class FilterResult:
-    """Filtered input together with the quantities needed to audit it.
-
-    slack is the constraint residual grad(h) . u + dh/dt + gamma * h at the
-    returned input: the unmodified residual when inactive, and exactly zero
-    when active (the projection lands on the constraint boundary).
-    """
+    """Filtered input together with the desired input, the barrier value
+    and whether the projection acted: one row, or one entry per row."""
 
     u_safe: np.ndarray
     u_desired: np.ndarray
-    h: float
-    constraint_active: bool
-    slack: float
+    h: float | np.ndarray
+    constraint_active: bool | np.ndarray
 
 
 def safe_velocity(evaluation: BarrierEvaluation, u_desired,
@@ -82,28 +101,41 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
 
     Let a = grad(h) . u_des + dh/dt + gamma * h.  If a >= 0 the desired
     input already satisfies the constraint and is returned unchanged;
-    otherwise the projection u_des - (a / ||grad||^2) * grad lands exactly
-    on the constraint boundary.  No saturation is applied to the corrected
-    input: only the desired controller saturates.
+    otherwise the projection u_des - (a / ||grad||^2) * grad lands on the
+    constraint boundary.  No saturation is applied to the corrected input:
+    only the desired controller saturates.
+
+    One problem has a gradient and input of shape (p,); a batch has both of
+    shape (M, p), with value and time partial broadcasting against (M,).
 
     Raises
     ------
     DegenerateGradientError
-        If a < 0 while ||grad(h)|| <= 1e-10; there is deliberately no
-        silent fallback for this case.
+        If a < 0 while ||grad(h)|| <= 1e-10 on some row; there is
+        deliberately no silent fallback for this case.
     """
     grad = np.asarray(evaluation.gradient, dtype=float)
     u_desired = np.asarray(u_desired, dtype=float)
-    a = float(grad @ u_desired + evaluation.time_partial
-              + params.alpha_gain * evaluation.value)
-    if a >= 0.0:
-        return FilterResult(u_desired, u_desired, evaluation.value, False, a)
-    grad_sq = float(grad @ grad)
-    if grad_sq <= _DEGENERATE_NORM ** 2:
+    a = (np.vecdot(grad, u_desired) + evaluation.time_partial
+         + params.alpha_gain * evaluation.value)
+    active = (a < 0.0) | (a != a)  # a NaN residual projects, as a < 0 does
+    n_active = _count(active)
+    if not n_active:
+        return FilterResult(u_desired, u_desired, evaluation.value, active)
+    grad_sq = np.vecdot(grad, grad)
+    if n_active < active.size:
+        # Rows that already meet the constraint take the step
+        # (0 / 1) * 0 = +0.0, which leaves their input bit for bit.
+        a = np.where(active, a, 0.0)
+        grad_sq = np.where(active, grad_sq, 1.0)
+        grad = np.where(active[..., None], grad, 0.0)
+    degenerate = grad_sq <= _DEGENERATE_NORM ** 2
+    if _count(degenerate):
+        row = int(np.argmax(np.ravel(degenerate)))
+        in_row = f" in row {row}" if grad.ndim > 1 else ""
         raise DegenerateGradientError(
-            f"constraint violated (residual {a:.3e}) with near-zero barrier "
-            f"gradient (norm {np.sqrt(grad_sq):.3e})")
-    u_safe = u_desired - (a / grad_sq) * grad
-    # The projection satisfies the constraint with equality; recomputing the
-    # residual at the rounded output would only report cancellation noise.
-    return FilterResult(u_safe, u_desired, evaluation.value, True, 0.0)
+            f"constraint violated{in_row} (residual {np.ravel(a)[row]:.3e}) "
+            f"with near-zero barrier gradient "
+            f"(norm {np.sqrt(np.ravel(grad_sq)[row]):.3e})")
+    u_safe = u_desired - (grad.T * (a / grad_sq)).T
+    return FilterResult(u_safe, u_desired, evaluation.value, active)

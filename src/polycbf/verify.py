@@ -91,6 +91,31 @@ def qp_bruteforce(evaluation: BarrierEvaluation, u_desired, params: CbfParams,
     return feasible[np.argmin(dist_sq)]
 
 
+def _hull_points(shape: AgentShape, center, n_samples: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """n_samples convex combinations of the agent's vertices at center, with
+    uniform Dirichlet weights."""
+    weights = rng.dirichlet(np.ones(shape.num_vertices), size=n_samples)
+    return weights @ shape.vertices(center)
+
+
+def _hull_gaps(env: PolytopeEnvironment, shape: AgentShape, centers, times,
+               points) -> np.ndarray:
+    """min margin(hull point) - margin(agent) per (center, t, points) state.
+
+    Takes every point margin first, then every agent margin, with one point
+    shape, so that consecutive kernel calls share the kernel's one-entry memo
+    wherever t does (always, in a static world).  Each call keeps one
+    state's batch: its n points, then its one center.
+    """
+    point = AgentShape.point(env.dimension)
+    point_mins = [np.min(margin_field(env, point, pts, t))
+                  for pts, t in zip(points, times)]
+    agent = [margin_field(env, shape, center[None, :], t)[0]
+             for center, t in zip(centers, times)]
+    return np.subtract(point_mins, agent)
+
+
 def hull_containment_sample(env: PolytopeEnvironment, shape: AgentShape,
                             center, t: float, n_samples: int,
                             rng: np.random.Generator | None = None) -> float:
@@ -105,29 +130,27 @@ def hull_containment_sample(env: PolytopeEnvironment, shape: AgentShape,
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     rng = np.random.default_rng(0) if rng is None else rng
     center = np.asarray(center, dtype=float)
-    vertices = shape.vertices(center)
-    weights = rng.dirichlet(np.ones(shape.num_vertices), size=n_samples)
-    points = weights @ vertices
-    point_margins = margin_field(env, AgentShape.point(env.dimension),
-                                 points, t)
-    agent_margin = float(margin_field(env, shape, center[None, :], t)[0])
-    return float(np.min(point_margins) - agent_margin)
+    points = _hull_points(shape, center, n_samples, rng)
+    return float(_hull_gaps(env, shape, [center], [t], [points])[0])
 
 
 def hull_containment_audit(scenario, n_states: int = 500,
                            n_weights: int = 20, seed: int = 0) -> AuditReport:
     """Hull-containment gap, passing at >= -1e-12, over random (state,
-    weights) pairs drawn in the scenario's box (states need not be safe)."""
+    weights) pairs drawn in the scenario's box (states need not be safe).
+    Every state is drawn before any margin is taken, in the order center,
+    t (moving worlds only), weights."""
     rng = np.random.default_rng(seed)
     low, high = scenario_bounds(scenario)
     env, shape = scenario.environment, scenario.agent
     t_max = 0.0 if env.is_static else scenario.default_sim.t_end
-    worst = np.inf
+    centers, times, points = [], [], []
     for _ in range(n_states):
-        center = rng.uniform(low, high)
-        t = float(rng.uniform(0.0, t_max)) if t_max > 0 else 0.0
-        gap = hull_containment_sample(env, shape, center, t, n_weights, rng)
-        worst = min(worst, gap)
+        centers.append(rng.uniform(low, high))
+        times.append(float(rng.uniform(0.0, t_max)) if t_max > 0 else 0.0)
+        points.append(_hull_points(shape, centers[-1], n_weights, rng))
+    worst = np.min(_hull_gaps(env, shape, centers, times, points),
+                   initial=np.inf)
     return AuditReport(
         name="hull-containment",
         parameters={"scenario": scenario.name, "n_states": n_states,
@@ -240,10 +263,16 @@ def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
         grads[np.arange(3) >= dims[:, None]] = 0.0  # unused axis of 2D rows
         gains = rng.uniform(0.5, 4.0, size=size)
         u_safe = u_des.copy()
-        for i, dim in enumerate(dims):
-            ev = BarrierEvaluation(values[i], grads[i, :dim], partials[i], 0.0)
-            params = CbfParams(kappa=5.0, alpha_gain=gains[i])
-            u_safe[i, :dim] = safe_velocity(ev, u_des[i, :dim], params).u_safe
+        # gamma * h is one rounded product either way, and the filter's
+        # 1.0 * (gamma h) keeps it exact, so each row sees the residual of
+        # its own one-problem call.
+        params = CbfParams(kappa=5.0, alpha_gain=1.0)
+        for dim in (2, 3):
+            rows = dims == dim
+            ev = BarrierEvaluation(gains[rows] * values[rows],
+                                   grads[rows, :dim], partials[rows], 0.0)
+            u_safe[rows, :dim] = safe_velocity(ev, u_des[rows, :dim],
+                                               params).u_safe
         terms = np.column_stack((grads * u_safe, partials, gains * values))
         r, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
         changed = np.any(u_safe != u_des, axis=1)

@@ -1,13 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is written as plain nested loops over math.exp, with no
+The barrier oracles are plain nested loops over math.exp, with no
 stabilization and no shared code with the library, so agreement is
-meaningful.  Only valid at moderate exponents (|kappa * psi| below ~700).
+meaningful.  They are only valid at moderate exponents (|kappa * psi| below
+~700).  `qp_audit_loop` is the loop form of a batched audit: one filter call
+per problem.
 """
 
 import math
 
 import numpy as np
+
+from polycbf.barrier import BarrierEvaluation, CbfParams
+from polycbf.safety_filter import safe_velocity
 
 
 def halfspace_value(hs, p, t):
@@ -80,3 +85,27 @@ def fd_gradient(func, x, step=1e-5):
 def fd_scalar(func, t, step=1e-5):
     """Central finite difference of a scalar function of one variable."""
     return (func(t + step) - func(t - step)) / (2.0 * step)
+
+
+def qp_audit_loop(n, seed, block=4096):
+    """Worst scaled KKT residual of `verify.qp_closed_form_audit`, with one
+    one-row `safe_velocity` call per problem and the audit's rng draws."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        dims = 2 + rng.integers(2, size=size)
+        values, partials = rng.normal(size=(2, size))
+        grads, u_des = rng.normal(size=(2, size, 3))
+        grads[np.arange(3) >= dims[:, None]] = 0.0
+        gains = rng.uniform(0.5, 4.0, size=size)
+        u_safe = u_des.copy()
+        for i, dim in enumerate(dims):
+            ev = BarrierEvaluation(values[i], grads[i, :dim], partials[i], 0.0)
+            params = CbfParams(kappa=5.0, alpha_gain=gains[i])
+            u_safe[i, :dim] = safe_velocity(ev, u_des[i, :dim], params).u_safe
+        terms = np.column_stack((grads * u_safe, partials, gains * values))
+        r, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        changed = np.any(u_safe != u_des, axis=1)
+        worst = np.max(np.where(changed, abs(r), -r) / scale, initial=worst)
+    return float(worst)

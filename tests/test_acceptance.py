@@ -186,10 +186,17 @@ def test_criterion_9_filter_optimality():
         res = safe_velocity(ev, u_des, params)
         delta = res.u_safe - res.u_desired
         coeff = float(delta @ ev.gradient) / float(ev.gradient @ ev.gradient)
-        worst_slack = max(worst_slack, -res.slack)
+        # Residual at the returned input, scaled by its terms' magnitudes
+        # as in the qp audit: unscaled, one ulp of cancellation times a
+        # large multiplier (small gradient) would read as a violation.
+        gamma_h = params.alpha_gain * ev.value
+        slack = float(ev.gradient @ res.u_safe + ev.time_partial + gamma_h) \
+            / float(np.abs(ev.gradient * res.u_safe).sum()
+                    + abs(ev.time_partial) + abs(gamma_h))
+        worst_slack = max(worst_slack, -slack)
         worst_parallel = max(worst_parallel, float(
             np.linalg.norm(delta - coeff * ev.gradient)), -coeff)
-        worst_comp = max(worst_comp, abs(coeff * res.slack))
+        worst_comp = max(worst_comp, abs(coeff * slack))
     assert worst_slack <= 1e-12
     assert worst_parallel <= 1e-12
     assert worst_comp <= 1e-10

@@ -3,9 +3,15 @@ import json
 import numpy as np
 import pytest
 
+import polycbf.cli
+import polycbf.verify
 from polycbf.cli import main
 from polycbf.scenarios import BUILTIN_NAMES, builtin, save
 from polycbf.verify import SUITES
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("the work started before the output path check")
 
 
 class TestSimulateCommand:
@@ -94,6 +100,15 @@ class TestSimulateCommand:
         assert err["error"] == "ScenarioError"
         assert "record_stride" in err["message"]
 
+    @pytest.mark.parametrize("flag", ["--csv", "--svg"])
+    def test_unwritable_output_fails_before_run(self, tmp_path, capsys,
+                                                monkeypatch, flag):
+        monkeypatch.setattr(polycbf.cli, "run", must_not_run)
+        out = tmp_path / "missing" / "out"
+        assert main(["simulate", "l-shape", flag, str(out)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError"
+
     def test_unsafe_start_exits_4(self, capsys):
         code = main(["simulate", "l-shape", "--start", "1.0", "0.5"])
         assert code == 4
@@ -149,6 +164,14 @@ class TestFieldCommand:
         psi = np.array([float(r[2]) for r in rows])
         h = np.array([float(r[3]) for r in rows])
         assert np.all(psi >= h - 1e-12)
+
+    def test_unwritable_out_fails_before_field(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr(polycbf.cli, "barrier_field", must_not_run)
+        out = tmp_path / "missing" / "f.csv"
+        assert main(["field", "l-shape", "--out", str(out)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError"
 
     def test_bad_bounds_exit_2(self, capsys):
         assert main(["field", "l-shape", "--bounds", "0", "1", "--out",
@@ -213,6 +236,14 @@ class TestVerifyCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFoundError"
         assert not out.exists()
+
+    def test_unwritable_report_fails_before_audits(self, tmp_path, capsys,
+                                                  monkeypatch):
+        monkeypatch.setattr(polycbf.verify, "run_suite", must_not_run)
+        out = tmp_path / "missing" / "x.json"
+        assert main(["verify", "all", "--out", str(out)]) == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError"
 
     def test_suite_alone_matches_all(self, capsys):
         # A report's seed reproduces it on its own: each suite reports

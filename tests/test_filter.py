@@ -11,6 +11,12 @@ def make_eval(grad, h, dht=0.0):
                              time_partial=dht, nonsmooth_value=h)
 
 
+def residual(ev, u, params):
+    """grad(h) . u + dh/dt + gamma * h at the input u."""
+    return float(ev.gradient @ u + ev.time_partial
+                 + params.alpha_gain * ev.value)
+
+
 def random_instance(rng, dim):
     ev = make_eval(rng.normal(size=dim), float(rng.normal()),
                    float(rng.normal()))
@@ -52,18 +58,21 @@ class TestDesiredController:
 class TestSafeVelocity:
     def test_inactive_when_constraint_holds(self):
         ev = make_eval((1.0, 0.0), h=1.0)
-        res = safe_velocity(ev, (1.0, 0.0), CbfParams(kappa=5.0, alpha_gain=2.0))
+        params = CbfParams(kappa=5.0, alpha_gain=2.0)
+        res = safe_velocity(ev, (1.0, 0.0), params)
         assert not res.constraint_active
         assert np.array_equal(res.u_safe, [1.0, 0.0])
-        assert res.slack == pytest.approx(3.0)
+        assert residual(ev, res.u_safe, params) == pytest.approx(3.0)
 
     def test_sliding_on_boundary(self):
         # heading straight into the wall at h = 0: the correction cancels it
         ev = make_eval((1.0, 0.0), h=0.0)
-        res = safe_velocity(ev, (-1.0, 0.0), CbfParams(kappa=5.0, alpha_gain=2.0))
+        params = CbfParams(kappa=5.0, alpha_gain=2.0)
+        res = safe_velocity(ev, (-1.0, 0.0), params)
         assert res.constraint_active
         assert np.allclose(res.u_safe, [0.0, 0.0], atol=1e-15)
-        assert res.slack == pytest.approx(0.0, abs=1e-15)
+        assert residual(ev, res.u_safe, params) == pytest.approx(0.0,
+                                                                 abs=1e-15)
 
     def test_tangential_component_survives(self):
         ev = make_eval((1.0, 0.0), h=0.0)
@@ -107,15 +116,16 @@ class TestSafeVelocity:
             ev, u_des, params = random_instance(rng, dim)
             res = safe_velocity(ev, u_des, params)
             grad = ev.gradient
+            slack = residual(ev, res.u_safe, params)
             # (i) feasibility
-            assert res.slack >= -1e-12
+            assert slack >= -1e-12
             # (ii) correction parallel to the gradient, nonnegative coefficient
             delta = res.u_safe - res.u_desired
             coeff = float(delta @ grad) / float(grad @ grad)
             assert np.linalg.norm(delta - coeff * grad) <= 1e-12
             assert coeff >= -1e-12
             # (iii) complementary slackness
-            assert abs(coeff * res.slack) <= 1e-10
+            assert abs(coeff * slack) <= 1e-10
 
     def test_minimal_modification(self):
         rng = np.random.default_rng(67)
@@ -137,3 +147,91 @@ class TestSafeVelocity:
             once = safe_velocity(ev, u_des, params)
             twice = safe_velocity(ev, once.u_safe, params)
             assert np.allclose(twice.u_safe, once.u_safe, atol=1e-12)
+
+
+def mixed_batch(rng, dim, m):
+    """m filter problems mixing inactive rows, active rows and rows whose
+    residual is exactly zero (h = dh/dt = 0, input orthogonal to grad)."""
+    grads = rng.normal(size=(m, dim))
+    u_des = rng.normal(size=(m, dim))
+    values, partials = rng.normal(size=(2, m))
+    zero = rng.random(m) < 0.2
+    values[zero] = partials[zero] = 0.0
+    grads[zero] = 0.0
+    grads[zero, 0] = 1.0
+    u_des[zero, 0] = 0.0
+    return values, grads, partials, u_des
+
+
+class TestBatchedLaw:
+    """Row i of a batch call equals the one-row call bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 7, 4096])
+    def test_safe_velocity_rows_match_one_row_calls(self, dim, m):
+        rng = np.random.default_rng(1000 * dim + m)
+        values, grads, partials, u_des = mixed_batch(rng, dim, m)
+        params = CbfParams(kappa=5.0, alpha_gain=1.7)
+        batch = safe_velocity(
+            BarrierEvaluation(values, grads, partials, values), u_des, params)
+        assert batch.u_safe.shape == (m, dim)
+        assert batch.constraint_active.shape == (m,)
+        for i in range(m):
+            one = safe_velocity(
+                make_eval(grads[i], float(values[i]), float(partials[i])),
+                u_des[i], params)
+            assert np.array_equal(batch.u_safe[i], one.u_safe)
+            assert batch.constraint_active[i] == one.constraint_active
+            assert np.array_equal(batch.h[i], one.h)
+        if m >= 7:  # the mix is really mixed
+            assert 0 < np.count_nonzero(batch.constraint_active) < m
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 7, 4096])
+    def test_velocity_rows_match_one_row_calls(self, dim, m):
+        rng = np.random.default_rng(2000 * dim + m)
+        goal = rng.normal(size=dim)
+        ctrl = DesiredController(goal=goal, gain=1.5, u_max=0.8)
+        offsets = rng.normal(size=(m, dim))
+        offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+        # Inside, at (up to rounding) and beyond the saturation radius.
+        radius = rng.choice([0.1, 0.8 / 1.5, 3.0], size=(m, 1))
+        points = goal + radius * offsets
+        points[0] = goal
+        batch = ctrl.velocity(points)
+        assert batch.shape == (m, dim)
+        for i in range(m):
+            assert np.array_equal(batch[i], ctrl.velocity(points[i]))
+
+    def test_velocity_validates_rows(self):
+        ctrl = DesiredController(goal=(1.0, 2.0))
+        for bad in ([1.0, 2.0, 3.0], [[[1.0, 2.0]]], [[1.0, 2.0, 3.0]]):
+            with pytest.raises(ValueError, match="shape"):
+                ctrl.velocity(bad)
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ctrl.velocity([[0.0, 0.0], [value, 0.0]])
+            with pytest.raises(ValueError, match="finite"):
+                ctrl.velocity([0.0, value])
+
+    def test_degenerate_active_row_named(self):
+        # Row 2 is violated with a zero gradient; row 1 has a zero gradient
+        # but holds the constraint, so it alone would not raise.
+        grads = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        values = np.array([1.0, 1.0, -1.0, 1.0])
+        ev = BarrierEvaluation(values, grads, 0.0, values)
+        u_des = np.ones((4, 2))
+        params = CbfParams(kappa=5.0, alpha_gain=2.0)
+        with pytest.raises(DegenerateGradientError, match="in row 2 "):
+            safe_velocity(ev, u_des, params)
+        ok = safe_velocity(BarrierEvaluation(values[:2], grads[:2], 0.0,
+                                             values[:2]), u_des[:2], params)
+        assert not np.any(ok.constraint_active)
+
+    def test_degenerate_one_row_message(self):
+        with pytest.raises(DegenerateGradientError) as info:
+            safe_velocity(make_eval((0.0, 0.0), h=-1.0), (1.0, 0.0),
+                          CbfParams(kappa=5.0, alpha_gain=2.0))
+        assert str(info.value) == (
+            "constraint violated (residual -2.000e+00) with near-zero "
+            "barrier gradient (norm 0.000e+00)")

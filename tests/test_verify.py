@@ -7,7 +7,7 @@ import pytest
 import polycbf.verify
 from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
                              margin_agent, provable_buffer)
-from polycbf.geometry import AgentShape
+from polycbf.geometry import AgentShape, PolytopeEnvironment
 from polycbf.safety_filter import FilterResult, safe_velocity
 from polycbf.scenarios import BUILTIN_NAMES, builtin
 from polycbf.verify import (AuditReport, InfeasibleGridError, grid_points,
@@ -16,6 +16,8 @@ from polycbf.verify import (AuditReport, InfeasibleGridError, grid_points,
                             qp_closed_form_audit, run_suite, scenario_bounds,
                             smoothing_sandwich_audit,
                             under_approximation_audit)
+
+import oracles
 
 
 def make_eval(grad, h, dht=0.0):
@@ -105,6 +107,22 @@ class TestHullContainment:
         assert report.passed
         assert report.worst >= -1e-12
 
+    @pytest.mark.parametrize("name", ["l-shape", "pyramid"])
+    def test_audit_reuses_face_terms_in_static_world(self, monkeypatch,
+                                                     name):
+        # One frame for the point shape and one for the agent, not two
+        # per state.
+        calls = []
+        frame = PolytopeEnvironment.frame
+
+        def counted(env, t):
+            calls.append(t)
+            return frame(env, t)
+
+        monkeypatch.setattr(PolytopeEnvironment, "frame", counted)
+        hull_containment_audit(builtin(name), n_states=50, seed=7)
+        assert len(calls) == 2
+
     def test_requires_samples(self):
         s = builtin("crossroad")
         with pytest.raises(ValueError):
@@ -192,16 +210,21 @@ class TestRandomizedAudits:
     def test_qp_closed_form_catches_false_projection(self, monkeypatch,
                                                      u_safe):
         # A filter that claims to have projected every input onto the
-        # boundary, with zero slack, while it did not.
+        # boundary while it did not.
         def fake(evaluation, u_desired, params):
             return FilterResult(u_safe(u_desired), u_desired,
-                                evaluation.value, constraint_active=True,
-                                slack=0.0)
+                                evaluation.value, constraint_active=True)
 
         monkeypatch.setattr(polycbf.verify, "safe_velocity", fake)
         report = qp_closed_form_audit(500, seed=3)
         assert report.passed is False
         assert not report.worst <= 1e-3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_qp_closed_form_matches_loop_oracle(self, seed):
+        # Two batched filter calls per block against one call per problem.
+        assert qp_closed_form_audit(5000, seed).worst == \
+            oracles.qp_audit_loop(5000, seed)
 
     def test_under_approximation_defaults(self):
         s = builtin("l-shape")
