@@ -25,6 +25,9 @@ __all__ = [
     "provable_buffer",
 ]
 
+# Centers per kernel call in barrier_field, bounding its peak memory.
+_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class CbfParams:
@@ -234,29 +237,26 @@ def smooth_barrier(env: PolytopeEnvironment, shape: AgentShape, center,
 
 
 def barrier_field(env: PolytopeEnvironment, shape: AgentShape, centers,
-                  t: float, params: CbfParams, chunk: int = 4096):
+                  t: float, params: CbfParams):
     """Smooth barrier and nonsmooth margin over a batch of agent centers.
 
     Vectorized value-only path for grid audits and field dumps; gradients
-    are not computed.
+    are not computed.  Centers go through the kernel in fixed-size blocks,
+    bounding peak memory.
 
     Parameters
     ----------
     centers : array_like, shape (M, p)
-    chunk : int
-        Centers processed per block, bounding peak memory.
 
     Returns
     -------
     (h, margin) : two arrays of shape (M,)
     """
     centers = _as_centers(env, centers)
-    if not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"chunk must be a positive integer, got {chunk!r}")
     h_out = np.empty(centers.shape[0])
     margin_out = np.empty(centers.shape[0])
-    for start in range(0, centers.shape[0], chunk):
-        block = slice(start, start + chunk)
+    for start in range(0, centers.shape[0], _CHUNK):
+        block = slice(start, start + _CHUNK)
         h_out[block], _, _, margin_out[block] = _evaluate(
             env, shape, centers[block], t, params)
     return h_out, margin_out

@@ -99,7 +99,7 @@ def cmd_simulate(args) -> int:
     try:
         _open_outputs(args.csv, args.svg)
         t0 = time.perf_counter()
-        result = run(scenario, method=args.method)
+        result = run(scenario)
         wall = time.perf_counter() - t0
     except (OSError, UnsafeStartError, DegenerateGradientError) as err:
         return _fail(EXIT_RUNTIME, err)
@@ -114,14 +114,16 @@ def cmd_simulate(args) -> int:
 
     goal_t = "-" if result.reached_goal_at is None \
         else f"{result.reached_goal_at:.2f} s"
+    # an error run can end before its first row
+    final = result.positions[-1].tolist() if result.times.size else "-"
     print(f"scenario    : {scenario.name}")
     print(f"termination : {result.termination.value}")
     print(f"min h       : {result.min_h:.6g}")
     print(f"goal time   : {goal_t}")
-    print(f"final state : {result.positions[-1].tolist()}")
+    print(f"final state : {final}")
     print(f"wall time   : {wall:.3f} s")
     if result.termination is Termination.ERROR:
-        return _fail(EXIT_RUNTIME, result.error or "filter error")
+        return _fail(EXIT_RUNTIME, result.error)
     return EXIT_OK
 
 
@@ -212,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t-end", type=float, dest="t_end")
     sim.add_argument("--start", type=float, nargs="+", dest="x0")
     sim.add_argument("--goal", type=float, nargs="+")
-    sim.add_argument("--method", choices=("rk4", "euler"), default="rk4")
     sim.add_argument("--csv", help="trajectory CSV output path")
     sim.add_argument("--svg", help="trajectory SVG output path")
     sim.set_defaults(func=cmd_simulate)

@@ -1,8 +1,10 @@
 """Fixed-step closed-loop simulation of the safety-filtered single integrator.
 
-The control law (smooth barrier -> desired velocity -> safety filter) is
-re-evaluated at every integrator stage, which is the closest discrete
-realization of the continuous closed loop.  Runs are fully deterministic:
+The one integrator is classical RK4, and the control law (smooth barrier ->
+desired velocity -> safety filter) is re-evaluated at each of its four
+stages, which is the closest discrete realization of the continuous closed
+loop.  The goal is checked at each step start, before integrating, so the
+step that reaches it computes no stages.  Runs are fully deterministic:
 identical scenario and config give bit-identical results.
 """
 
@@ -76,7 +78,9 @@ class SimConfig:
 @dataclass
 class SimResult:
     """Logged trajectory.  All sequences share one length; rows are sampled
-    every record_stride steps plus the final state."""
+    every record_stride steps plus the final state.  An "error" run keeps
+    the rows recorded before the failing step, possibly none; the arrays
+    keep their row shape, e.g. positions (0, p), when empty."""
 
     times: np.ndarray
     positions: np.ndarray
@@ -123,42 +127,32 @@ def _control(scenario, x: np.ndarray, t: float) -> FilterResult:
     return safe_velocity(evaluation, u_des, scenario.cbf)
 
 
-def step(state, t: float, scenario, dt: float,
-         method: str = "rk4") -> tuple[np.ndarray, FilterResult]:
-    """Advance one step of dx/dt = k(x, t) with the filtered controller k.
-
-    method "rk4" evaluates the controller at all four stages; "euler" holds
-    the input computed at the step start (zero-order hold -- for the single
-    integrator the two coincide in the held-input limit).
+def step(state, t: float, scenario,
+         dt: float) -> tuple[np.ndarray, FilterResult]:
+    """Advance one RK4 step of dx/dt = k(x, t), evaluating the filtered
+    controller k at all four stages.
 
     Returns the new state and the filter result at the step start.  A
-    degenerate-gradient failure at any stage is re-raised with the offending
-    state and time attached.
+    degenerate gradient at any stage raises DegenerateGradientError.
     """
     x = np.asarray(state, dtype=float)
-    try:
-        first = _control(scenario, x, t)
-        if method == "euler":
-            return x + dt * first.u_safe, first
-        if method != "rk4":
-            raise ValueError(f"unknown integration method {method!r}")
-        k1 = first.u_safe
-        k2 = _control(scenario, x + 0.5 * dt * k1, t + 0.5 * dt).u_safe
-        k3 = _control(scenario, x + 0.5 * dt * k2, t + 0.5 * dt).u_safe
-        k4 = _control(scenario, x + dt * k3, t + dt).u_safe
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), first
-    except DegenerateGradientError as err:
-        raise DegenerateGradientError(
-            f"{err} at state {x.tolist()}, t={t:.6g}") from err
+    first = _control(scenario, x, t)
+    k1 = first.u_safe
+    k2 = _control(scenario, x + 0.5 * dt * k1, t + 0.5 * dt).u_safe
+    k3 = _control(scenario, x + 0.5 * dt * k2, t + 0.5 * dt).u_safe
+    k4 = _control(scenario, x + dt * k3, t + dt).u_safe
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), first
 
 
-def run(scenario, config: SimConfig | None = None,
-        method: str = "rk4") -> SimResult:
+def run(scenario, config: SimConfig | None = None) -> SimResult:
     """Simulate until the goal, the horizon, or a filter failure.
 
-    Refuses to start when h(x0, 0) <= 0.  A degenerate-gradient error during
-    integration ends the run with termination "error" and the message stored
-    on the result, keeping the prefix of the trajectory for inspection.
+    Refuses to start when h(x0, 0) <= 0.  Each step start first checks the
+    goal on the state alone: at the goal or the horizon the control law is
+    evaluated once for the last row, otherwise one RK4 `step` is taken.  A
+    degenerate-gradient error ends the run with termination "error" and a
+    message naming the state and t of the failing step; the rows recorded
+    before it are kept, possibly none.
     """
     if config is None:
         config = scenario.default_sim
@@ -175,54 +169,44 @@ def run(scenario, config: SimConfig | None = None,
 
     goal = scenario.controller.goal
     n_steps = int(round(config.t_end / config.dt))
-    times, positions, h_values = [], [], []
-    u_desired, u_safe, active = [], [], []
+    times, positions, results = [], [], []
     termination = Termination.HORIZON
     reached_at = None
     error_msg = None
 
-    def record(t, x, fr: FilterResult):
-        times.append(t)
-        positions.append(x.copy())
-        h_values.append(fr.h)
-        u_desired.append(fr.u_desired.copy())
-        u_safe.append(fr.u_safe.copy())
-        active.append(fr.constraint_active)
-
-    i = 0
-    while True:
+    for i in range(n_steps + 1):
         t = i * config.dt
+        at_goal = float(np.linalg.norm(x - goal)) <= config.goal_tolerance
+        done = at_goal or i == n_steps
         try:
-            if i < n_steps:
-                x_next, fr = step(x, t, scenario, config.dt, method)
+            if done:
+                fr = _control(scenario, x, t)
             else:
-                x_next, fr = None, _control(scenario, x, t)
+                x_next, fr = step(x, t, scenario, config.dt)
         except DegenerateGradientError as err:
             termination = Termination.ERROR
-            error_msg = str(err)
+            error_msg = f"{err} at state {x.tolist()}, t={t:.6g}"
             break
-        recorded = i % config.record_stride == 0 or i == n_steps
-        if recorded:
-            record(t, x, fr)
-        if float(np.linalg.norm(x - goal)) <= config.goal_tolerance:
-            termination = Termination.GOAL
-            reached_at = t
-            if not recorded:
-                record(t, x, fr)
-            break
-        if i == n_steps:
+        if done or i % config.record_stride == 0:
+            times.append(t)
+            positions.append(x)
+            results.append(fr)
+        if done:
+            if at_goal:
+                termination, reached_at = Termination.GOAL, t
             break
         x = x_next
-        i += 1
 
-    h_arr = np.array(h_values)
+    dim = x.shape[0]
+    h_arr = np.array([fr.h for fr in results])
     return SimResult(
         times=np.array(times),
-        positions=np.array(positions),
+        positions=np.array(positions).reshape(-1, dim),
         h_values=h_arr,
-        u_desired=np.array(u_desired),
-        u_safe=np.array(u_safe),
-        constraint_active=np.array(active, dtype=bool),
+        u_desired=np.array([fr.u_desired for fr in results]).reshape(-1, dim),
+        u_safe=np.array([fr.u_safe for fr in results]).reshape(-1, dim),
+        constraint_active=np.array([fr.constraint_active for fr in results],
+                                   dtype=bool),
         min_h=float(h_arr.min()) if h_arr.size else float("nan"),
         reached_goal_at=reached_at,
         termination=termination,

@@ -120,23 +120,22 @@ def _draw_environment(panel: _Panel, scenario, t: float, axes, low, high,
 
 def _render_panel(scenario, result, axes, origin_x, title):
     traj = result.positions[:, axes]
-    pts = [traj.min(axis=0), traj.max(axis=0),
-           scenario.controller.goal[axes]]
-    for hs in scenario.environment.half_spaces:
-        pts.append(hs.anchor[axes])
-    pts = np.array(pts)
+    pts = np.vstack([traj, scenario.controller.goal[axes],
+                     *(hs.anchor[axes]
+                       for hs in scenario.environment.half_spaces)])
     pad = scenario.agent.circumradius + 0.5
     low, high = pts.min(axis=0) - pad, pts.max(axis=0) + pad
 
     panel = _Panel(low, high, origin_x)
     panel.label(title, origin_x + _MARGIN, 16.0)
 
-    env = scenario.environment
-    _draw_environment(panel, scenario, float(result.times[0]), axes, low, high,
+    # an error run can end before its first row, at t = 0
+    times = result.times if result.times.size else np.zeros(1)
+    _draw_environment(panel, scenario, float(times[0]), axes, low, high,
                       "#999999")
-    if not env.is_static:
-        _draw_environment(panel, scenario, float(result.times[-1]), axes, low,
-                          high, "#cccccc")
+    if not scenario.environment.is_static:
+        _draw_environment(panel, scenario, float(times[-1]), axes, low, high,
+                          "#cccccc")
 
     # agent hull snapshots along the trajectory
     n_snap = min(8, traj.shape[0])
@@ -149,8 +148,9 @@ def _render_panel(scenario, result, axes, origin_x, title):
         else:
             panel.marker(traj[i], "#8db4e2", r=2.0)
 
-    panel.polyline(traj, "#1f4e9c", width=2.0)
-    panel.marker(traj[0], "#2a9d2a")
+    if traj.size:
+        panel.polyline(traj, "#1f4e9c", width=2.0)
+        panel.marker(traj[0], "#2a9d2a")
     panel.marker(scenario.controller.goal[axes], "#d62728")
     return panel.parts
 

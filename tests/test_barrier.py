@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import polycbf.barrier
 from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
                              margin_agent, margin_field, provable_buffer,
                              smooth_barrier)
@@ -287,13 +288,13 @@ class TestGradients:
 
 
 class TestBarrierField:
-    def test_matches_scalar_path(self):
+    def test_matches_scalar_path(self, monkeypatch):
+        monkeypatch.setattr(polycbf.barrier, "_CHUNK", 17)
         s = builtin("revolving-door")
         rng = np.random.default_rng(53)
         centers = rng.uniform(-4, 4, size=(64, 2))
         t = 2.5
-        h, margin = barrier_field(s.environment, s.agent, centers, t, s.cbf,
-                                  chunk=17)
+        h, margin = barrier_field(s.environment, s.agent, centers, t, s.cbf)
         for c, hv, mv in zip(centers, h, margin):
             ev = smooth_barrier(s.environment, s.agent, c, t, s.cbf)
             assert hv == pytest.approx(ev.value, abs=1e-13)
@@ -304,20 +305,15 @@ class TestBarrierField:
         with pytest.raises(ValueError):
             barrier_field(s.environment, s.agent, np.zeros((4, 3)), 0.0, s.cbf)
 
-    @pytest.mark.parametrize("chunk", [0, -1, 2.5])
-    def test_rejects_bad_chunk(self, chunk):
-        s = builtin("l-shape")
-        with pytest.raises(ValueError, match="chunk"):
-            barrier_field(s.environment, s.agent, np.zeros((4, 2)), 0.0,
-                          s.cbf, chunk=chunk)
-
 
 class TestBatchOracles:
     """The batch paths against the naive loops, which share no code with
     the kernel."""
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_fields_match_naive_loops(self, name):
+    def test_fields_match_naive_loops(self, name, monkeypatch):
+        # blocks of 4 put block boundaries after centers 4 and 8
+        monkeypatch.setattr(polycbf.barrier, "_CHUNK", 4)
         s = builtin(name)
         env, shape = s.environment, s.agent
         rng = np.random.default_rng(59)
@@ -325,8 +321,7 @@ class TestBatchOracles:
         for _ in range(3):
             t = float(rng.uniform(0.0, s.default_sim.t_end))
             centers = rng.uniform(low, high, size=(11, env.dimension))
-            # chunk 4 puts block boundaries after centers 4 and 8
-            h, margin = barrier_field(env, shape, centers, t, s.cbf, chunk=4)
+            h, margin = barrier_field(env, shape, centers, t, s.cbf)
             margins = margin_field(env, shape, centers, t)
             for c, hv, mv, mf in zip(centers, h, margin, margins):
                 psi = oracles.naive_margin(env, shape, c, t)
@@ -339,11 +334,12 @@ class TestBatchOracles:
     @pytest.mark.parametrize("name, kappa", [("ellipse", 200.0),
                                              ("ellipse", 1000.0),
                                              ("revolving-door", 2000.0)])
-    def test_large_kappa(self, name, kappa):
+    def test_large_kappa(self, name, kappa, monkeypatch):
         # kappa * psi reaches 1e3 to 1e4 here, beyond the naive smooth
         # loop's range, and from kappa = 1000 on kappa * n_i . dp_k alone
         # passes the exp overflow point.  The exact margin bounds h from
         # both sides, and the normals are unit vectors.
+        monkeypatch.setattr(polycbf.barrier, "_CHUNK", 16)
         s = builtin(name)
         env, shape = s.environment, s.agent
         params = CbfParams(kappa=kappa)
@@ -353,8 +349,7 @@ class TestBatchOracles:
         centers = rng.uniform(low, high, size=(40, env.dimension))
         n_rows = sum(len(r) for r in env.regions) * shape.num_vertices
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            h, margin = barrier_field(env, shape, centers, t, params,
-                                      chunk=16)
+            h, margin = barrier_field(env, shape, centers, t, params)
             for c, hv, mv in zip(centers, h, margin):
                 psi = oracles.naive_margin(env, shape, c, t)
                 assert mv == pytest.approx(psi, abs=1e-12)

@@ -9,6 +9,8 @@ from polycbf.cli import main
 from polycbf.scenarios import BUILTIN_NAMES, builtin, save
 from polycbf.verify import SUITES
 
+from test_sim import closing_walls
+
 
 def must_not_run(*args, **kwargs):
     raise AssertionError("the work started before the output path check")
@@ -114,6 +116,34 @@ class TestSimulateCommand:
         assert code == 4
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UnsafeStartError"
+
+    def test_filter_error_exits_4_with_prefix_csv(self, tmp_path, capsys):
+        path, csv = tmp_path / "closing.json", tmp_path / "out.csv"
+        save(closing_walls(0.5), path)
+        assert main(["simulate", str(path), "--csv", str(csv)]) == 4
+        captured = capsys.readouterr()
+        assert "termination : error" in captured.out
+        err = json.loads(captured.err)
+        assert err["message"].endswith("t=0.72")
+        assert "near-zero barrier gradient" in err["message"]
+        assert len(csv.read_text().splitlines()) == 1 + 72
+
+    def test_error_before_first_row_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "closing.json"
+        csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+        save(closing_walls(2.0), path)
+        assert main(["simulate", str(path), "--csv", str(csv),
+                     "--svg", str(svg)]) == 4
+        captured = capsys.readouterr()
+        assert "final state : -" in captured.out
+        err = json.loads(captured.err)
+        assert err["message"].endswith("at state [0.0, 0.0], t=0")
+        assert csv.read_text().splitlines() == [
+            "t,p_x,p_y,udes_x,udes_y,usafe_x,usafe_y,h,constraint_active"]
+        assert svg.read_text().startswith('<?xml version="1.0"')
+
+    def test_method_flag_removed(self, capsys):
+        assert main(["simulate", "l-shape", "--method", "rk4"]) == 2
 
     def test_config_file_and_env_dir(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "corner.json"

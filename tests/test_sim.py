@@ -1,14 +1,17 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import polycbf.sim
 from polycbf.barrier import CbfParams
-from polycbf.geometry import AgentShape, ConvexRegion, HalfSpace, PolytopeEnvironment
+from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
+                              PolytopeEnvironment, RigidMotion)
 from polycbf.safety_filter import DesiredController
 from polycbf.scenarios import Scenario, builtin
 from polycbf.sim import SimConfig, Termination, UnsafeStartError, run, step
@@ -33,6 +36,33 @@ def free_space_scenario(goal, x0, width=1000.0):
     )
 
 
+def closing_walls(speed, goal_tolerance=0.05):
+    """Two walls closing on a point agent at x = 0 with the given speed.
+
+    By symmetry the agent stays on x = 0, where the gradient of h is
+    exactly zero and dh/dt = -speed.  Once gamma * h < speed the filter
+    cannot restore the constraint and raises DegenerateGradientError: at
+    the first evaluation for speed 2, at t = 0.725 for speed 0.5 (the agent
+    moves up at unit speed toward the goal (0, 5)).
+    """
+    def wall(normal, anchor, velocity):
+        return HalfSpace(normal, anchor, RigidMotion(
+            (0.0, 0.0), omega=0.0, linear_velocity=velocity))
+
+    env = PolytopeEnvironment(
+        [wall((1.0, 0.0), (-1.0, 0.0), (speed, 0.0)),
+         wall((-1.0, 0.0), (1.0, 0.0), (-speed, 0.0))],
+        [ConvexRegion([0, 1])])
+    return Scenario(
+        name="closing",
+        environment=env,
+        agent=AgentShape.point(2),
+        controller=DesiredController(goal=(0.0, 5.0)),
+        cbf=CbfParams(kappa=5.0, alpha_gain=1.0),
+        default_sim=SimConfig(x0=(0.0, 0.0), goal_tolerance=goal_tolerance),
+    )
+
+
 class TestStep:
     def test_equilibrium_at_goal(self):
         s = free_space_scenario(goal=(0.0, 0.0), x0=(0.0, 0.0))
@@ -48,18 +78,6 @@ class TestStep:
         exact = goal + (np.zeros(2) - goal) * math.exp(-res.times[-1])
         assert np.linalg.norm(res.positions[-1] - exact) <= 1e-9
 
-    def test_euler_vs_rk4_cross_check(self):
-        s = builtin("l-shape")
-        cfg = dataclasses.replace(s.default_sim, dt=1e-3, t_end=1.0,
-                                  goal_tolerance=1e-9)
-        rk4 = run(s, cfg, method="rk4")
-        euler = run(s, cfg, method="euler")
-        assert np.linalg.norm(rk4.positions[-1] - euler.positions[-1]) <= 1e-3
-
-    def test_unknown_method_rejected(self):
-        s = free_space_scenario(goal=(1.0, 0.0), x0=(0.0, 0.0))
-        with pytest.raises(ValueError, match="method"):
-            step((0.0, 0.0), 0.0, s, dt=0.01, method="heun")
 
 
 class TestRun:
@@ -105,6 +123,58 @@ class TestRun:
         assert res.times[-1] == pytest.approx(1.0)
         steps = np.round(res.times[:-1] / cfg.dt).astype(int)
         assert np.all(steps % 7 == 0)
+
+    def test_goal_step_does_not_integrate(self, monkeypatch):
+        calls = []
+
+        def counted_step(*args):
+            calls.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(polycbf.sim, "step", counted_step)
+        s = free_space_scenario(goal=(0.5, 0.0), x0=(0.0, 0.0))
+        cfg = dataclasses.replace(s.default_sim, t_end=30.0,
+                                  goal_tolerance=0.05)
+        res = run(s, cfg)
+        assert res.termination is Termination.GOAL
+        # k + 1 rows: k integrated steps, then the goal row
+        assert len(calls) == res.times.shape[0] - 1
+        assert calls == list(res.times[:-1])
+
+    def test_goal_checked_before_integrating(self):
+        # the goal tolerance is met at t = 0.72, and the stages of a step
+        # from there would fail at t = 0.725
+        res = run(closing_walls(0.5, goal_tolerance=4.285))
+        assert res.termination is Termination.GOAL
+        assert res.reached_goal_at == pytest.approx(0.72)
+        assert res.times.shape == (73,)
+        assert res.error is None
+
+    def test_error_keeps_recorded_prefix(self):
+        res = run(closing_walls(0.5))
+        assert res.termination is Termination.ERROR
+        assert res.reached_goal_at is None
+        assert res.times.shape == (72,)
+        assert res.positions.shape == res.u_safe.shape == (72, 2)
+        assert res.times[-1] == pytest.approx(0.71)
+        assert res.min_h == res.h_values.min()
+        assert "near-zero barrier gradient" in res.error
+        assert re.search(r"at state \[0\.0, 0\.72\d*\], t=0\.72$",
+                         res.error)
+
+    # goal_tolerance 5.5 puts x0 at the goal, so the failing evaluation is
+    # the final one rather than a step
+    @pytest.mark.parametrize("goal_tolerance", [0.05, 5.5])
+    def test_error_at_first_evaluation_has_no_rows(self, goal_tolerance):
+        res = run(closing_walls(2.0, goal_tolerance))
+        assert res.termination is Termination.ERROR
+        assert res.times.shape == res.h_values.shape == (0,)
+        assert res.constraint_active.shape == (0,)
+        assert res.constraint_active.dtype == bool
+        for rows in (res.positions, res.u_desired, res.u_safe):
+            assert rows.shape == (0, 2)
+        assert math.isnan(res.min_h)
+        assert res.error.endswith("at state [0.0, 0.0], t=0")
 
     def test_deterministic(self):
         s = builtin("crossroad")
