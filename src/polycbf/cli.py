@@ -101,7 +101,7 @@ def cmd_simulate(args) -> int:
         t0 = time.perf_counter()
         result = run(scenario)
         wall = time.perf_counter() - t0
-    except (OSError, UnsafeStartError, DegenerateGradientError) as err:
+    except (OSError, UnsafeStartError) as err:
         return _fail(EXIT_RUNTIME, err)
 
     try:
@@ -123,7 +123,8 @@ def cmd_simulate(args) -> int:
     print(f"final state : {final}")
     print(f"wall time   : {wall:.3f} s")
     if result.termination is Termination.ERROR:
-        return _fail(EXIT_RUNTIME, result.error)
+        # run() ends in "error" only on a DegenerateGradientError
+        return _fail(EXIT_RUNTIME, DegenerateGradientError(result.error))
     return EXIT_OK
 
 

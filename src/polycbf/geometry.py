@@ -79,6 +79,8 @@ class RigidMotion:
             if self.dimension != 2:
                 raise ValueError("omega is the 2D spin; use axis_rate in 3D")
             self.spin = float(omega)
+            if not np.isfinite(self.spin):
+                raise ValueError(f"omega must be finite, got {omega}")
         else:
             if self.dimension != 3:
                 raise ValueError("axis_rate is the 3D spin; use omega in 2D")
@@ -144,8 +146,15 @@ class HalfSpace:
         self.normal = _as_point(normal, name="normal")
         self.dimension = self.normal.shape[0]
         self.anchor = _as_point(anchor, self.dimension, "anchor")
-        if np.linalg.norm(self.normal) <= _ZERO_NORMAL_TOL:
-            raise ValueError(f"normal must be nonzero, got {self.normal}")
+        with np.errstate(all="ignore"):  # an overflow fails the checks below
+            length = np.linalg.norm(self.normal)
+            level = self.normal @ self.anchor
+        if not _ZERO_NORMAL_TOL < length < np.inf:
+            raise ValueError(
+                f"normal must be nonzero and its length must not overflow, "
+                f"got {self.normal}")
+        if not np.isfinite(level):
+            raise ValueError(f"level normal . anchor must be finite, got {level}")
         if motion is not None and motion.dimension != self.dimension:
             raise ValueError(
                 f"motion dimension {motion.dimension} != half-space dimension "
@@ -190,9 +199,17 @@ class ConvexRegion:
     __slots__ = ("indices",)
 
     def __init__(self, indices):
-        idx = np.asarray(indices, dtype=int)
+        idx = np.asarray(indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("region needs at least one half-space index")
+        # A bool is no index, and a float index must be a whole number that
+        # converts to an integer exactly.
+        if idx.dtype.kind not in "iuf" or not np.all(
+                (np.floor(idx) == idx) & (np.abs(idx) < 2**53)):
+            raise ValueError(
+                f"half-space indices must be integers below 2**53, got "
+                f"{idx.tolist()}")
+        idx = idx.astype(int)
         if np.any(idx < 0):
             raise ValueError(f"negative half-space index in region: {idx.tolist()}")
         if len(set(idx.tolist())) != idx.size:

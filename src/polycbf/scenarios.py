@@ -54,10 +54,10 @@ class Scenario:
         self.alternative_starts = tuple(
             np.asarray(s, dtype=float) for s in self.alternative_starts)
         for i, s in enumerate(self.alternative_starts):
-            if s.shape != (dim,):
+            if s.shape != (dim,) or not np.all(np.isfinite(s)):
                 raise ScenarioError(
-                    f"alternative_starts[{i}] has shape {s.shape}, "
-                    f"expected ({dim},)")
+                    f"alternative_starts[{i}] must be a finite vector of "
+                    f"shape ({dim},), got {s.tolist()}")
 
     def all_starts(self) -> list[np.ndarray]:
         return [self.default_sim.x0, *self.alternative_starts]
@@ -301,156 +301,144 @@ def builtin(name: str) -> Scenario:
 # JSON config format
 # ---------------------------------------------------------------------------
 
-def _require(mapping, key: str, where: str):
-    if not isinstance(mapping, dict):
+# Each JSON value kind has one reader, and every constructor is called
+# through `_build`, so a malformed value of any kind raises ScenarioError
+# naming its field.  A number is a JSON number: bool, text, null, arrays and
+# objects are not numbers.  Keys the format does not use are ignored.
+
+_REQUIRED = object()
+
+
+def _get(obj, key: str, where: str, default=_REQUIRED):
+    """Value of key in obj, the JSON object at path where."""
+    if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected a JSON object")
-    if key not in mapping:
+    if key in obj:
+        return obj[key]
+    if default is _REQUIRED:
         raise ScenarioError(f"{where}: missing required key {key!r}")
-    return mapping[key]
+    return default
 
 
-def _require_list(mapping, key: str, where: str) -> list:
-    value = _require(mapping, key, where)
+def _array(value, where: str) -> list:
     if not isinstance(value, list):
-        raise ScenarioError(f"{key}: expected a JSON array")
+        raise ScenarioError(
+            f"{where}: expected a JSON array, got {json.dumps(value)}")
     return value
 
 
 def _vector(value, dim: int | None, where: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where}: expected a list of numbers") from None
-    if arr.ndim != 1 or (dim is not None and arr.shape[0] != dim):
+    """A JSON array of numbers, of length dim unless dim is None."""
+    if not all(type(v) in (int, float) for v in _array(value, where)):
         raise ScenarioError(
-            f"{where}: expected a vector of length {dim}, got {value!r}")
-    return arr
+            f"{where}: expected a list of numbers, got {json.dumps(value)}")
+    if dim is not None and len(value) != dim:
+        raise ScenarioError(
+            f"{where}: expected a vector of length {dim}, "
+            f"got {json.dumps(value)}")
+    return _build(where, np.array, value, dtype=float)
 
 
-def _motion_from_dict(obj: dict, dim: int, where: str) -> RigidMotion:
-    center = _vector(_require(obj, "center", where), dim, f"{where}.center")
-    lin = obj.get("linear_velocity")
+def _number(obj, key: str, where: str, default=_REQUIRED) -> float:
+    value = _get(obj, key, where, default)
+    if type(value) not in (int, float):
+        raise ScenarioError(
+            f"{where}.{key}: expected a number, got {json.dumps(value)}")
+    return _build(f"{where}.{key}", float, value)
+
+
+def _build(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its rejection of a value raised as a
+    ScenarioError that names where.  An OverflowError is a JSON integer
+    too large for a float."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError, OverflowError) as err:
+        raise ScenarioError(f"{where}: {err}") from None
+
+
+def _motion(obj, dim: int, where: str) -> RigidMotion:
+    center = _vector(_get(obj, "center", where), dim, f"{where}.center")
+    lin = _get(obj, "linear_velocity", where, None)
     lin = None if lin is None else _vector(lin, dim, f"{where}.linear_velocity")
     if dim == 2:
-        omega = _require(obj, "omega", where)
-        if not isinstance(omega, (int, float)):
-            raise ScenarioError(f"{where}.omega: expected a number")
-        return RigidMotion(center, omega=float(omega), linear_velocity=lin)
-    axis_rate = _vector(_require(obj, "axis_rate", where), 3, f"{where}.axis_rate")
-    return RigidMotion(center, axis_rate=axis_rate, linear_velocity=lin)
+        spin = {"omega": _number(obj, "omega", where)}
+    else:
+        spin = {"axis_rate": _vector(_get(obj, "axis_rate", where), 3,
+                                     f"{where}.axis_rate")}
+    return _build(where, RigidMotion, center, linear_velocity=lin, **spin)
 
 
-def _scenario_from_dict(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioError("top level: expected a JSON object")
-    dim = _require(data, "dimension", "top level")
+def _scenario_from_dict(data) -> Scenario:
+    top = "top level"
+    dim = _get(data, "dimension", top)
     if dim not in (2, 3):
-        raise ScenarioError(f"dimension: must be 2 or 3, got {dim!r}")
+        raise ScenarioError(f"dimension: must be 2 or 3, got {json.dumps(dim)}")
 
     half_spaces = []
     motions: dict[str, RigidMotion] = {}
-    hs_list = _require_list(data, "halfspaces", "top level")
-    for i, hs in enumerate(hs_list):
+    for i, hs in enumerate(_array(_get(data, "halfspaces", top), "halfspaces")):
         where = f"halfspaces[{i}]"
-        normal = _vector(_require(hs, "normal", where), dim, f"{where}.normal")
-        anchor = _vector(_require(hs, "anchor", where), dim, f"{where}.anchor")
-        motion = None
-        if hs.get("motion") is not None:
+        normal = _vector(_get(hs, "normal", where), dim, f"{where}.normal")
+        anchor = _vector(_get(hs, "anchor", where), dim, f"{where}.anchor")
+        motion = _get(hs, "motion", where, None)
+        if motion is not None:
             # Identical motion objects are shared so they transform as one.
-            key = json.dumps(hs["motion"], sort_keys=True)
+            key = json.dumps(motion, sort_keys=True)
             if key not in motions:
-                motions[key] = _motion_from_dict(hs["motion"], dim,
-                                                 f"{where}.motion")
+                motions[key] = _motion(motion, dim, f"{where}.motion")
             motion = motions[key]
-        try:
-            half_spaces.append(HalfSpace(normal, anchor, motion))
-        except ValueError as err:
-            raise ScenarioError(f"{where}: {err}") from None
+        half_spaces.append(_build(where, HalfSpace, normal, anchor, motion))
 
-    regions = []
-    for j, idx in enumerate(_require_list(data, "regions", "top level")):
-        try:
-            regions.append(ConvexRegion(idx))
-        except (ValueError, TypeError) as err:
-            raise ScenarioError(f"regions[{j}]: {err}") from None
-    try:
-        env = PolytopeEnvironment(half_spaces, regions)
-    except ValueError as err:
-        raise ScenarioError(str(err)) from None
+    regions = [
+        _build(f"regions[{j}]", ConvexRegion,
+               _vector(idx, None, f"regions[{j}]"))
+        for j, idx in enumerate(_array(_get(data, "regions", top), "regions"))]
 
-    agent_obj = _require(data, "agent", "top level")
-    offsets = _require(agent_obj, "offsets", "agent")
-    try:
-        agent = AgentShape(offsets)
-    except ValueError as err:
-        raise ScenarioError(f"agent.offsets: {err}") from None
+    agent = _get(data, "agent", top)
+    offsets = [_vector(row, dim, f"agent.offsets[{k}]") for k, row in
+               enumerate(_array(_get(agent, "offsets", "agent"), "agent.offsets"))]
 
-    ctrl_obj = _require(data, "controller", "top level")
-    try:
-        controller = DesiredController(
-            goal=_vector(_require(ctrl_obj, "goal", "controller"), dim,
+    ctrl = _get(data, "controller", top)
+    cbf = _get(data, "cbf", top)
+    sim = _get(data, "sim", top)
+    starts = _array(_get(data, "alternative_starts", top, []),
+                    "alternative_starts")
+    return _build(
+        top, Scenario,
+        name=str(_get(data, "name", top, "unnamed")),
+        environment=_build(top, PolytopeEnvironment, half_spaces, regions),
+        agent=_build("agent.offsets", AgentShape, offsets),
+        controller=_build(
+            "controller", DesiredController,
+            goal=_vector(_get(ctrl, "goal", "controller"), dim,
                          "controller.goal"),
-            gain=float(_require(ctrl_obj, "gain", "controller")),
-            u_max=float(_require(ctrl_obj, "u_max", "controller")),
-        )
-    except ValueError as err:
-        raise ScenarioError(f"controller: {err}") from None
-
-    cbf_obj = _require(data, "cbf", "top level")
-    try:
-        cbf = CbfParams(
-            kappa=float(_require(cbf_obj, "kappa", "cbf")),
-            buffer=float(_require(cbf_obj, "buffer", "cbf")),
-            alpha_gain=float(_require(cbf_obj, "alpha_gain", "cbf")),
-        )
-    except ValueError as err:
-        raise ScenarioError(f"cbf: {err}") from None
-
-    sim_obj = _require(data, "sim", "top level")
-    try:
-        sim = SimConfig(
-            dt=float(_require(sim_obj, "dt", "sim")),
-            t_end=float(_require(sim_obj, "t_end", "sim")),
-            x0=_vector(_require(sim_obj, "x0", "sim"), dim, "sim.x0"),
-            goal_tolerance=float(_require(sim_obj, "goal_tolerance", "sim")),
-            record_stride=float(sim_obj.get("record_stride", 1)),
-        )
-    except ValueError as err:
-        raise ScenarioError(f"sim: {err}") from None
-
-    starts = [_vector(s, dim, f"alternative_starts[{i}]")
-              for i, s in enumerate(data.get("alternative_starts", []))]
-    try:
-        return Scenario(
-            name=str(data.get("name", "unnamed")),
-            environment=env,
-            agent=agent,
-            controller=controller,
-            cbf=cbf,
-            default_sim=sim,
-            alternative_starts=tuple(starts),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as err:
-        raise ScenarioError(str(err)) from None
+            gain=_number(ctrl, "gain", "controller"),
+            u_max=_number(ctrl, "u_max", "controller")),
+        cbf=_build(
+            "cbf", CbfParams,
+            kappa=_number(cbf, "kappa", "cbf"),
+            buffer=_number(cbf, "buffer", "cbf"),
+            alpha_gain=_number(cbf, "alpha_gain", "cbf")),
+        default_sim=_build(
+            "sim", SimConfig,
+            dt=_number(sim, "dt", "sim"),
+            t_end=_number(sim, "t_end", "sim"),
+            x0=_vector(_get(sim, "x0", "sim"), dim, "sim.x0"),
+            goal_tolerance=_number(sim, "goal_tolerance", "sim"),
+            record_stride=_number(sim, "record_stride", "sim", 1)),
+        alternative_starts=tuple(
+            _vector(s, dim, f"alternative_starts[{i}]")
+            for i, s in enumerate(starts)),
+    )
 
 
 def _scenario_to_dict(scenario: Scenario) -> dict:
-    motions_seen: dict[int, dict] = {}
-
-    def motion_dict(m: RigidMotion | None):
-        if m is None:
-            return None
-        if id(m) not in motions_seen:
-            obj = {"center": m.center.tolist(),
-                   "linear_velocity": m.linear_velocity.tolist()}
-            if m.dimension == 2:
-                obj["omega"] = m.spin
-            else:
-                obj["axis_rate"] = np.asarray(m.spin).tolist()
-            motions_seen[id(m)] = obj
-        return motions_seen[id(m)]
+    def motion_dict(m: RigidMotion) -> dict:
+        spin = ({"omega": m.spin} if m.dimension == 2
+                else {"axis_rate": m.spin.tolist()})
+        return {"center": m.center.tolist(),
+                "linear_velocity": m.linear_velocity.tolist(), **spin}
 
     env = scenario.environment
     return {
@@ -486,12 +474,15 @@ def _scenario_to_dict(scenario: Scenario) -> dict:
 
 def load(path) -> Scenario:
     """Read a scenario config (JSON, UTF-8).  Raises ScenarioError with a
-    field-precise message on schema violations; an unsafe x0 is accepted
-    here and only rejected when a run starts."""
+    field-precise message on a file that is not UTF-8 JSON and on any
+    malformed value; an unsafe x0 is accepted here and only rejected when a
+    run starts."""
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep
+        # nesting exhausts the parser's recursion limit.
+        except (ValueError, RecursionError) as err:
             raise ScenarioError(f"invalid JSON in {path}: {err}") from None
     return _scenario_from_dict(data)
 

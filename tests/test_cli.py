@@ -102,6 +102,29 @@ class TestSimulateCommand:
         assert err["error"] == "ScenarioError"
         assert "record_stride" in err["message"]
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("cbf", "kappa"), [], "cbf.kappa"),
+        (("sim", "dt"), None, "sim.dt"),
+        (("halfspaces", 0, "motion", "center", 0), float("nan"),
+         "halfspaces[0].motion"),
+        (("regions", 1, 0), 1.5, "regions[1]"),
+        (("regions", 1, 1), 1e308, "regions[1]"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, path, value,
+                                      field):
+        config_path = tmp_path / "door.json"
+        save(builtin("revolving-door"), config_path)
+        config = json.loads(config_path.read_text())
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        config_path.write_text(json.dumps(config))
+        assert main(["simulate", str(config_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError"
+        assert field in err["message"]
+
     @pytest.mark.parametrize("flag", ["--csv", "--svg"])
     def test_unwritable_output_fails_before_run(self, tmp_path, capsys,
                                                 monkeypatch, flag):
@@ -124,6 +147,7 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert "termination : error" in captured.out
         err = json.loads(captured.err)
+        assert err["error"] == "DegenerateGradientError"
         assert err["message"].endswith("t=0.72")
         assert "near-zero barrier gradient" in err["message"]
         assert len(csv.read_text().splitlines()) == 1 + 72
@@ -137,6 +161,7 @@ class TestSimulateCommand:
         captured = capsys.readouterr()
         assert "final state : -" in captured.out
         err = json.loads(captured.err)
+        assert err["error"] == "DegenerateGradientError"
         assert err["message"].endswith("at state [0.0, 0.0], t=0")
         assert csv.read_text().splitlines() == [
             "t,p_x,p_y,udes_x,udes_y,usafe_x,usafe_y,h,constraint_active"]

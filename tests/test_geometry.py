@@ -157,6 +157,11 @@ class TestRigidMotion:
         with pytest.raises(ValueError):
             RigidMotion((0.0, 0.0))
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf])
+    def test_non_finite_omega_rejected(self, omega):
+        with pytest.raises(ValueError, match="omega"):
+            RigidMotion((0.0, 0.0), omega=omega)
+
 
 class TestConstruction:
     def test_zero_normal_rejected(self):
@@ -164,6 +169,14 @@ class TestConstruction:
             HalfSpace((0.0, 0.0), (1.0, 1.0))
         with pytest.raises(ValueError, match="nonzero"):
             HalfSpace((1e-13, 0.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("normal, anchor, match", [
+        ((1e200, 0.0), (0.0, 0.0), "normal"),    # |n|^2 overflows
+        ((1e150, 0.0), (1e300, 0.0), "level"),   # n . w overflows
+    ])
+    def test_overflowing_half_space_rejected(self, normal, anchor, match):
+        with pytest.raises(ValueError, match=match):
+            HalfSpace(normal, anchor)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -184,6 +197,17 @@ class TestConstruction:
             ConvexRegion([])
         with pytest.raises(ValueError, match="negative"):
             ConvexRegion([-1])
+
+    @pytest.mark.parametrize("indices", [[0, 1.5], [1e308], [True],
+                                         [np.nan], ["1"]])
+    def test_region_indices_must_be_integers(self, indices):
+        with pytest.raises(ValueError, match="integers"):
+            ConvexRegion(indices)
+
+    def test_integral_float_region_index(self):
+        region = ConvexRegion([0, 1.0])
+        assert region.indices.tolist() == [0, 1]
+        assert region.indices.dtype == int
 
     def test_environment_validation(self):
         walls = [HalfSpace((1.0, 0.0), (0.0, 0.0)),

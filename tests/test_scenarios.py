@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polycbf.barrier import smooth_barrier
-from polycbf.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError, builtin,
-                               load, save, static_variant)
+from polycbf.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError,
+                               _scenario_to_dict, builtin, load, save,
+                               static_variant)
 from polycbf.sim import UnsafeStartError, run
 
 
@@ -231,7 +234,103 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match="omega"):
             load(self.write(tmp_path, config))
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("cbf", "kappa"), [], "cbf.kappa"),
+        (("cbf", "kappa"), "5", "cbf.kappa"),
+        (("sim", "dt"), None, "sim.dt"),
+        (("controller", "gain"), True, "controller.gain"),
+        (("sim", "t_end"), 10**400, "sim.t_end"),
+        (("cbf",), [], "cbf"),
+        (("halfspaces",), 5, "halfspaces"),
+        (("halfspaces", 0, "anchor", 0), "0", r"halfspaces\[0\].anchor"),
+        (("halfspaces", 1, "normal"), [1e200, 0.0], r"halfspaces\[1\]"),
+        (("halfspaces", 0, "motion"), {"center": [math.nan, 0.0],
+                                       "omega": 1.0},
+         r"halfspaces\[0\].motion"),
+        (("halfspaces", 0, "motion"), {"center": [0.0, 0.0],
+                                       "omega": math.inf},
+         r"halfspaces\[0\].motion"),
+        (("regions", 0, 1), 1.5, r"regions\[0\]"),
+        (("regions", 0, 1), 1e308, r"regions\[0\]"),
+        (("regions", 0, 1), True, r"regions\[0\]"),
+        (("agent", "offsets"), [[0.0, "0"]], r"agent.offsets\[0\]"),
+        (("alternative_starts",), [[math.nan, 0.0]],
+         r"alternative_starts\[0\]"),
+    ])
+    def test_malformed_value_names_field(self, tmp_path, path, value, field):
+        config = self.good_config()
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ScenarioError, match=field):
+            load(self.write(tmp_path, config))
+
+    @pytest.mark.parametrize("content", [b'{"name": "\xff"}',
+                                         b"[" * 100000])
+    def test_undecodable_file_rejected(self, tmp_path, content):
+        path = tmp_path / "broken.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError, match="invalid JSON"):
+            load(path)
+
+    def test_non_finite_alternative_start_rejected(self):
+        with pytest.raises(ScenarioError, match=r"alternative_starts\[0\]"):
+            dataclasses.replace(builtin("l-shape"),
+                                alternative_starts=((math.nan, 0.0),))
+
     def test_scenario_dimension_cross_checks(self):
         s = builtin("l-shape")
         with pytest.raises(ScenarioError, match="agent"):
             dataclasses.replace(s, agent=builtin("pyramid").agent)
+
+
+def _paths(value, prefix=()):
+    """The path of value and of every value nested in it."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        children = ()
+    return [prefix, *(path for key, child in children
+                      for path in _paths(child, (*prefix, key)))]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+
+
+class TestLoadFuzz:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_load_returns_scenario_or_scenario_error(self, name, fuzz_file,
+                                                     data):
+        """One value anywhere in a builtin's config replaced by arbitrary
+        JSON: load returns a Scenario or raises ScenarioError, nothing
+        else, and warns of no overflow or invalid operation."""
+        config = _scenario_to_dict(builtin(name))
+        path = data.draw(st.sampled_from(_paths(config)), label="path")
+        value = data.draw(_JSON_VALUES, label="value")
+        if path:
+            target = config
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        else:
+            config = value
+        fuzz_file.write_text(json.dumps(config))
+        try:
+            assert isinstance(load(fuzz_file), Scenario)
+        except ScenarioError:
+            pass
