@@ -4,7 +4,9 @@ Two layers live here: the exact nonsmooth margins (max over regions of the
 min over faces and agent vertices) and their differentiable log-sum-exp
 counterpart with analytic gradient and time partial.  Both come from one
 kernel, `_evaluate`, which is stabilized so that exponents of magnitude up
-to ~1e4 cannot overflow.
+to ~1e4 cannot overflow.  It takes one centre or a batch, at one time or at
+one time per centre, and a row's bits depend on neither the batch nor the
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ __all__ = [
     "provable_buffer",
 ]
 
-# Centers per kernel call in barrier_field, bounding its peak memory.
+# Centers per kernel call in `_fields`, bounding its peak memory.
 _CHUNK = 4096
 
 
@@ -69,7 +71,7 @@ def provable_buffer(env: PolytopeEnvironment) -> float:
     return float(np.log(env.num_regions))
 
 
-def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t: float,
+def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
                 kappa: float | None):
     """The centre-independent half of `_evaluate`, memoised on env.
 
@@ -82,49 +84,68 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t: float,
     kept in a one-entry memo on env keyed by (shape identity, kappa, t),
     where t is ignored in a static world.  The entry is read once and
     replaced by a single assignment, so concurrent callers each see a
-    whole entry.
+    whole entry.  An ndarray t in a moving world gives one set of terms
+    per time, with t.shape prepended to every shape below; it neither
+    reads nor replaces the memo.
 
     Returns
     -------
-    (normals, hard_offsets, soft_offsets, row_normals, normal_rates,
-     rate_offsets)
-        Per face: hard - c_i, soft - c_i, and the soft support's rate less
-        the level rate (the softmin-weighted mean of ndot_i . dp_k, minus
-        cdot_i); row_normals are the normals per region row.  Without
-        kappa the soft, row and rate-offset terms are None; in a static
-        world both rate terms are.
+    (normals, hard_offsets, soft_offsets, normal_rates, rate_offsets)
+        One entry per region row (face i of region j), C-contiguous:
+        normals (R, p), hard - c_i and soft - c_i (R,), the normal rates
+        (R, p), and the soft support's rate less the level rate (R,), i.e.
+        the softmin-weighted mean of ndot_i . dp_k minus cdot_i.  Without
+        kappa the soft and rate-offset terms are None; in a static world
+        both rate terms are.
     """
+    static = env.is_static
+    memo = static or not isinstance(t, np.ndarray)
     entry = env._memo
-    if (entry is not None and entry[0] is shape and entry[1] == kappa
-            and (env.is_static or entry[2] == t)):
+    if (memo and entry is not None and entry[0] is shape
+            and entry[1] == kappa and (static or entry[2] == t)):
         return entry[3]
     if shape.dimension != env.dimension:
         raise ValueError(
             f"agent dimension {shape.dimension} != environment dimension "
             f"{env.dimension}")
+    # Every term is taken per region row (face i of region j) at once, so
+    # the per-face frame is dropped before the vertex arrays are built.
+    rows, offsets = env._rows, shape.offsets
     normals, levels, normal_rates, level_rates = env.frame(t)
-    vertex_dots = normals @ shape.offsets.T                  # (N_w, N_v)
-    hard = np.minimum.reduce(vertex_dots, axis=1)
-    soft_offsets = row_normals = rate_offsets = None
+    normals, levels = normals.take(rows, axis=-2), levels.take(rows, axis=-1)
+    if normal_rates is not None:
+        normal_rates = normal_rates.take(rows, axis=-2)
+        level_rates = level_rates.take(rows, axis=-1)
+    vertex_dots = normals @ offsets.T                        # (..., R, N_v)
+    hard = np.minimum.reduce(vertex_dots, axis=-1)
+    soft_offsets = rate_offsets = None
     if kappa is not None:
-        # Shifting by the hard support keeps every sum in [1, N_v].
-        vertex_exp = np.exp((hard[:, None] - vertex_dots) * kappa)
-        vertex_sums = np.add.reduce(vertex_exp, axis=1)      # >= 1 each
-        soft = hard - np.log(vertex_sums) / kappa
-        soft_offsets = soft - levels
-        row_normals = normals[env._rows]
+        # Shifting by the hard support keeps every sum in [1, N_v].  The
+        # exponentials overwrite the dots, which keeps one (..., R, N_v)
+        # array fewer alive for a batch of times.
+        vertex_exp = np.subtract(hard[..., None], vertex_dots, out=vertex_dots)
+        vertex_exp *= kappa
+        np.exp(vertex_exp, out=vertex_exp)
+        vertex_sums = np.add.reduce(vertex_exp, axis=-1)     # >= 1 each
+        soft_offsets = hard - np.log(vertex_sums) / kappa - levels
         if normal_rates is not None:
-            support_rates = np.einsum("ik,ik->i", vertex_exp,
-                                      normal_rates @ shape.offsets.T) \
-                / vertex_sums
+            support_rates = np.einsum("...ik,...ik->...i", vertex_exp,
+                                      normal_rates @ offsets.T) / vertex_sums
             rate_offsets = support_rates - level_rates
-    terms = (normals, hard - levels, soft_offsets, row_normals, normal_rates,
-             rate_offsets)
-    env._memo = (shape, kappa, t, terms)
+    terms = (normals, hard - levels, soft_offsets, normal_rates, rate_offsets)
+    if memo:
+        env._memo = (shape, kappa, t, terms)
     return terms
 
 
-def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
+def _row_max(values):
+    """Max over the last axis of (N,) or (M, N) values.  A max is exact in
+    any order, so it runs down a contiguous copy of the transpose, where
+    numpy vectorises across rows instead of looping over them."""
+    return np.maximum.reduce(np.ascontiguousarray(values.T), axis=0)
+
+
+def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
               params: CbfParams | None = None, derivatives: bool = False):
     """The one composition behind every barrier and margin in this module.
 
@@ -134,9 +155,17 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
     shifted by its group's exact minimum (or soft maximum), so no exponent
     exceeds ln N_v.
 
+    Each centre is one row with its terms along the row's last axis.  The
+    products are `np.matvec`/`np.vecmat` calls, one matrix-vector product
+    per row, and every sum runs along that axis of a C-contiguous array,
+    so row i of a batch equals the one-row call bit for bit, whatever M
+    and the BLAS thread count.
+
     Parameters
     ----------
     centers : array_like, shape (p,) or (M, p)
+    t : float or ndarray, shape (M,)
+        One time for every centre, or one per centre.
     params : CbfParams, optional
         Without it only psi is computed.
     derivatives : bool
@@ -149,40 +178,42 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t: float,
         the quantities not asked for are None.
     """
     kappa = None if params is None else params.kappa
-    (normals, hard_offsets, soft_offsets, row_normals, normal_rates,
-     rate_offsets) = _face_terms(env, shape, t, kappa)
-    rows, segments, row_region = env._rows, env._segments, env._row_region
-    # Face-major layout, (N_w,) or (N_w, M): per-face constants are folded
-    # in before the transpose so they broadcast for one center or many.
-    spatial = centers @ normals.T
-    exact = (spatial + hard_offsets).T[rows]                 # (R, ...)
-    mins = np.minimum.reduceat(exact, segments)              # (N_p, ...)
-    psi = np.maximum.reduce(mins)
+    normals, hard_offsets, soft_offsets, normal_rates, rate_offsets = \
+        _face_terms(env, shape, t, kappa)
+    segments, row_region = env._segments, env._row_region
+    # Per region row, shape (R,) or (M, R); regions are segments of it.
+    spatial = np.matvec(normals, centers)
+    mins = np.minimum.reduceat(spatial + hard_offsets, segments, axis=-1)
+    psi = _row_max(mins)
     if params is None:
         return None, None, None, psi
 
     # Soft values sit at most ln(N_v)/kappa below the exact ones and the
     # argmin term is at least one, so shifting by the exact region minima
     # keeps every sum in [1, R * N_v].
-    values = (spatial + soft_offsets).T[rows]
-    shifted = np.exp((mins[row_region] - values) * kappa)
-    region_sums = np.add.reduceat(shifted, segments)
+    values = spatial + soft_offsets
+    shifted = np.exp((mins.take(row_region, axis=-1) - values) * kappa)
+    region_sums = np.add.reduceat(shifted, segments, axis=-1)
     soft_mins = mins - np.log(region_sums) / kappa
-    top = np.maximum.reduce(soft_mins)
-    outer = np.exp((soft_mins - top) * kappa)
-    outer_total = np.add.reduce(outer)                       # >= 1
+    top = _row_max(soft_mins)
+    # A per-row scalar broadcasts over the transpose; laid out column-major
+    # there, the difference is C-contiguous again once transposed back, so
+    # outer_total sums each row pairwise, as for one centre.
+    outer = np.exp(np.subtract(soft_mins.T, top, order="F").T * kappa)
+    outer_total = np.add.reduce(outer, axis=-1)              # >= 1
     h = top + (np.log(outer_total) - params.buffer) / kappa
     if not derivatives:
         return h, None, None, psi
 
     # Region weight times within-region softmin weight: they sum to one,
     # so the gradient is a convex combination of face normals.
-    weights = shifted * (outer / (outer_total * region_sums))[row_region]
-    gradient = weights.T @ row_normals
+    region_weights = (outer.T / (outer_total * region_sums.T)).T
+    weights = shifted * region_weights.take(row_region, axis=-1)  # C order
+    gradient = np.vecmat(weights, normals)
     if normal_rates is None:                                 # dh/dt = 0
         return h, gradient, h * 0.0, psi
-    rates = (centers @ normal_rates.T + rate_offsets).T
-    time_partial = np.add.reduce(weights * rates[rows])
+    rates = np.matvec(normal_rates, centers) + rate_offsets
+    time_partial = np.add.reduce(weights * rates, axis=-1)
     return h, gradient, time_partial, psi
 
 
@@ -191,6 +222,39 @@ def _as_centers(env: PolytopeEnvironment, centers) -> np.ndarray:
     if centers.ndim != 2 or centers.shape[1] != env.dimension:
         raise ValueError(f"centers must have shape (M, {env.dimension})")
     return centers
+
+
+def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
+            params: CbfParams | None = None, derivatives: bool = False):
+    """`_evaluate` over a batch of centers in blocks of _CHUNK rows, which
+    bounds peak memory; t is one time or one time per centre, shape (M,).
+
+    Returns
+    -------
+    (h, gradient, time_partial, psi)
+        Arrays of leading length M, None where `_evaluate` computes none.
+    """
+    centers = _as_centers(env, centers)
+    m = centers.shape[0]
+    per_row = np.ndim(t) > 0
+    if per_row:
+        t = np.asarray(t, dtype=float)
+        if t.shape != (m,):
+            raise ValueError(
+                f"t must be one time or one time per centre, shape ({m},), "
+                f"got shape {t.shape}")
+    out = [np.empty(m) if params is not None else None,
+           np.empty((m, env.dimension)) if derivatives else None,
+           np.empty(m) if derivatives else None,
+           np.empty(m)]
+    for start in range(0, m, _CHUNK):
+        block = slice(start, start + _CHUNK)
+        got = _evaluate(env, shape, centers[block], t[block] if per_row else t,
+                        params, derivatives)
+        for field, value in zip(out, got):
+            if field is not None:
+                field[block] = value
+    return out
 
 
 def margin_agent(env: PolytopeEnvironment, shape: AgentShape, center,
@@ -206,9 +270,10 @@ def margin_agent(env: PolytopeEnvironment, shape: AgentShape, center,
 
 
 def margin_field(env: PolytopeEnvironment, shape: AgentShape, centers,
-                 t: float = 0.0) -> np.ndarray:
-    """Exact nonsmooth margins over a batch of agent centers, shape (M,)."""
-    return _evaluate(env, shape, _as_centers(env, centers), t)[3]
+                 t=0.0) -> np.ndarray:
+    """Exact nonsmooth margins over a batch of agent centers, shape (M,);
+    t is one time or one time per centre, shape (M,)."""
+    return _fields(env, shape, centers, t)[3]
 
 
 def smooth_barrier(env: PolytopeEnvironment, shape: AgentShape, center,
@@ -236,27 +301,24 @@ def smooth_barrier(env: PolytopeEnvironment, shape: AgentShape, center,
                              float(psi))
 
 
-def barrier_field(env: PolytopeEnvironment, shape: AgentShape, centers,
-                  t: float, params: CbfParams):
+def barrier_field(env: PolytopeEnvironment, shape: AgentShape, centers, t,
+                  params: CbfParams):
     """Smooth barrier and nonsmooth margin over a batch of agent centers.
 
     Vectorized value-only path for grid audits and field dumps; gradients
     are not computed.  Centers go through the kernel in fixed-size blocks,
-    bounding peak memory.
+    bounding peak memory.  A row's bits depend on neither the batch nor
+    the block size.
 
     Parameters
     ----------
     centers : array_like, shape (M, p)
+    t : float or array_like, shape (M,)
+        One time for every centre, or one per centre.
 
     Returns
     -------
     (h, margin) : two arrays of shape (M,)
     """
-    centers = _as_centers(env, centers)
-    h_out = np.empty(centers.shape[0])
-    margin_out = np.empty(centers.shape[0])
-    for start in range(0, centers.shape[0], _CHUNK):
-        block = slice(start, start + _CHUNK)
-        h_out[block], _, _, margin_out[block] = _evaluate(
-            env, shape, centers[block], t, params)
-    return h_out, margin_out
+    h, _, _, margin = _fields(env, shape, centers, t, params)
+    return h, margin

@@ -47,6 +47,10 @@ def _skew3(v: np.ndarray) -> np.ndarray:
     )
 
 
+_EYE2 = np.eye(2)
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
 class RigidMotion:
     """Constant-rate rotation about a fixed point plus constant translation.
 
@@ -62,12 +66,14 @@ class RigidMotion:
     omega : float, optional
         2D angular rate.  Exactly one of omega / axis_rate must be given.
     axis_rate : array_like, optional
-        3D angular velocity vector (axis scaled by rate).
+        3D angular velocity vector (axis scaled by rate); its length must
+        not overflow.
     linear_velocity : array_like, optional
         Constant translational velocity, zero if omitted.
     """
 
-    __slots__ = ("center", "spin", "linear_velocity", "dimension")
+    __slots__ = ("center", "spin", "linear_velocity", "dimension", "_rate",
+                 "_axis")
 
     def __init__(self, center, *, omega: float | None = None, axis_rate=None,
                  linear_velocity=None):
@@ -81,37 +87,50 @@ class RigidMotion:
             self.spin = float(omega)
             if not np.isfinite(self.spin):
                 raise ValueError(f"omega must be finite, got {omega}")
+            self._rate, self._axis = self.spin, None
         else:
             if self.dimension != 3:
                 raise ValueError("axis_rate is the 3D spin; use omega in 2D")
             self.spin = _as_point(axis_rate, 3, "axis_rate")
+            with np.errstate(over="ignore"):  # an overflow fails the check
+                self._rate = float(np.linalg.norm(self.spin))
+            if not self._rate < np.inf:
+                raise ValueError(
+                    f"axis_rate length must not overflow, got {self.spin}")
+            # Rodrigues: R = I + sin(a) K + (1 - cos a) K^2 at angle
+            # a = rate * t, with K the cross-product matrix of the unit axis.
+            k = _skew3(self.spin / self._rate) if self._rate > 0 \
+                else np.zeros((3, 3))
+            self._axis = (k, k @ k)
         if linear_velocity is None:
             self.linear_velocity = np.zeros(self.dimension)
         else:
             self.linear_velocity = _as_point(linear_velocity, self.dimension,
                                              "linear_velocity")
 
-    def rotation(self, t: float) -> np.ndarray:
-        """Rotation matrix R(t); orthonormal for every t, identity at t = 0."""
-        if self.dimension == 2:
-            a = self.spin * t
-            c, s = np.cos(a), np.sin(a)
-            return np.array([[c, -s], [s, c]])
-        rate = np.linalg.norm(self.spin)
-        if rate == 0.0:
-            return np.eye(3)
-        axis = self.spin / rate
-        k = _skew3(axis)
-        a = rate * t
-        return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * (k @ k)
+    def _angle(self, t):
+        """Rotation angle at t, shaped (..., 1, 1) to scale matrices."""
+        return self._rate * np.asarray(t)[..., None, None]
 
-    def rotation_rate(self, t: float) -> np.ndarray:
-        """Time derivative of the rotation matrix, dR/dt at time t."""
-        if self.dimension == 2:
-            a = self.spin * t
-            c, s = np.cos(a), np.sin(a)
-            return self.spin * np.array([[-s, -c], [c, -s]])
-        return _skew3(np.asarray(self.spin)) @ self.rotation(t)
+    def rotation(self, t) -> np.ndarray:
+        """Rotation matrix R(t); orthonormal for every t, identity at t = 0.
+
+        t is one time, giving shape (p, p), or an array of times, giving
+        one matrix per time, shape t.shape + (p, p)."""
+        a = self._angle(t)
+        if self._axis is None:
+            return np.cos(a) * _EYE2 + np.sin(a) * _QUARTER_TURN
+        k, k2 = self._axis
+        return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * k2
+
+    def rotation_rate(self, t) -> np.ndarray:
+        """Time derivative of the rotation matrix, dR/dt at t, shaped as
+        `rotation(t)`."""
+        a = self._angle(t)
+        if self._axis is None:
+            return self._rate * (np.cos(a) * _QUARTER_TURN - np.sin(a) * _EYE2)
+        k, k2 = self._axis
+        return self._rate * (np.cos(a) * k + np.sin(a) * k2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RigidMotion):
@@ -236,9 +255,11 @@ class PolytopeEnvironment:
     itself does not depend on time.
 
     The barrier kernel keeps the centre-independent terms of its last call
-    (frame, per-face agent supports and face levels) in `_memo`, one tuple
-    keyed by (agent shape identity, kappa, t) and replaced by a single
-    assignment; t is ignored when the environment is static.
+    at one time (frame, agent supports and face levels per region row) in
+    `_memo`, one tuple keyed by (agent shape identity, kappa, t) and
+    replaced by a single assignment; t is ignored when the environment is
+    static.  A call with one time per centre in a moving world leaves it
+    as it is.
     """
 
     def __init__(self, half_spaces, regions):
@@ -304,31 +325,40 @@ class PolytopeEnvironment:
     def is_static(self) -> bool:
         return not self._motion_groups
 
-    def frame(self, t: float):
+    def frame(self, t):
         """Normals, face levels c_i = n_i . w_i, and their time rates at t.
 
         Half-space i reads n_i . p - c_i, so the levels carry everything
-        the anchors contribute.
+        the anchors contribute.  t is one time or an array of times; the
+        products are stacked `matmul`/`matvec` calls with the same shapes
+        per time, so the frame at t[i] equals the frame at the scalar t[i]
+        bit for bit.
 
         Returns
         -------
         (normals, levels, normal_rates, level_rates)
-            Shapes (N_w, p), (N_w,), (N_w, p), (N_w,); the two rate arrays
-            are None for a fully static environment.
+            Shapes (N_w, p), (N_w,), (N_w, p), (N_w,), each with t.shape
+            prepended for an array t; the two rate arrays are None for a
+            fully static environment, whose frame does not depend on t.
         """
         if self.is_static:
             return self._normals0, self._levels0, None, None
-        normals = self._normals0.copy()
-        levels = self._levels0.copy()
-        normal_rates = np.zeros_like(normals)
-        level_rates = np.zeros_like(levels)
+        t = np.asarray(t, dtype=float)
+        normals = np.empty(t.shape + self._normals0.shape)
+        normals[...] = self._normals0
+        levels = np.empty(t.shape + self._levels0.shape)
+        levels[...] = self._levels0
+        normal_rates = np.zeros(normals.shape)
+        level_rates = np.zeros(levels.shape)
         for motion, idx, pivot_levels in self._motion_groups:
-            pivot = motion.center + motion.linear_velocity * t
-            normals[idx] = self._normals0[idx] @ motion.rotation(t).T
-            normal_rates[idx] = self._normals0[idx] @ motion.rotation_rate(t).T
-            levels[idx] = pivot_levels + normals[idx] @ pivot
-            level_rates[idx] = (normal_rates[idx] @ pivot
-                                + normals[idx] @ motion.linear_velocity)
+            moved = self._normals0[idx] @ motion.rotation(t).mT
+            moved_rates = self._normals0[idx] @ motion.rotation_rate(t).mT
+            pivot = motion.center + t[..., None] * motion.linear_velocity
+            normals[..., idx, :] = moved
+            normal_rates[..., idx, :] = moved_rates
+            levels[..., idx] = pivot_levels + np.matvec(moved, pivot)
+            level_rates[..., idx] = (np.matvec(moved_rates, pivot)
+                                     + np.matvec(moved, motion.linear_velocity))
         return normals, levels, normal_rates, level_rates
 
     def __eq__(self, other) -> bool:

@@ -473,17 +473,20 @@ def _scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def load(path) -> Scenario:
-    """Read a scenario config (JSON, UTF-8).  Raises ScenarioError with a
-    field-precise message on a file that is not UTF-8 JSON and on any
-    malformed value; an unsafe x0 is accepted here and only rejected when a
-    run starts."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    """Read a scenario config (JSON, UTF-8).  Raises ScenarioError naming
+    the path when it cannot be read (a directory, no permission) or is not
+    UTF-8 JSON, and a field-precise one on any malformed value; an unsafe
+    x0 is accepted here and only rejected when a run starts."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep
-        # nesting exhausts the parser's recursion limit.
-        except (ValueError, RecursionError) as err:
-            raise ScenarioError(f"invalid JSON in {path}: {err}") from None
+    except OSError as err:
+        raise ScenarioError(
+            f"cannot read {path}: {err.strerror or err}") from None
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; deep nesting
+    # exhausts the parser's recursion limit.
+    except (ValueError, RecursionError) as err:
+        raise ScenarioError(f"invalid JSON in {path}: {err}") from None
     return _scenario_from_dict(data)
 
 

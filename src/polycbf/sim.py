@@ -51,6 +51,12 @@ class SimConfig:
         if not self.dt <= self.t_end < np.inf:
             raise ValueError(
                 f"t_end must be finite and at least dt, got {self.t_end}")
+        with np.errstate(over="ignore"):  # an overflow fails the check
+            steps = np.float64(self.t_end) / self.dt
+        if not steps < np.inf:
+            raise ValueError(
+                f"t_end / dt must be finite, got t_end={self.t_end} and "
+                f"dt={self.dt}")
         if not 0 < self.goal_tolerance < np.inf:
             raise ValueError(
                 f"goal_tolerance must be positive and finite, got "

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .barrier import (BarrierEvaluation, CbfParams, _evaluate, barrier_field,
+from .barrier import (BarrierEvaluation, CbfParams, _fields, barrier_field,
                       margin_field, provable_buffer)
 from .geometry import AgentShape, PolytopeEnvironment
 from .safety_filter import safe_velocity
@@ -96,24 +96,24 @@ def _hull_points(shape: AgentShape, center, n_samples: int,
     """n_samples convex combinations of the agent's vertices at center, with
     uniform Dirichlet weights."""
     weights = rng.dirichlet(np.ones(shape.num_vertices), size=n_samples)
-    return weights @ shape.vertices(center)
+    return weights @ (center + shape.offsets)
 
 
 def _hull_gaps(env: PolytopeEnvironment, shape: AgentShape, centers, times,
                points) -> np.ndarray:
-    """min margin(hull point) - margin(agent) per (center, t, points) state.
+    """min margin(hull point) - margin(agent) per state.
 
-    Takes every point margin first, then every agent margin, with one point
-    shape, so that consecutive kernel calls share the kernel's one-entry memo
-    wherever t does (always, in a static world).  Each call keeps one
-    state's batch: its n points, then its one center.
+    centers (n, p), times (n,) and points (n, k, p) give n states of k
+    hull points each.  Every point margin is taken in one `margin_field`
+    call and every agent margin in another, each row at its own state's
+    time.
     """
-    point = AgentShape.point(env.dimension)
-    point_mins = [np.min(margin_field(env, point, pts, t))
-                  for pts, t in zip(points, times)]
-    agent = [margin_field(env, shape, center[None, :], t)[0]
-             for center, t in zip(centers, times)]
-    return np.subtract(point_mins, agent)
+    n, k, dim = points.shape
+    point_margins = margin_field(env, AgentShape.point(dim),
+                                 points.reshape(n * k, dim),
+                                 np.repeat(times, k))
+    return np.min(point_margins.reshape(n, k), axis=1, initial=np.inf) \
+        - margin_field(env, shape, centers, times)
 
 
 def hull_containment_sample(env: PolytopeEnvironment, shape: AgentShape,
@@ -131,7 +131,8 @@ def hull_containment_sample(env: PolytopeEnvironment, shape: AgentShape,
     rng = np.random.default_rng(0) if rng is None else rng
     center = np.asarray(center, dtype=float)
     points = _hull_points(shape, center, n_samples, rng)
-    return float(_hull_gaps(env, shape, [center], [t], [points])[0])
+    return float(_hull_gaps(env, shape, center[None, :], np.array([t]),
+                            points[None])[0])
 
 
 def hull_containment_audit(scenario, n_states: int = 500,
@@ -144,11 +145,14 @@ def hull_containment_audit(scenario, n_states: int = 500,
     low, high = scenario_bounds(scenario)
     env, shape = scenario.environment, scenario.agent
     t_max = 0.0 if env.is_static else scenario.default_sim.t_end
-    centers, times, points = [], [], []
-    for _ in range(n_states):
-        centers.append(rng.uniform(low, high))
-        times.append(float(rng.uniform(0.0, t_max)) if t_max > 0 else 0.0)
-        points.append(_hull_points(shape, centers[-1], n_weights, rng))
+    centers = np.empty((n_states, env.dimension))
+    times = np.zeros(n_states)
+    points = np.empty((n_states, n_weights, env.dimension))
+    for i in range(n_states):
+        centers[i] = rng.uniform(low, high)
+        if t_max > 0:
+            times[i] = rng.uniform(0.0, t_max)
+        points[i] = _hull_points(shape, centers[i], n_weights, rng)
     worst = np.min(_hull_gaps(env, shape, centers, times, points),
                    initial=np.inf)
     return AuditReport(
@@ -209,30 +213,28 @@ def gradient_audit(scenario, n_states: int = 1000, seed: int = 0,
     times = rng.uniform(0.0, t_max, size=n_states) if t_max > 0 \
         else np.zeros(n_states)
 
-    # One +/- probe pair per axis per state.  Everything is batched per
-    # evaluation time: one call for a static world, one per state otherwise.
+    # Rows: the centres, one +/- probe pair per axis per state and, in a
+    # moving world, each centre at t + step and t - step, every row at its
+    # own time, through one kernel call per block of rows.
     probes = np.repeat(centers, 2 * dim, axis=0)
-    probe_times = np.repeat(times, 2 * dim)
-    signs = np.tile(np.repeat([1.0, -1.0], 1), dim * n_states)
+    signs = np.tile([1.0, -1.0], dim * n_states)
     axes = np.tile(np.repeat(np.arange(dim), 2), n_states)
     probes[np.arange(probes.shape[0]), axes] += signs * step
-
-    h_probe = np.empty(probes.shape[0])
-    grads = np.empty((n_states, dim))
-    partials = np.empty(n_states)
-    fd_partials = np.zeros(n_states)
-    for t in map(float, np.unique(times)):
-        at, probe_at = times == t, probe_times == t
-        h_probe[probe_at] = barrier_field(env, shape, probes[probe_at], t,
-                                          params)[0]
-        _, grads[at], partials[at], _ = _evaluate(
-            env, shape, centers[at], t, params, derivatives=True)
-        if not env.is_static:
-            plus = barrier_field(env, shape, centers[at], t + step, params)[0]
-            minus = barrier_field(env, shape, centers[at], t - step, params)[0]
-            fd_partials[at] = (plus - minus) / (2.0 * step)
+    points, point_times = [centers, probes], [times, np.repeat(times, 2 * dim)]
+    if not env.is_static:
+        points += [centers, centers]
+        point_times += [times + step, times - step]
+    h, grads, partials, _ = _fields(env, shape, np.concatenate(points),
+                                    np.concatenate(point_times), params,
+                                    derivatives=True)
+    grads, partials = grads[:n_states], partials[:n_states]
+    h_probe = h[n_states:n_states + probes.shape[0]]
     fd_grads = (h_probe[0::2] - h_probe[1::2]).reshape(n_states, dim) \
         / (2.0 * step)
+    fd_partials = np.zeros(n_states)
+    if not env.is_static:
+        h_plus, h_minus = h[n_states + probes.shape[0]:].reshape(2, n_states)
+        fd_partials = (h_plus - h_minus) / (2.0 * step)
 
     grad_errors = np.linalg.norm(grads - fd_grads, axis=1) \
         / np.maximum(np.linalg.norm(fd_grads, axis=1), 1.0)

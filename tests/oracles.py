@@ -3,15 +3,19 @@
 The barrier oracles are plain nested loops over math.exp, with no
 stabilization and no shared code with the library, so agreement is
 meaningful.  They are only valid at moderate exponents (|kappa * psi| below
-~700).  `qp_audit_loop` is the loop form of a batched audit: one filter call
-per problem.
+~700).  `qp_audit_loop`, `gradient_audit_loop` and `hull_audit_loop` are the
+loop forms of the batched audits: one filter call per problem, or one state
+per kernel call.
 """
 
 import math
 
 import numpy as np
 
-from polycbf.barrier import BarrierEvaluation, CbfParams
+from polycbf import verify
+from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
+                             margin_field, smooth_barrier)
+from polycbf.geometry import AgentShape
 from polycbf.safety_filter import safe_velocity
 
 
@@ -108,4 +112,60 @@ def qp_audit_loop(n, seed, block=4096):
         r, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
         changed = np.any(u_safe != u_des, axis=1)
         worst = np.max(np.where(changed, abs(r), -r) / scale, initial=worst)
+    return float(worst)
+
+
+def gradient_audit_loop(scenario, n_states=1000, seed=0, step=1e-5):
+    """`verify.gradient_audit`'s worst error with one state per kernel call:
+    `smooth_barrier` at the centre, one `barrier_field` call over the
+    state's +/- axis probes and, in a moving world, one at t + step and one
+    at t - step, with the audit's rng draws and error formula."""
+    rng = np.random.default_rng(seed)
+    env, shape, params = scenario.environment, scenario.agent, scenario.cbf
+    low, high = verify.scenario_bounds(scenario)
+    dim = env.dimension
+    centers = rng.uniform(low, high, size=(n_states, dim))
+    t_max = 0.0 if env.is_static else scenario.default_sim.t_end
+    times = rng.uniform(0.0, t_max, size=n_states) if t_max > 0 \
+        else np.zeros(n_states)
+    grads, fd_grads = np.empty((n_states, dim)), np.empty((n_states, dim))
+    partials, fd_partials = np.empty(n_states), np.zeros(n_states)
+    offsets = np.repeat(np.eye(dim), 2, axis=0) * np.tile([1.0, -1.0], dim)[
+        :, None] * step
+    for i, (center, t) in enumerate(zip(centers, map(float, times))):
+        ev = smooth_barrier(env, shape, center, t, params)
+        grads[i], partials[i] = ev.gradient, ev.time_partial
+        h_probe = barrier_field(env, shape, center + offsets, t, params)[0]
+        fd_grads[i] = (h_probe[0::2] - h_probe[1::2]) / (2.0 * step)
+        if not env.is_static:
+            plus = barrier_field(env, shape, center[None], t + step,
+                                 params)[0]
+            minus = barrier_field(env, shape, center[None], t - step,
+                                  params)[0]
+            fd_partials[i] = ((plus - minus) / (2.0 * step))[0]
+    grad_errors = np.linalg.norm(grads - fd_grads, axis=1) \
+        / np.maximum(np.linalg.norm(fd_grads, axis=1), 1.0)
+    time_errors = np.abs(partials - fd_partials) \
+        / np.maximum(np.abs(fd_partials), 1.0)
+    return float(np.max(np.maximum(grad_errors, time_errors), initial=0.0))
+
+
+def hull_audit_loop(scenario, n_states=500, n_weights=20, seed=0):
+    """`verify.hull_containment_audit`'s worst gap with one state per kernel
+    call: one `margin_field` call over the state's hull points and one at
+    its centre, at the state's scalar t, with the audit's rng draws."""
+    rng = np.random.default_rng(seed)
+    env, shape = scenario.environment, scenario.agent
+    low, high = verify.scenario_bounds(scenario)
+    t_max = 0.0 if env.is_static else scenario.default_sim.t_end
+    point = AgentShape.point(env.dimension)
+    worst = math.inf
+    for _ in range(n_states):
+        center = rng.uniform(low, high)
+        t = float(rng.uniform(0.0, t_max)) if t_max > 0 else 0.0
+        weights = rng.dirichlet(np.ones(shape.num_vertices), size=n_weights)
+        points = weights @ shape.vertices(center)
+        gap = np.min(margin_field(env, point, points, t)) \
+            - margin_field(env, shape, center[None], t)[0]
+        worst = min(worst, gap)
     return float(worst)

@@ -1,8 +1,12 @@
 import copy
+import hashlib
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -446,12 +450,17 @@ class TestFaceTermMemo:
             times = (t, 2.9, t, t + 0.5 * dt, t + 0.5 * dt, t + dt)
         rng = np.random.default_rng(71)
         centers = rng.uniform(*scenario_bounds(s), size=(40, env.dimension))
+        # One time per centre, the scalar t among them: in a moving world
+        # these calls neither read nor replace the memo.
+        per_row = np.where(np.arange(40) % 3, rng.uniform(0.0, 20.0, 40), 0.0)
 
         def calls(shape, p, t):
             if p is None:  # psi only
                 return [(margin_field, shape, centers, t),
+                        (margin_field, shape, centers, per_row + t),
                         (margin_agent, shape, centers[1], t)]
             return [(smooth_barrier, shape, centers[0], t, p),
+                    (barrier_field, shape, centers, per_row + t, p),
                     (barrier_field, shape, centers, t, p)]
 
         # Consecutive keys differ in the shape alone, in kappa alone (or
@@ -465,8 +474,11 @@ class TestFaceTermMemo:
         order += [(shape, p, t) for shape in shapes for p in (*params, None)
                   for t in times]
         for fn, *args in (c for key in order for c in calls(*key)):
+            entry = env._memo
             got = fn(env, *args)
             assert_same_bits(got, fn(copy.deepcopy(pristine), *args))
+            if not env.is_static and np.ndim(args[2]) == 1:
+                assert env._memo is entry
 
     def test_shared_env_across_threads(self):
         s = builtin("revolving-door")
@@ -501,6 +513,103 @@ class TestFaceTermMemo:
         for got, want in zip(threaded, serial):
             for g, w in zip(got, want):
                 assert_same_bits(g, w)
+
+
+BATCH_SIZES = (1, 2, 7, 64, 300, 5000)
+
+
+def invariance_cases():
+    """(name, env, shape, params, bounds) for every builtin plus a 3D
+    moving world with two axis rates, which no builtin has."""
+    cases = []
+    for name in BUILTIN_NAMES:
+        s = builtin(name)
+        cases.append((name, s.environment, s.agent, s.cbf,
+                      scenario_bounds(s)))
+    rng = np.random.default_rng(83)
+    cases.append(("moving-3d", random_moving_env(rng, 3),
+                  AgentShape(rng.uniform(-0.3, 0.3, size=(5, 3))),
+                  CbfParams(kappa=4.0, buffer=0.5),
+                  (np.full(3, -3.0), np.full(3, 3.0))))
+    return cases
+
+
+def kernel_digest(m=300):
+    """sha256 of the kernel's outputs over m seeded centres per case, at
+    one t and at one t per centre."""
+    digest = hashlib.sha256()
+    for _, env, shape, params, bounds in invariance_cases():
+        rng = np.random.default_rng(31)
+        centers = rng.uniform(*bounds, size=(m, env.dimension))
+        for t in (0.37, rng.uniform(0.0, 20.0, m)):
+            for out in polycbf.barrier._evaluate(env, shape, centers, t,
+                                                 params, derivatives=True):
+                digest.update(np.ascontiguousarray(out).tobytes())
+    return digest.hexdigest()
+
+
+class TestBatchInvariance:
+    """Row i of a kernel batch equals the one-row call bit for bit, whatever
+    the batch size M and the BLAS thread count; a batch with one time per
+    centre equals the one-row calls at those times."""
+
+    @pytest.mark.parametrize("case", invariance_cases(),
+                             ids=lambda case: case[0])
+    def test_rows_match_one_row_calls(self, case):
+        _, env, shape, params, bounds = case
+        rng = np.random.default_rng(29)
+        n = max(BATCH_SIZES)
+        centers = rng.uniform(*bounds, size=(n, env.dimension))
+        times = rng.uniform(0.0, 20.0, n)  # a static world ignores them
+
+        def evaluate(points, t):
+            return polycbf.barrier._evaluate(env, shape, points, t, params,
+                                             derivatives=True)
+
+        for t, one_row in (
+                (0.37, [evaluate(c, 0.37) for c in centers]),
+                (times, [evaluate(c, float(ti))
+                         for c, ti in zip(centers, times)])):
+            for m in BATCH_SIZES:
+                batch = evaluate(centers[:m], t if np.ndim(t) == 0 else t[:m])
+                for k, got in enumerate(batch):
+                    want = np.array([row[k] for row in one_row[:m]])
+                    assert np.array_equal(got, want), (m, k)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_rows_do_not_depend_on_blas_threads(self, threads):
+        # The thread count is set on the child process only.
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        node = "tests/test_barrier.py::TestBatchInvariance::" \
+            "test_rows_match_one_row_calls"
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             node], cwd=root, env=env, capture_output=True, text=True,
+            timeout=600)
+        assert result.returncode == 0, result.stdout[-3000:]
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import test_barrier; print(test_barrier.kernel_digest())"],
+            cwd=root / "tests", env=dict(env, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=600)
+        assert result.stdout.strip() == kernel_digest(), result.stderr
+
+    def test_fields_take_one_time_per_centre(self, monkeypatch):
+        monkeypatch.setattr(polycbf.barrier, "_CHUNK", 7)
+        s = builtin("revolving-door")
+        rng = np.random.default_rng(37)
+        centers = rng.uniform(*scenario_bounds(s), size=(40, 2))
+        times = rng.uniform(0.0, 20.0, 40)
+        h, margin = barrier_field(s.environment, s.agent, centers, times,
+                                  s.cbf)
+        psi = margin_field(s.environment, s.agent, centers, times)
+        for i, (c, t) in enumerate(zip(centers, times)):
+            ev = smooth_barrier(s.environment, s.agent, c, float(t), s.cbf)
+            assert (h[i], margin[i]) == (ev.value, ev.nonsmooth_value)
+            assert psi[i] == margin_agent(s.environment, s.agent, c, float(t))
+        with pytest.raises(ValueError, match="one time per centre"):
+            barrier_field(s.environment, s.agent, centers, times[:-1], s.cbf)
 
 
 class TestCbfParams:

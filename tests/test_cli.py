@@ -67,6 +67,7 @@ class TestSimulateCommand:
         ["simulate", "l-shape", "--kappa", "-1"],
         ["simulate", "l-shape", "--t-end", "nan"],
         ["simulate", "l-shape", "--t-end", "inf"],
+        ["simulate", "convex-corner", "--t-end", "1e308"],
         ["field", "l-shape", "--kappa", "-1", "--out", "unused.csv"],
         ["field", "l-shape", "--resolution", "-1", "--out", "unused.csv"],
         ["field", "l-shape", "--resolution", "0", "--out", "unused.csv"],
@@ -169,6 +170,22 @@ class TestSimulateCommand:
 
     def test_method_flag_removed(self, capsys):
         assert main(["simulate", "l-shape", "--method", "rk4"]) == 2
+
+    @pytest.mark.parametrize("command", [["simulate"],
+                                         ["field", "--out", "unused.csv"]])
+    def test_unreadable_config_path_exits_2(self, tmp_path, capsys,
+                                             monkeypatch, command):
+        # A directory exists but cannot be read as a config.  A file
+        # without read permission takes the same path, but cannot be
+        # tested when the suite runs as root.
+        monkeypatch.chdir(tmp_path)
+        folder = tmp_path / "configs"
+        folder.mkdir()
+        assert main([command[0], str(folder), *command[1:]]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ScenarioError"
+        assert str(folder) in err["message"]
+        assert not (tmp_path / "unused.csv").exists()
 
     def test_config_file_and_env_dir(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "corner.json"

@@ -94,6 +94,27 @@ class TestTimeDerivative:
             analytic = face_rate(hs, p, t)
             assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-5)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_frame_per_time_matches_scalar_frames(self, dim):
+        # Two motion groups and one static face; an array t stacks one
+        # frame per time, each equal to the scalar-t frame bit for bit.
+        rng = np.random.default_rng(5)
+        spins = ([{"omega": 0.4}, {"omega": -1.1}] if dim == 2 else
+                 [{"axis_rate": rng.uniform(-1, 1, 3)} for _ in range(2)])
+        motions = [RigidMotion(rng.uniform(-1, 1, dim),
+                               linear_velocity=rng.uniform(-1, 1, dim), **spin)
+                   for spin in spins]
+        faces = [HalfSpace(rng.normal(size=dim), rng.uniform(-2, 2, dim), m)
+                 for m in (motions[0], None, motions[1], motions[0])]
+        env = PolytopeEnvironment(faces, [[0, 1], [2, 3]])
+        times = rng.uniform(0.0, 10.0, 7)
+        stacked = env.frame(times)
+        assert stacked[0].shape == (7, 4, dim)
+        assert stacked[1].shape == (7, 4)
+        for i, t in enumerate(times):
+            for got, want in zip(stacked, env.frame(float(t))):
+                assert np.array_equal(got[i], want)
+
 
 class TestRigidMotion:
     @pytest.mark.parametrize("dim", [2, 3])
@@ -161,6 +182,26 @@ class TestRigidMotion:
     def test_non_finite_omega_rejected(self, omega):
         with pytest.raises(ValueError, match="omega"):
             RigidMotion((0.0, 0.0), omega=omega)
+
+    @pytest.mark.parametrize("axis_rate", [(1e200, 0.0, 0.0),
+                                           (1e155, 1e155, 1e155)])
+    def test_overflowing_axis_rate_rejected(self, axis_rate):
+        # The rate is the axis_rate's length; an infinite one would make
+        # every rotation matrix NaN.
+        with pytest.raises(ValueError, match="axis_rate length"):
+            RigidMotion((0.0, 0.0, 0.0), axis_rate=axis_rate)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_per_time_matrices_match_scalar_calls(self, dim):
+        rng = np.random.default_rng(11)
+        spin = {"omega": 0.7} if dim == 2 else {"axis_rate": (0.3, -0.2, 0.5)}
+        motion = RigidMotion(np.zeros(dim), **spin)
+        times = rng.uniform(-5.0, 5.0, 9)
+        for method in (motion.rotation, motion.rotation_rate):
+            stacked = method(times)
+            assert stacked.shape == (9, dim, dim)
+            for t, matrix in zip(times, stacked):
+                assert np.array_equal(matrix, method(float(t)))
 
 
 class TestConstruction:

@@ -266,6 +266,20 @@ class TestConfigValidation:
         with pytest.raises(ScenarioError, match=field):
             load(self.write(tmp_path, config))
 
+    def test_directory_rejected(self, tmp_path):
+        with pytest.raises(ScenarioError, match=f"cannot read {tmp_path}"):
+            load(tmp_path)
+
+    def test_overflowing_axis_rate_names_motion(self, tmp_path):
+        path = tmp_path / "pyramid.json"
+        save(builtin("pyramid"), path)
+        config = json.loads(path.read_text())
+        config["halfspaces"][0]["motion"] = {"center": [0.0, 0.0, 0.0],
+                                             "axis_rate": [1e200, 0.0, 0.0]}
+        with pytest.raises(ScenarioError,
+                           match=r"halfspaces\[0\].motion.*axis_rate length"):
+            load(self.write(tmp_path, config))
+
     @pytest.mark.parametrize("content", [b'{"name": "\xff"}',
                                          b"[" * 100000])
     def test_undecodable_file_rejected(self, tmp_path, content):

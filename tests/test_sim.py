@@ -255,7 +255,16 @@ class TestSimConfig:
             return
         assert all(map(math.isfinite, (config.dt, config.t_end,
                                        config.goal_tolerance,
-                                       config.record_stride)))
+                                       config.record_stride,
+                                       config.t_end / config.dt)))
+
+    @pytest.mark.parametrize("dt, t_end", [(0.01, 1e308), (1e-300, 1e10),
+                                           (np.float64(0.01),
+                                            np.float64(1e308))])
+    def test_rejects_step_count_overflow(self, dt, t_end):
+        # run() sizes its loop by t_end / dt, which must stay finite.
+        with pytest.raises(ValueError, match="t_end"):
+            SimConfig(dt=dt, t_end=t_end)
 
 
 class TestCsv:

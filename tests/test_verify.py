@@ -123,10 +123,39 @@ class TestHullContainment:
         hull_containment_audit(builtin(name), n_states=50, seed=7)
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_audit_matches_loop_oracle(self, name, seed):
+        # Two margin calls for every state at once against two per state.
+        report = hull_containment_audit(builtin(name), n_states=60,
+                                        n_weights=12, seed=seed)
+        assert report.worst == oracles.hull_audit_loop(
+            builtin(name), n_states=60, n_weights=12, seed=seed)
+
     def test_requires_samples(self):
         s = builtin("crossroad")
         with pytest.raises(ValueError):
             hull_containment_sample(s.environment, s.agent, (0.0, 0.0), 0.0, 0)
+
+
+@pytest.mark.parametrize("audit", [gradient_audit, hull_containment_audit])
+def test_door_frames_do_not_grow_with_states(monkeypatch, audit):
+    # Per-row times put every state of a kernel call into one frame call,
+    # so a few dozen states or a few hundred cost the same frames.
+    calls = []
+    frame = PolytopeEnvironment.frame
+
+    def counted(env, t):
+        calls.append(np.size(t))
+        return frame(env, t)
+
+    monkeypatch.setattr(PolytopeEnvironment, "frame", counted)
+    counts = []
+    for n_states in (20, 150):
+        calls.clear()
+        audit(builtin("revolving-door"), n_states=n_states, seed=3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
 
 
 class TestUnderApproximation:
@@ -158,6 +187,14 @@ class TestGradientAudit:
     def test_small_error_on_builtins(self, name):
         worst = gradient_audit(builtin(name), n_states=60, seed=5).worst
         assert worst <= 1e-5
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_loop_oracle(self, name, seed):
+        # One kernel call per block of rows against one state per call.
+        report = gradient_audit(builtin(name), n_states=40, seed=seed)
+        assert report.worst == oracles.gradient_audit_loop(
+            builtin(name), n_states=40, seed=seed)
 
     def test_deterministic_under_seed(self):
         a = gradient_audit(builtin("crossroad"), n_states=20, seed=9)
