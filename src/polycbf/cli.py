@@ -92,25 +92,15 @@ def _apply_overrides(scenario, args) -> scenarios.Scenario:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
-    except scenarios.ScenarioError as err:
-        return _fail(EXIT_VALIDATION, err)
-    try:
-        _open_outputs(args.csv, args.svg)
-        t0 = time.perf_counter()
-        result = run(scenario)
-        wall = time.perf_counter() - t0
-    except (OSError, UnsafeStartError) as err:
-        return _fail(EXIT_RUNTIME, err)
-
-    try:
-        if args.csv:
-            result.write_csv(args.csv)
-        if args.svg:
-            svgplot.render_trajectory(scenario, result, args.svg)
-    except OSError as err:
-        return _fail(EXIT_RUNTIME, err)
+    scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
+    _open_outputs(args.csv, args.svg)
+    t0 = time.perf_counter()
+    result = run(scenario)
+    wall = time.perf_counter() - t0
+    if args.csv:
+        result.write_csv(args.csv)
+    if args.svg:
+        svgplot.render_trajectory(scenario, result, args.svg)
 
     goal_t = "-" if result.reached_goal_at is None \
         else f"{result.reached_goal_at:.2f} s"
@@ -129,66 +119,48 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_field(args) -> int:
-    try:
-        _require(args.resolution >= 1,
-                 f"resolution must be at least 1, got {args.resolution}")
-        _require(math.isfinite(args.time),
-                 f"time must be finite, got {args.time}")
-        scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
-        dim = scenario.environment.dimension
-        if args.bounds is not None:
-            _require(len(args.bounds) == 2 * dim,
-                     f"--bounds needs {2 * dim} numbers for a {dim}D scenario")
-            _require(all(map(math.isfinite, args.bounds)),
-                     f"--bounds must be finite, got {args.bounds}")
-            bounds = np.asarray(args.bounds).reshape(dim, 2)
-            low, high = bounds[:, 0], bounds[:, 1]
-        else:
-            low, high = verify.scenario_bounds(scenario)
-    except scenarios.ScenarioError as err:
-        return _fail(EXIT_VALIDATION, err)
-    try:
-        _open_outputs(args.out)
-    except OSError as err:
-        return _fail(EXIT_RUNTIME, err)
+    _require(args.resolution >= 1,
+             f"resolution must be at least 1, got {args.resolution}")
+    _require(math.isfinite(args.time),
+             f"time must be finite, got {args.time}")
+    scenario = _apply_overrides(_resolve_scenario(args.scenario), args)
+    dim = scenario.environment.dimension
+    if args.bounds is not None:
+        _require(len(args.bounds) == 2 * dim,
+                 f"--bounds needs {2 * dim} numbers for a {dim}D scenario")
+        _require(all(map(math.isfinite, args.bounds)),
+                 f"--bounds must be finite, got {args.bounds}")
+        bounds = np.asarray(args.bounds).reshape(dim, 2)
+        low, high = bounds[:, 0], bounds[:, 1]
+    else:
+        low, high = verify.scenario_bounds(scenario)
+    _open_outputs(args.out)
 
     grid = verify.grid_points(low, high, args.resolution)
     h, margin = barrier_field(scenario.environment, scenario.agent, grid,
                               args.time, scenario.cbf)
     axes = "xyz"[:dim]
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(list(axes) + ["psi", "h"]) + "\n")
-            for point, m, hv in zip(grid, margin, h):
-                cells = [f"{v:.17g}" for v in (*point, m, hv)]
-                fh.write(",".join(cells) + "\n")
-    except OSError as err:
-        return _fail(EXIT_RUNTIME, err)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(",".join(list(axes) + ["psi", "h"]) + "\n")
+        for point, m, hv in zip(grid, margin, h):
+            cells = [f"{v:.17g}" for v in (*point, m, hv)]
+            fh.write(",".join(cells) + "\n")
     print(f"wrote {grid.shape[0]} grid rows to {args.out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     names = [args.scenario] if args.scenario else scenarios.BUILTIN_NAMES
-    try:
-        _require(args.n >= 1, f"n must be at least 1, got {args.n}")
-        _require(args.seed >= 0, f"seed must be nonnegative, got {args.seed}")
-        scens = [scenarios.builtin(name) for name in names]
-    except scenarios.ScenarioError as err:
-        return _fail(EXIT_VALIDATION, err)
-    try:
-        _open_outputs(args.out)
-    except OSError as err:
-        return _fail(EXIT_RUNTIME, err)
+    _require(args.n >= 1, f"n must be at least 1, got {args.n}")
+    _require(args.seed >= 0, f"seed must be nonnegative, got {args.seed}")
+    scens = [scenarios.builtin(name) for name in names]
+    _open_outputs(args.out)
     reports = verify.run_suite(args.suite, scens, args.seed, args.n)
     payload = json.dumps([r.to_dict() for r in reports], indent=2,
                          sort_keys=True)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        except OSError as err:
-            return _fail(EXIT_RUNTIME, err)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
     else:
         print(payload)
     if not all(r.passed for r in reports):
@@ -247,7 +219,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, matching our validation code
         return int(exc.code) if exc.code else EXIT_OK
-    return args.func(args)
+    # The commands raise; their errors map to exit codes here alone.
+    try:
+        return args.func(args)
+    except scenarios.ScenarioError as err:
+        return _fail(EXIT_VALIDATION, err)
+    except (OSError, UnsafeStartError) as err:
+        return _fail(EXIT_RUNTIME, err)
 
 
 if __name__ == "__main__":

@@ -111,14 +111,15 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     Raises
     ------
     DegenerateGradientError
-        If a < 0 while ||grad(h)|| <= 1e-10 on some row; there is
-        deliberately no silent fallback for this case.
+        If a < 0 while ||grad(h)|| <= 1e-10 on some row, or if an active
+        row's a or grad(h) is not finite; there is deliberately no silent
+        fallback for either case.
     """
     grad = np.asarray(evaluation.gradient, dtype=float)
     u_desired = np.asarray(u_desired, dtype=float)
     a = (np.vecdot(grad, u_desired) + evaluation.time_partial
          + params.alpha_gain * evaluation.value)
-    active = (a < 0.0) | (a != a)  # a NaN residual projects, as a < 0 does
+    active = (a < 0.0) | (a != a)  # a NaN residual counts as violated
     n_active = _count(active)
     if not n_active:
         return FilterResult(u_desired, u_desired, evaluation.value, active)
@@ -129,13 +130,20 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
         a = np.where(active, a, 0.0)
         grad_sq = np.where(active, grad_sq, 1.0)
         grad = np.where(active[..., None], grad, 0.0)
-    degenerate = grad_sq <= _DEGENERATE_NORM ** 2
-    if _count(degenerate):
-        row = int(np.argmax(np.ravel(degenerate)))
+    # An active row needs a finite residual (active means a < 0 or NaN) and
+    # a finite gradient that is not near zero; NaN fails every comparison.
+    usable = ((a > -np.inf) & (grad_sq > _DEGENERATE_NORM ** 2)
+              & (grad_sq < np.inf))
+    if _count(usable) < usable.size:
+        row = int(np.argmin(np.ravel(usable)))
         in_row = f" in row {row}" if grad.ndim > 1 else ""
+        a, norm = np.ravel(a)[row], np.sqrt(np.ravel(grad_sq)[row])
+        if a > -np.inf and norm < np.inf:
+            raise DegenerateGradientError(
+                f"constraint violated{in_row} (residual {a:.3e}) with "
+                f"near-zero barrier gradient (norm {norm:.3e})")
         raise DegenerateGradientError(
-            f"constraint violated{in_row} (residual {np.ravel(a)[row]:.3e}) "
-            f"with near-zero barrier gradient "
-            f"(norm {np.sqrt(np.ravel(grad_sq)[row]):.3e})")
+            f"non-finite constraint{in_row}: residual {a:.3e}, barrier "
+            f"gradient norm {norm:.3e}")
     u_safe = u_desired - (grad.T * (a / grad_sq)).T
     return FilterResult(u_safe, u_desired, evaluation.value, active)

@@ -16,14 +16,13 @@ import numpy as np
 
 from .barrier import (BarrierEvaluation, CbfParams, _fields, barrier_field,
                       margin_field, provable_buffer)
-from .geometry import AgentShape, PolytopeEnvironment
+from .geometry import AgentShape
 from .safety_filter import safe_velocity
 
 __all__ = [
     "AuditReport",
     "InfeasibleGridError",
     "qp_bruteforce",
-    "hull_containment_sample",
     "hull_containment_audit",
     "under_approximation_audit",
     "gradient_audit",
@@ -74,11 +73,8 @@ def qp_bruteforce(evaluation: BarrierEvaluation, u_desired, params: CbfParams,
     if grid_n < 100:
         raise ValueError(f"grid_n must be at least 100, got {grid_n}")
     u_desired = np.asarray(u_desired, dtype=float)
-    dim = u_desired.shape[0]
-    axes = [np.linspace(u - grid_radius, u + grid_radius, grid_n)
-            for u in u_desired]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    candidates = np.stack([m.ravel() for m in mesh], axis=1)
+    candidates = grid_points(u_desired - grid_radius,
+                             u_desired + grid_radius, grid_n)
     grad = np.asarray(evaluation.gradient, dtype=float)
     residual = (candidates @ grad + evaluation.time_partial
                 + params.alpha_gain * evaluation.value)
@@ -86,75 +82,49 @@ def qp_bruteforce(evaluation: BarrierEvaluation, u_desired, params: CbfParams,
     if feasible.shape[0] == 0:
         raise InfeasibleGridError(
             f"no feasible grid point within radius {grid_radius} "
-            f"({grid_n}^{dim} points)")
+            f"({grid_n}^{u_desired.shape[0]} points)")
     dist_sq = np.sum((feasible - u_desired) ** 2, axis=1)
     return feasible[np.argmin(dist_sq)]
 
 
-def _hull_points(shape: AgentShape, center, n_samples: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """n_samples convex combinations of the agent's vertices at center, with
-    uniform Dirichlet weights."""
-    weights = rng.dirichlet(np.ones(shape.num_vertices), size=n_samples)
-    return weights @ (center + shape.offsets)
-
-
-def _hull_gaps(env: PolytopeEnvironment, shape: AgentShape, centers, times,
-               points) -> np.ndarray:
-    """min margin(hull point) - margin(agent) per state.
-
-    centers (n, p), times (n,) and points (n, k, p) give n states of k
-    hull points each.  Every point margin is taken in one `margin_field`
-    call and every agent margin in another, each row at its own state's
-    time.
-    """
-    n, k, dim = points.shape
-    point_margins = margin_field(env, AgentShape.point(dim),
-                                 points.reshape(n * k, dim),
-                                 np.repeat(times, k))
-    return np.min(point_margins.reshape(n, k), axis=1, initial=np.inf) \
-        - margin_field(env, shape, centers, times)
-
-
-def hull_containment_sample(env: PolytopeEnvironment, shape: AgentShape,
-                            center, t: float, n_samples: int,
-                            rng: np.random.Generator | None = None) -> float:
-    """Worst gap margin(hull point) - margin(agent) over random hull points.
-
-    Hull points are convex combinations of the agent vertices with uniform
-    Dirichlet weights.  The agent-level margin is a lower bound on the
-    point margin everywhere in the hull, so the gap is nonnegative in exact
-    arithmetic, for any center (safe or not).
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    rng = np.random.default_rng(0) if rng is None else rng
-    center = np.asarray(center, dtype=float)
-    points = _hull_points(shape, center, n_samples, rng)
-    return float(_hull_gaps(env, shape, center[None, :], np.array([t]),
-                            points[None])[0])
+def _draw_states(scenario, rng: np.random.Generator, n: int):
+    """n agent centres uniform in `scenario_bounds` and then, in a moving
+    world only, n times uniform in [0, t_end]; a static world's times are
+    zeros.  Returns (centers (n, p), times (n,))."""
+    env = scenario.environment
+    centers = rng.uniform(*scenario_bounds(scenario),
+                          size=(n, env.dimension))
+    if env.is_static:
+        return centers, np.zeros(n)
+    return centers, rng.uniform(0.0, scenario.default_sim.t_end, size=n)
 
 
 def hull_containment_audit(scenario, n_states: int = 500,
                            n_weights: int = 20, seed: int = 0) -> AuditReport:
-    """Hull-containment gap, passing at >= -1e-12, over random (state,
-    weights) pairs drawn in the scenario's box (states need not be safe).
-    Every state is drawn before any margin is taken, in the order center,
-    t (moving worlds only), weights."""
+    """Worst gap margin(hull point) - margin(agent), passing at >= -1e-12,
+    over random (state, weights) pairs in the scenario's box (states need
+    not be safe).
+
+    Hull points are convex combinations of the agent's vertices with uniform
+    Dirichlet weights.  The agent-level margin is a lower bound on the point
+    margin everywhere in the hull, so every gap is nonnegative in exact
+    arithmetic.  The whole sample is drawn before the first margin is
+    taken: all centres, then all times (moving worlds only), then all
+    weights.  Every point margin is taken in one `margin_field` call and
+    every agent margin in another, each row at its own state's time.
+    """
     rng = np.random.default_rng(seed)
-    low, high = scenario_bounds(scenario)
     env, shape = scenario.environment, scenario.agent
-    t_max = 0.0 if env.is_static else scenario.default_sim.t_end
-    centers = np.empty((n_states, env.dimension))
-    times = np.zeros(n_states)
-    points = np.empty((n_states, n_weights, env.dimension))
-    for i in range(n_states):
-        centers[i] = rng.uniform(low, high)
-        if t_max > 0:
-            times[i] = rng.uniform(0.0, t_max)
-        points[i] = _hull_points(shape, centers[i], n_weights, rng)
-    worst = np.min(_hull_gaps(env, shape, centers, times, points),
-                   initial=np.inf)
+    centers, times = _draw_states(scenario, rng, n_states)
+    weights = rng.dirichlet(np.ones(shape.num_vertices),
+                            size=(n_states, n_weights))
+    points = weights @ (centers[:, None, :] + shape.offsets)
+    point_margins = margin_field(env, AgentShape.point(env.dimension),
+                                 points.reshape(-1, env.dimension),
+                                 np.repeat(times, n_weights))
+    gaps = np.min(point_margins.reshape(n_states, n_weights), axis=1,
+                  initial=np.inf) - margin_field(env, shape, centers, times)
+    worst = np.min(gaps, initial=np.inf)
     return AuditReport(
         name="hull-containment",
         parameters={"scenario": scenario.name, "n_states": n_states,
@@ -206,12 +176,8 @@ def gradient_audit(scenario, n_states: int = 1000, seed: int = 0,
     env, shape = scenario.environment, scenario.agent
     params = scenario.cbf if kappa is None else replace(
         scenario.cbf, kappa=kappa)
-    low, high = scenario_bounds(scenario)
     dim = env.dimension
-    centers = rng.uniform(low, high, size=(n_states, dim))
-    t_max = 0.0 if env.is_static else scenario.default_sim.t_end
-    times = rng.uniform(0.0, t_max, size=n_states) if t_max > 0 \
-        else np.zeros(n_states)
+    centers, times = _draw_states(scenario, rng, n_states)
 
     # Rows: the centres, one +/- probe pair per axis per state and, in a
     # moving world, each centre at t + step and t - step, every row at its
@@ -291,7 +257,8 @@ def smoothing_sandwich_audit(scenario, seed: int = 0) -> AuditReport:
     Each region's soft min lies within ln(|I_j| N_v)/kappa below its exact
     min, and the soft max over regions within ln(N_p)/kappa above the max.
     Draws 8 pairs of kappa in [0.3, 60] and t (0 in a static world), each
-    with 250 agent centers in the scenario's box.  Passes at <= 1e-12.
+    with 250 agent centers in the scenario's box, all before the first
+    kernel call.  Passes at <= 1e-12.
     """
     rng = np.random.default_rng(seed)
     env, shape = scenario.environment, scenario.agent
@@ -299,10 +266,11 @@ def smoothing_sandwich_audit(scenario, seed: int = 0) -> AuditReport:
     t_max = 0.0 if env.is_static else scenario.default_sim.t_end
     below = np.log(max(map(len, env.regions)) * shape.num_vertices)
     above = np.log(env.num_regions)
+    draws = [(*rng.uniform((0.3, 0.0), (60.0, t_max)),
+              rng.uniform(low, high, size=(250, env.dimension)))
+             for _ in range(8)]
     breaches = []
-    for _ in range(8):
-        kappa, t = rng.uniform((0.3, 0.0), (60.0, t_max))
-        centers = rng.uniform(low, high, size=(250, env.dimension))
+    for kappa, t, centers in draws:
         h, psi = barrier_field(env, shape, centers, t, CbfParams(kappa))
         breaches += [psi - below / kappa - h, h - psi - above / kappa]
     worst = float(np.max(breaches))
@@ -335,15 +303,14 @@ def run_suite(suite: str, scenarios, seed: int, n: int) -> list[AuditReport]:
     return reports
 
 
-def scenario_bounds(scenario, pad: float | None = None):
+def scenario_bounds(scenario):
     """Axis-aligned box around the scenario's anchors, starts, and goal,
     padded by the agent circumradius plus a margin."""
     pts = [hs.anchor for hs in scenario.environment.half_spaces]
     pts.extend(scenario.all_starts())
     pts.append(scenario.controller.goal)
     pts = np.array(pts)
-    if pad is None:
-        pad = scenario.agent.circumradius + 0.5
+    pad = scenario.agent.circumradius + 0.5
     return pts.min(axis=0) - pad, pts.max(axis=0) + pad
 
 

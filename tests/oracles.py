@@ -122,12 +122,8 @@ def gradient_audit_loop(scenario, n_states=1000, seed=0, step=1e-5):
     at t - step, with the audit's rng draws and error formula."""
     rng = np.random.default_rng(seed)
     env, shape, params = scenario.environment, scenario.agent, scenario.cbf
-    low, high = verify.scenario_bounds(scenario)
     dim = env.dimension
-    centers = rng.uniform(low, high, size=(n_states, dim))
-    t_max = 0.0 if env.is_static else scenario.default_sim.t_end
-    times = rng.uniform(0.0, t_max, size=n_states) if t_max > 0 \
-        else np.zeros(n_states)
+    centers, times = verify._draw_states(scenario, rng, n_states)
     grads, fd_grads = np.empty((n_states, dim)), np.empty((n_states, dim))
     partials, fd_partials = np.empty(n_states), np.zeros(n_states)
     offsets = np.repeat(np.eye(dim), 2, axis=0) * np.tile([1.0, -1.0], dim)[
@@ -156,15 +152,13 @@ def hull_audit_loop(scenario, n_states=500, n_weights=20, seed=0):
     its centre, at the state's scalar t, with the audit's rng draws."""
     rng = np.random.default_rng(seed)
     env, shape = scenario.environment, scenario.agent
-    low, high = verify.scenario_bounds(scenario)
-    t_max = 0.0 if env.is_static else scenario.default_sim.t_end
+    centers, times = verify._draw_states(scenario, rng, n_states)
+    weights = rng.dirichlet(np.ones(shape.num_vertices),
+                            size=(n_states, n_weights))
     point = AgentShape.point(env.dimension)
     worst = math.inf
-    for _ in range(n_states):
-        center = rng.uniform(low, high)
-        t = float(rng.uniform(0.0, t_max)) if t_max > 0 else 0.0
-        weights = rng.dirichlet(np.ones(shape.num_vertices), size=n_weights)
-        points = weights @ shape.vertices(center)
+    for center, t, w in zip(centers, map(float, times), weights):
+        points = w @ shape.vertices(center)
         gap = np.min(margin_field(env, point, points, t)) \
             - margin_field(env, shape, center[None], t)[0]
         worst = min(worst, gap)

@@ -103,6 +103,19 @@ class TestSafeVelocity:
         with pytest.raises(DegenerateGradientError):
             safe_velocity(tiny, (1.0, 0.0), CbfParams(kappa=5.0, alpha_gain=2.0))
 
+    @pytest.mark.parametrize("value, grad", [
+        (np.nan, (1.0, 0.0)),      # NaN residual
+        (-np.inf, (1.0, 0.0)),     # residual -inf
+        (1.0, (np.nan, 0.0)),      # NaN gradient
+        (1.0, (-np.inf, 0.0)),     # infinite gradient, residual -inf
+    ])
+    def test_non_finite_active_row_raises(self, value, grad):
+        # Projecting would return a NaN input as the safe command.
+        with pytest.raises(DegenerateGradientError) as info:
+            safe_velocity(make_eval(grad, h=value), (1.0, 0.0),
+                          CbfParams(kappa=5.0, alpha_gain=2.0))
+        assert str(info.value).startswith("non-finite constraint: residual ")
+
     def test_no_post_saturation(self):
         # the corrected input may exceed any desired-controller bound
         ev = make_eval((1.0, 0.0), h=-10.0)
@@ -235,3 +248,23 @@ class TestBatchedLaw:
         assert str(info.value) == (
             "constraint violated (residual -2.000e+00) with near-zero "
             "barrier gradient (norm 0.000e+00)")
+
+    def test_non_finite_active_row_named(self):
+        # Row 1 has a NaN value, so it is active; row 2 has an infinite
+        # gradient but a residual of +inf, so it holds the constraint and
+        # alone must not raise, next to the active row 0.
+        grads = np.array([[1.0, 0.0], [1.0, 0.0], [np.inf, 0.0]])
+        values = np.array([-1.0, np.nan, 1.0])
+        u_des = np.ones((3, 2))
+        params = CbfParams(kappa=5.0, alpha_gain=2.0)
+        with pytest.raises(DegenerateGradientError) as info:
+            safe_velocity(BarrierEvaluation(values, grads, 0.0, values),
+                          u_des, params)
+        assert str(info.value) == ("non-finite constraint in row 1: residual "
+                                   "nan, barrier gradient norm 1.000e+00")
+        keep = [0, 2]
+        ok = safe_velocity(BarrierEvaluation(values[keep], grads[keep], 0.0,
+                                             values[keep]), u_des[keep],
+                           params)
+        assert np.array_equal(ok.constraint_active, [True, False])
+        assert np.array_equal(ok.u_safe, [[2.0, 1.0], [1.0, 1.0]])

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polycbf.sim
-from polycbf.barrier import CbfParams
+from polycbf.barrier import CbfParams, smooth_barrier
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
 from polycbf.safety_filter import DesiredController
@@ -175,6 +175,20 @@ class TestRun:
             assert rows.shape == (0, 2)
         assert math.isnan(res.min_h)
         assert res.error.endswith("at state [0.0, 0.0], t=0")
+
+    def test_non_finite_barrier_ends_in_error(self, monkeypatch):
+        # A NaN barrier value from t = 0.5 on must end the run rather than
+        # feed a NaN input into the next RK4 stage.
+        def nan_late(env, shape, x, t, params):
+            ev = smooth_barrier(env, shape, x, t, params)
+            return dataclasses.replace(ev, value=math.nan) if t >= 0.5 else ev
+
+        monkeypatch.setattr(polycbf.sim, "smooth_barrier", nan_late)
+        res = run(free_space_scenario(goal=(0.9, 0.0), x0=(0.0, 0.0)))
+        assert res.termination is Termination.ERROR
+        assert res.error.startswith("non-finite constraint: residual nan")
+        assert res.times[-1] < 0.5
+        assert np.isfinite(res.u_safe).all()
 
     def test_deterministic(self):
         s = builtin("crossroad")

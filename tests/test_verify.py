@@ -12,7 +12,7 @@ from polycbf.safety_filter import FilterResult, safe_velocity
 from polycbf.scenarios import BUILTIN_NAMES, builtin
 from polycbf.verify import (AuditReport, InfeasibleGridError, grid_points,
                             gradient_audit, hull_containment_audit,
-                            hull_containment_sample, qp_bruteforce,
+                            qp_bruteforce,
                             qp_closed_form_audit, run_suite, scenario_bounds,
                             smoothing_sandwich_audit,
                             under_approximation_audit)
@@ -81,11 +81,8 @@ class TestQpBruteforce:
 
 class TestHullContainment:
     def test_point_agent_gap_zero(self):
-        s = builtin("l-shape")
-        gap = hull_containment_sample(s.environment, s.agent, (0.5, -1.0),
-                                      0.0, n_samples=50,
-                                      rng=np.random.default_rng(1))
-        assert gap == pytest.approx(0.0, abs=1e-15)
+        report = hull_containment_audit(builtin("l-shape"))
+        assert report.worst == pytest.approx(0.0, abs=1e-15)
 
     def test_one_hot_weights_nonnegative(self):
         # a vertex itself: margin(vertex) >= agent margin by definition
@@ -131,11 +128,6 @@ class TestHullContainment:
                                         n_weights=12, seed=seed)
         assert report.worst == oracles.hull_audit_loop(
             builtin(name), n_states=60, n_weights=12, seed=seed)
-
-    def test_requires_samples(self):
-        s = builtin("crossroad")
-        with pytest.raises(ValueError):
-            hull_containment_sample(s.environment, s.agent, (0.0, 0.0), 0.0, 0)
 
 
 @pytest.mark.parametrize("audit", [gradient_audit, hull_containment_audit])
