@@ -6,7 +6,9 @@ counterpart with analytic gradient and time partial.  Both come from one
 kernel, `_evaluate`, which is stabilized so that exponents of magnitude up
 to ~1e4 cannot overflow.  It takes one centre or a batch, at one time or at
 one time per centre, and a row's bits depend on neither the batch nor the
-BLAS thread count.
+BLAS thread count.  In a moving world its centre-independent terms at t are
+the agent shape's fixed coefficients times the environment's time basis
+b(t), one matrix-vector product per new time.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AgentShape, PolytopeEnvironment
+from .geometry import AgentShape, PolytopeEnvironment, _unstack
 
 __all__ = [
     "CbfParams",
@@ -71,6 +73,36 @@ def provable_buffer(env: PolytopeEnvironment) -> float:
     return float(np.log(env.num_regions))
 
 
+def _row_terms(env: PolytopeEnvironment, shape: AgentShape, frame):
+    """Per region row (face i of region j): normals, levels, the vertex dots
+    n_i . dp_k, and the rates of normals and levels, from a frame of env.
+
+    The map is linear, and any leading axes of the frame carry through, so
+    it takes a frame at t as well as the frame's coefficients over the time
+    basis.  Without frame rates the two rate terms are None.
+    """
+    normals, levels, normal_rates, level_rates = frame
+    rows = env._rows
+    normals, levels = normals.take(rows, axis=-2), levels.take(rows, axis=-1)
+    vertex_dots = normals @ shape.offsets.T
+    if normal_rates is None:
+        return normals, levels, vertex_dots, None, None
+    return (normals, levels, vertex_dots, normal_rates.take(rows, axis=-2),
+            level_rates.take(rows, axis=-1))
+
+
+def _shape_law(env: PolytopeEnvironment, shape: AgentShape):
+    """The row terms of a moving world as coefficients (X, B) of its time
+    basis, with each term's trailing shape: `_row_terms` applied to the
+    frame's own coefficients."""
+    law = env._law.T                                         # (B, X_f)
+    terms = _row_terms(env, shape, _unstack(law, env._frame_shapes))
+    stacked = np.concatenate([term.reshape(len(law), -1) for term in terms],
+                             axis=1)
+    return (np.ascontiguousarray(stacked.T),
+            tuple(term.shape[1:] for term in terms))
+
+
 def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
                 kappa: float | None):
     """The centre-independent half of `_evaluate`, memoised on env.
@@ -86,7 +118,14 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     replaced by a single assignment, so concurrent callers each see a
     whole entry.  An ndarray t in a moving world gives one set of terms
     per time, with t.shape prepended to every shape below; it neither
-    reads nor replaces the memo.
+    reads the memo's terms nor replaces the entry.
+
+    In a moving world each per-row normal, level and vertex dot, and the
+    rates of normals and levels, is a fixed combination of the time basis
+    b(t) (see `PolytopeEnvironment._motion_law`), so a new t costs one
+    `matvec` of the shape's coefficients with b(t) and the support
+    log-sum-exp.  The coefficients ride in the memo entry and are rebuilt
+    only when the shape changes.
 
     Returns
     -------
@@ -102,21 +141,20 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     memo = static or not isinstance(t, np.ndarray)
     entry = env._memo
     if (memo and entry is not None and entry[0] is shape
-            and entry[1] == kappa and (static or entry[2] == t)):
-        return entry[3]
+            and entry[2] == kappa and (static or entry[3] == t)):
+        return entry[4]
     if shape.dimension != env.dimension:
         raise ValueError(
             f"agent dimension {shape.dimension} != environment dimension "
             f"{env.dimension}")
-    # Every term is taken per region row (face i of region j) at once, so
-    # the per-face frame is dropped before the vertex arrays are built.
-    rows, offsets = env._rows, shape.offsets
-    normals, levels, normal_rates, level_rates = env.frame(t)
-    normals, levels = normals.take(rows, axis=-2), levels.take(rows, axis=-1)
-    if normal_rates is not None:
-        normal_rates = normal_rates.take(rows, axis=-2)
-        level_rates = level_rates.take(rows, axis=-1)
-    vertex_dots = normals @ offsets.T                        # (..., R, N_v)
+    law = None
+    if static:
+        row_terms = _row_terms(env, shape, env.frame(t))
+    else:
+        law = entry[1] if entry is not None and entry[0] is shape \
+            else _shape_law(env, shape)
+        row_terms = _unstack(np.matvec(law[0], env._time_basis(t)), law[1])
+    normals, levels, vertex_dots, normal_rates, level_rates = row_terms
     hard = np.minimum.reduce(vertex_dots, axis=-1)
     soft_offsets = rate_offsets = None
     if kappa is not None:
@@ -129,12 +167,16 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
         vertex_sums = np.add.reduce(vertex_exp, axis=-1)     # >= 1 each
         soft_offsets = hard - np.log(vertex_sums) / kappa - levels
         if normal_rates is not None:
-            support_rates = np.einsum("...ik,...ik->...i", vertex_exp,
-                                      normal_rates @ offsets.T) / vertex_sums
-            rate_offsets = support_rates - level_rates
-    terms = (normals, hard - levels, soft_offsets, normal_rates, rate_offsets)
+            # The support's rate is ndot_i . (softmin-weighted mean dp_k).
+            support_rates = np.vecdot(normal_rates, vertex_exp @ shape.offsets)
+            rate_offsets = support_rates / vertex_sums - level_rates
+    # C-contiguous copies for a batch of times, which frees the product.
+    if normal_rates is not None:
+        normal_rates = np.ascontiguousarray(normal_rates)
+    terms = (np.ascontiguousarray(normals), hard - levels, soft_offsets,
+             normal_rates, rate_offsets)
     if memo:
-        env._memo = (shape, kappa, t, terms)
+        env._memo = (shape, law, kappa, t, terms)
     return terms
 
 

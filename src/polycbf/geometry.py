@@ -10,6 +10,8 @@ call, so a thread sees either the old entry or the new one.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -45,6 +47,18 @@ def _skew3(v: np.ndarray) -> np.ndarray:
             [-v[1], v[0], 0.0],
         ]
     )
+
+
+def _unstack(stacked: np.ndarray, shapes) -> list[np.ndarray]:
+    """Split the last axis of `stacked` into consecutive blocks, one per
+    trailing shape in `shapes`; the leading axes carry through."""
+    lead, start, blocks = stacked.shape[:-1], 0, []
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        block = stacked[..., start:stop]
+        blocks.append(block.reshape(lead + shape) if len(shape) > 1 else block)
+        start = stop
+    return blocks
 
 
 _EYE2 = np.eye(2)
@@ -107,6 +121,14 @@ class RigidMotion:
         else:
             self.linear_velocity = _as_point(linear_velocity, self.dimension,
                                              "linear_velocity")
+
+    def _expansion(self) -> np.ndarray:
+        """(P, Q, S), shape (3, p, p), with R(t) = P + cos(a) Q + sin(a) S
+        at a = rate * t: 0, I, J in 2D and I + K^2, -K^2, K in 3D."""
+        if self._axis is None:
+            return np.stack((np.zeros((2, 2)), _EYE2, _QUARTER_TURN))
+        k, k2 = self._axis
+        return np.stack((np.eye(3) + k2, -k2, k))
 
     def _angle(self, t):
         """Rotation angle at t, shaped (..., 1, 1) to scale matrices."""
@@ -185,18 +207,6 @@ class HalfSpace:
         n = self.normal / np.linalg.norm(self.normal)
         return HalfSpace(n, self.anchor, self.motion)
 
-    def normal_at(self, t: float) -> np.ndarray:
-        if self.motion is None:
-            return self.normal
-        return self.motion.rotation(t) @ self.normal
-
-    def anchor_at(self, t: float) -> np.ndarray:
-        if self.motion is None:
-            return self.anchor
-        m = self.motion
-        return m.center + m.rotation(t) @ (self.anchor - m.center) \
-            + m.linear_velocity * t
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HalfSpace):
             return NotImplemented
@@ -252,14 +262,17 @@ class PolytopeEnvironment:
 
     The region topology is fixed at construction; only the half-space
     normals/anchors move (through their rigid motions), so the composition
-    itself does not depend on time.
+    itself does not depend on time.  The motions are built into fixed
+    coefficients of one time basis b(t) at construction, and `frame(t)`
+    evaluates them with one matrix-vector product.
 
     The barrier kernel keeps the centre-independent terms of its last call
     at one time (frame, agent supports and face levels per region row) in
     `_memo`, one tuple keyed by (agent shape identity, kappa, t) and
     replaced by a single assignment; t is ignored when the environment is
-    static.  A call with one time per centre in a moving world leaves it
-    as it is.
+    static.  In a moving world the entry also holds the agent shape's
+    coefficients over b(t).  A call with one time per centre in a moving
+    world leaves the entry as it is.
     """
 
     def __init__(self, half_spaces, regions):
@@ -299,19 +312,76 @@ class PolytopeEnvironment:
         self._normals0 = np.array([hs.normal for hs in self.half_spaces])
         anchors0 = np.array([hs.anchor for hs in self.half_spaces])
         self._levels0 = np.einsum("ij,ij->i", self._normals0, anchors0)
-        # Half-spaces sharing a motion object are transformed as one block.
-        # A rotation preserves n0 . (w0 - c), the level relative to the
-        # pivot c, so only the pivot's own displacement moves the level.
-        groups: dict[int, list[int]] = {}
-        for i, hs in enumerate(self.half_spaces):
-            if hs.motion is not None:
-                groups.setdefault(id(hs.motion), []).append(i)
-        self._motion_groups = []
-        for idx in map(np.array, groups.values()):
-            motion = self.half_spaces[idx[0]].motion
-            pivot_levels = self._levels0[idx] - self._normals0[idx] @ motion.center
-            self._motion_groups.append((motion, idx, pivot_levels))
+        self._frequencies, self._law = self._motion_law()
+        self._frame_shapes = ((n_w, self.dimension), (n_w,),
+                              (n_w, self.dimension), (n_w,))
         self._memo = None
+
+    def _motion_law(self):
+        """The frame as fixed coefficients of the time basis b(t).
+
+        A motion with constant rates turns its faces by R(t) = P + cos(a) Q
+        + sin(a) S at a = rate * t.  So n_i(t) = R(t) n_i(0) is a combination
+        of the terms (1, cos a, sin a) of its motion.  A rotation keeps the
+        level relative to the pivot c, so c_i(t) = n_i(t) . (c + t v) +
+        c_i(0) - n_i(0) . c adds those terms times t.  Their rates follow
+        from d(cos a)/dt = -rate sin a and d(sin a)/dt = rate cos a.  With
+        the motions' terms side by side, b(t) = (1, t) (x) (1, cos a_g,
+        sin a_g) over the motions g, and every frame quantity at t is one
+        row of the returned (X, B) matrix times b(t).  A static face is the
+        motion P = I, Q = S = 0 about the origin.
+
+        Returns
+        -------
+        (frequencies, law)
+            0 and the rates of the G motions in order of first use, (1 + G,),
+            and the coefficients of the frame quantities stacked as `frame`
+            returns them; both None in a static world.
+        """
+        motions = list({id(hs.motion): hs.motion for hs in self.half_spaces
+                        if hs.motion is not None}.values())
+        if not motions:
+            return None, None
+        group = {id(m): g for g, m in enumerate(motions)}
+        n_w, p, n_g = len(self.half_spaces), self.dimension, len(motions)
+        # Per face: P, Q, S, the rate, the pivot c and the drift v.
+        pieces = np.zeros((n_w, 3, p, p))
+        pieces[:, 0] = np.eye(p)
+        rates = np.zeros(n_w)
+        pivots, drifts = np.zeros((n_w, 1, p)), np.zeros((n_w, 1, p))
+        # select[i, j, k] = 1 where term j of (1, cos a, sin a) of face i's
+        # motion sits in (1, cos a_1, ..., cos a_G, sin a_1, ..., sin a_G).
+        select = np.zeros((n_w, 3, 1 + 2 * n_g))
+        select[:, 0, 0] = 1.0
+        for i, hs in enumerate(self.half_spaces):
+            if (m := hs.motion) is not None:
+                g = group[id(m)]
+                pieces[i] = m._expansion()
+                rates[i], pivots[i, 0], drifts[i, 0] = \
+                    m._rate, m.center, m.linear_velocity
+                select[i, 1, 1 + g] = select[i, 2, 1 + n_g + g] = 1.0
+        normals = np.matvec(pieces, self._normals0[:, None, :])  # (N_w, 3, p)
+        normal_rates = rates[:, None, None] * np.stack(
+            (np.zeros((n_w, p)), normals[:, 2], -normals[:, 1]), axis=1)
+        levels = np.vecdot(normals, pivots)
+        levels[:, 0] += self._levels0 - np.vecdot(self._normals0, pivots[:, 0])
+        level_rates = np.vecdot(normal_rates, pivots) \
+            + np.vecdot(normals, drifts)
+
+        def spread(terms, t_terms):
+            """(N_w, 3, ...) over each face's (1, cos a, sin a), and the
+            part that t multiplies, to (B, N_w * ...) over b(t)."""
+            return np.concatenate([
+                np.einsum("ijk,ij...->ki...", select, part)
+                for part in (terms, t_terms)]).reshape(2 * select.shape[2], -1)
+
+        law = np.concatenate([
+            spread(normals, np.zeros(normals.shape)),
+            spread(levels, np.vecdot(normals, drifts)),
+            spread(normal_rates, np.zeros(normals.shape)),
+            spread(level_rates, np.vecdot(normal_rates, drifts))], axis=1)
+        return (np.array([0.0] + [m._rate for m in motions]),
+                np.ascontiguousarray(law.T))
 
     @property
     def num_half_spaces(self) -> int:
@@ -323,16 +393,33 @@ class PolytopeEnvironment:
 
     @property
     def is_static(self) -> bool:
-        return not self._motion_groups
+        return self._law is None
+
+    def _time_basis(self, t):
+        """The time basis b(t) = (1, t) (x) (1, cos a_g, sin a_g) with a_g =
+        rate_g * t over the motions g, of shape t.shape + (B,), or None in a
+        static world.
+
+        This is the one place where time enters: `frame` and the barrier
+        kernel both evaluate their moving terms as fixed coefficients times
+        b(t) (see `_motion_law`)."""
+        if self._law is None:
+            return None
+        t = np.asarray(t, dtype=float)
+        # The leading frequency 0 gives the constant cos(0) = 1 exactly.
+        angles = np.multiply.outer(t, self._frequencies)
+        trig = np.concatenate((np.cos(angles), np.sin(angles[..., 1:])),
+                              axis=-1)
+        return np.concatenate((trig, t[..., None] * trig), axis=-1)
 
     def frame(self, t):
         """Normals, face levels c_i = n_i . w_i, and their time rates at t.
 
         Half-space i reads n_i . p - c_i, so the levels carry everything
-        the anchors contribute.  t is one time or an array of times; the
-        products are stacked `matmul`/`matvec` calls with the same shapes
-        per time, so the frame at t[i] equals the frame at the scalar t[i]
-        bit for bit.
+        the anchors contribute.  In a moving world the frame is one
+        `matvec` of fixed coefficients with the time basis b(t); t is one
+        time or an array of times, and the frame at t[i] equals the frame
+        at the scalar t[i] bit for bit.
 
         Returns
         -------
@@ -341,25 +428,11 @@ class PolytopeEnvironment:
             prepended for an array t; the two rate arrays are None for a
             fully static environment, whose frame does not depend on t.
         """
-        if self.is_static:
+        basis = self._time_basis(t)
+        if basis is None:
             return self._normals0, self._levels0, None, None
-        t = np.asarray(t, dtype=float)
-        normals = np.empty(t.shape + self._normals0.shape)
-        normals[...] = self._normals0
-        levels = np.empty(t.shape + self._levels0.shape)
-        levels[...] = self._levels0
-        normal_rates = np.zeros(normals.shape)
-        level_rates = np.zeros(levels.shape)
-        for motion, idx, pivot_levels in self._motion_groups:
-            moved = self._normals0[idx] @ motion.rotation(t).mT
-            moved_rates = self._normals0[idx] @ motion.rotation_rate(t).mT
-            pivot = motion.center + t[..., None] * motion.linear_velocity
-            normals[..., idx, :] = moved
-            normal_rates[..., idx, :] = moved_rates
-            levels[..., idx] = pivot_levels + np.matvec(moved, pivot)
-            level_rates[..., idx] = (np.matvec(moved_rates, pivot)
-                                     + np.matvec(moved, motion.linear_velocity))
-        return normals, levels, normal_rates, level_rates
+        return tuple(_unstack(np.matvec(self._law, basis),
+                              self._frame_shapes))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PolytopeEnvironment):

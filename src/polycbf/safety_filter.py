@@ -34,6 +34,19 @@ class DegenerateGradientError(RuntimeError):
     small for the geometry or the state is deep outside the safe set."""
 
 
+def _squared_norms(grad):
+    """np.vecdot(grad, grad) without an overflow warning: a row whose square
+    sum leaves the float range gets inf, which `safe_velocity` rescales.
+    Entries below 1e150 cannot overflow, and one row is checked in Python,
+    which costs less than switching numpy's error state."""
+    top = (max(map(abs, grad.tolist())) if grad.ndim == 1
+           else np.max(np.abs(grad)))
+    if top < 1e150:  # False for NaN, which takes the guarded path
+        return np.vecdot(grad, grad)
+    with np.errstate(over="ignore"):
+        return np.vecdot(grad, grad)
+
+
 def _count(mask) -> int:
     """Number of set entries of a boolean scalar or array.  np.count_nonzero
     of an ndarray costs a fraction of np.any or .any() on a numpy bool."""
@@ -95,6 +108,20 @@ class FilterResult:
     constraint_active: bool | np.ndarray
 
 
+def _raise_unusable(usable, a, grad_sq, batch: bool):
+    """Raise DegenerateGradientError for the first row that is not usable."""
+    row = int(np.argmin(np.ravel(usable)))
+    in_row = f" in row {row}" if batch else ""
+    a, norm = np.ravel(a)[row], np.sqrt(np.ravel(grad_sq)[row])
+    if a > -np.inf and norm < np.inf:
+        raise DegenerateGradientError(
+            f"constraint violated{in_row} (residual {a:.3e}) with "
+            f"near-zero barrier gradient (norm {norm:.3e})")
+    raise DegenerateGradientError(
+        f"non-finite constraint{in_row}: residual {a:.3e}, barrier "
+        f"gradient norm {norm:.3e}")
+
+
 def safe_velocity(evaluation: BarrierEvaluation, u_desired,
                   params: CbfParams) -> FilterResult:
     """Minimally modify a desired velocity to satisfy the barrier constraint.
@@ -113,7 +140,8 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     DegenerateGradientError
         If a < 0 while ||grad(h)|| <= 1e-10 on some row, or if an active
         row's a or grad(h) is not finite; there is deliberately no silent
-        fallback for either case.
+        fallback for either case.  A finite gradient whose squared norm
+        overflows is projected from its rescaled row instead.
     """
     grad = np.asarray(evaluation.gradient, dtype=float)
     u_desired = np.asarray(u_desired, dtype=float)
@@ -123,7 +151,7 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     n_active = _count(active)
     if not n_active:
         return FilterResult(u_desired, u_desired, evaluation.value, active)
-    grad_sq = np.vecdot(grad, grad)
+    grad_sq = _squared_norms(grad)
     if n_active < active.size:
         # Rows that already meet the constraint take the step
         # (0 / 1) * 0 = +0.0, which leaves their input bit for bit.
@@ -135,15 +163,16 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     usable = ((a > -np.inf) & (grad_sq > _DEGENERATE_NORM ** 2)
               & (grad_sq < np.inf))
     if _count(usable) < usable.size:
-        row = int(np.argmin(np.ravel(usable)))
-        in_row = f" in row {row}" if grad.ndim > 1 else ""
-        a, norm = np.ravel(a)[row], np.sqrt(np.ravel(grad_sq)[row])
-        if a > -np.inf and norm < np.inf:
-            raise DegenerateGradientError(
-                f"constraint violated{in_row} (residual {a:.3e}) with "
-                f"near-zero barrier gradient (norm {norm:.3e})")
-        raise DegenerateGradientError(
-            f"non-finite constraint{in_row}: residual {a:.3e}, barrier "
-            f"gradient norm {norm:.3e}")
+        # A finite gradient whose square overflows: dividing its row and
+        # the residual by the largest entry leaves the step unchanged.
+        huge = ((grad_sq == np.inf) & (a > -np.inf)
+                & np.isfinite(grad).all(axis=-1))
+        if _count(huge):
+            scale = np.where(huge, np.max(np.abs(grad), axis=-1), 1.0)
+            grad, a = (grad.T / scale).T, a / scale
+            grad_sq = np.where(huge, np.vecdot(grad, grad), grad_sq)
+            usable = usable | huge
+        if _count(usable) < usable.size:
+            _raise_unusable(usable, a, grad_sq, grad.ndim > 1)
     u_safe = u_desired - (grad.T * (a / grad_sq)).T
     return FilterResult(u_safe, u_desired, evaluation.value, active)

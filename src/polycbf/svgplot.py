@@ -106,9 +106,11 @@ def _clip_line_to_box(point, direction, low, high):
 
 def _draw_environment(panel: _Panel, scenario, t: float, axes, low, high,
                       stroke: str):
-    for hs in scenario.environment.half_spaces:
-        n = hs.normal_at(t)[axes]
-        w = hs.anchor_at(t)[axes]
+    normals, levels, _, _ = scenario.environment.frame(t)
+    for normal, level in zip(normals, levels):
+        # The point of face n . x = level nearest the origin.
+        n = normal[axes]
+        w = (level / (normal @ normal) * normal)[axes]
         if np.linalg.norm(n) < 1e-12:
             continue  # face is edge-on in this projection
         direction = np.array([-n[1], n[0]])

@@ -31,6 +31,41 @@ def halfspace_value(hs, p, t):
     return float(np.dot(n, p - w))
 
 
+def halfspace_frame(hs, t):
+    """Normal, level n . w, and their time rates at t, from the motion's
+    rotation matrices R(t) and dR/dt."""
+    if hs.motion is None:
+        return hs.normal, float(hs.normal @ hs.anchor), 0.0 * hs.normal, 0.0
+    m = hs.motion
+    rot, rot_rate = m.rotation(t), m.rotation_rate(t)
+    arm = hs.anchor - m.center
+    n, n_rate = rot @ hs.normal, rot_rate @ hs.normal
+    w = m.center + rot @ arm + m.linear_velocity * t
+    w_rate = rot_rate @ arm + m.linear_velocity
+    return n, float(n @ w), n_rate, float(n_rate @ w + n @ w_rate)
+
+
+def reference_face_terms(env, shape, t, kappa):
+    """`barrier._face_terms` at one time by plain loops over region rows and
+    agent vertices: normals, hard and soft offsets, normal rates and rate
+    offsets, with the soft terms None without kappa."""
+    terms = [[] for _ in range(5)]
+    for region in env.regions:
+        for i in region.indices:
+            n, c, n_rate, c_rate = halfspace_frame(env.half_spaces[i], t)
+            dots = [float(n @ dp) for dp in shape.offsets]
+            terms[0].append(n)
+            terms[1].append(min(dots) - c)
+            terms[3].append(n_rate)
+            if kappa is not None:
+                exps = [math.exp(-kappa * d) for d in dots]
+                terms[2].append(-math.log(sum(exps)) / kappa - c)
+                terms[4].append(sum(e * float(n_rate @ dp) for e, dp in
+                                    zip(exps, shape.offsets)) / sum(exps)
+                                - c_rate)
+    return tuple(np.array(term) if term else None for term in terms)
+
+
 def naive_margin(env, shape, center, t=0.0):
     """Exact max over regions of min over (face, vertex) pairs, by brute
     enumeration."""

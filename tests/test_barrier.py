@@ -386,9 +386,64 @@ def random_moving_env(rng, dim):
     return PolytopeEnvironment(walls, [[0, 3, 5], [1, 4], [2, 6]])
 
 
+def single_motion_env(rng, motion):
+    """Four random faces in two regions, three riding `motion` and one
+    static."""
+    dim = motion.dimension
+    walls = [HalfSpace(rng.normal(size=dim), rng.uniform(-1.5, 1.5, dim), m)
+             for m in (motion, motion, motion, None)]
+    return PolytopeEnvironment(walls, [[0, 3], [1, 2]])
+
+
+def law_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "zero-rate-3d":
+        return single_motion_env(rng, RigidMotion(
+            rng.uniform(-2.0, 2.0, 3), axis_rate=(0.0, 0.0, 0.0),
+            linear_velocity=rng.uniform(-0.5, 0.5, 3)))
+    if name == "translation-only":
+        return single_motion_env(rng, RigidMotion(
+            rng.uniform(-2.0, 2.0, 2), omega=0.0,
+            linear_velocity=rng.uniform(-0.5, 0.5, 2)))
+    return random_moving_env(rng, int(name[0]))
+
+
 class TestMovingWorlds:
     """Frames with a drifting, off-origin pivot and 3D axis rates, which the
     builtins (one door turning about the origin) do not reach."""
+
+    @pytest.mark.parametrize("name", ["2d", "3d", "zero-rate-3d",
+                                      "translation-only"])
+    def test_coefficient_law_matches_rotations(self, name):
+        # The frame and the kernel's face terms come from fixed coefficients
+        # of a time basis; the reference turns each face by its motion's
+        # rotation matrices.  Checked at one time and at a batch of times.
+        env = law_case(name)
+        rng = np.random.default_rng(3)
+        shape = AgentShape(rng.uniform(-0.3, 0.3, size=(5, env.dimension)))
+        times = np.array([0.0, 0.37, 19.9, 200.0])
+        batch_frame = env.frame(times)
+
+        def assert_close(got, want):
+            assert (got is None) == (want is None)
+            if want is not None:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+        for i, t in enumerate(times):
+            want = [np.array(q) for q in zip(*(
+                oracles.halfspace_frame(hs, t) for hs in env.half_spaces))]
+            for got in (env.frame(t), [q[i] for q in batch_frame]):
+                for g, w in zip(got, want, strict=True):
+                    assert_close(g, w)
+        for kappa in (None, 4.0):
+            batch = polycbf.barrier._face_terms(env, shape, times, kappa)
+            for i, t in enumerate(times):
+                want = oracles.reference_face_terms(env, shape, t, kappa)
+                one = polycbf.barrier._face_terms(env, shape, float(t), kappa)
+                for got in (one, [None if q is None else q[i]
+                                  for q in batch]):
+                    for g, w in zip(got, want, strict=True):
+                        assert_close(g, w)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_kernel_matches_naive_loops(self, dim):

@@ -116,6 +116,16 @@ class TestSafeVelocity:
                           CbfParams(kappa=5.0, alpha_gain=2.0))
         assert str(info.value).startswith("non-finite constraint: residual ")
 
+    def test_huge_finite_gradient_projects(self):
+        # The squared norm 1e400 overflows, but the gradient is finite: the
+        # projection still lands on the constraint, without a warning.
+        ev = make_eval((1e200, 0.0), h=1.0)
+        params = CbfParams(kappa=5.0, alpha_gain=2.0)
+        res = safe_velocity(ev, (-1.0, 0.0), params)
+        assert res.constraint_active
+        assert np.array_equal(res.u_safe, [0.0, 0.0])
+        assert residual(ev, res.u_safe, params) >= 0.0
+
     def test_no_post_saturation(self):
         # the corrected input may exceed any desired-controller bound
         ev = make_eval((1.0, 0.0), h=-10.0)
@@ -248,6 +258,25 @@ class TestBatchedLaw:
         assert str(info.value) == (
             "constraint violated (residual -2.000e+00) with near-zero "
             "barrier gradient (norm 0.000e+00)")
+
+    def test_huge_gradient_row_leaves_other_rows(self):
+        # Row 1's squared gradient norm overflows; rows 0 and 2 keep the
+        # bits of their one-row calls.
+        grads = np.array([[0.6, -0.8], [3e180, -4e180], [1.0, 2.0]])
+        values = np.array([0.1, 0.5, -0.2])
+        u_des = np.array([[-1.0, 0.5], [-1.0, 1.0], [0.3, -0.9]])
+        params = CbfParams(kappa=5.0, alpha_gain=2.0)
+        res = safe_velocity(BarrierEvaluation(values, grads, 0.0, values),
+                            u_des, params)
+        assert np.all(res.constraint_active)
+        for i in (0, 2):
+            one = safe_velocity(make_eval(grads[i], values[i]), u_des[i],
+                                params)
+            assert np.array_equal(res.u_safe[i], one.u_safe)
+        huge = make_eval(grads[1], values[1])
+        assert residual(huge, res.u_safe[1], params) >= -1e-12 * 5e180
+        assert np.allclose(res.u_safe[1], u_des[1] - (-7.0 / 25.0)
+                           * np.array([0.6, -0.8]) * 5.0, atol=1e-15)
 
     def test_non_finite_active_row_named(self):
         # Row 1 has a NaN value, so it is active; row 2 has an infinite

@@ -167,7 +167,7 @@ class TestRigidMotion:
         motion = RigidMotion((0.3, -0.2), omega=0.8)
         hs = HalfSpace((2.0, -1.0), (0.0, 0.0), motion)
         for t in (0.0, 0.5, 3.7, 100.0):
-            assert np.linalg.norm(hs.normal_at(t)) == pytest.approx(
+            assert np.linalg.norm(frame(hs, t)[0][0]) == pytest.approx(
                 np.linalg.norm(hs.normal), abs=1e-12)
 
     def test_requires_matching_spin_kind(self):
