@@ -26,6 +26,7 @@ __all__ = [
     "margin_field",
     "smooth_barrier",
     "barrier_field",
+    "gradient_bounds",
     "provable_buffer",
 ]
 
@@ -71,6 +72,35 @@ def provable_buffer(env: PolytopeEnvironment) -> float:
     """Buffer log(N_p) that makes the smooth barrier a guaranteed
     under-approximation of the nonsmooth margin."""
     return float(np.log(env.num_regions))
+
+
+def gradient_bounds(env: PolytopeEnvironment,
+                    kappa: float) -> tuple[float, float]:
+    """Bounds (nu, L) on the smooth barrier's gradient in a static world:
+    ||grad h|| <= nu = max_i ||n_i|| everywhere, and grad h is
+    L = kappa * nu^2 Lipschitz, for every agent shape and buffer.
+
+    Proof.  Fold each face's agent support and level into a constant o_i,
+    so that h = S_j g_j - b/kappa with the soft max S over regions and
+    g_j = -(1/kappa) ln sum_{i in I_j} exp(-kappa (n_i . p + o_i)).  Then
+    grad g_j = sum_i w_ij n_i and grad h = sum_j v_j grad g_j with convex
+    softmin weights w and softmax weights v, so ||grad h|| <= nu, and
+
+        Hess g_j = -kappa sum_i w_ij (n_i - grad g_j)(n_i - grad g_j)^T,
+        Hess h   = sum_j v_j Hess g_j
+                   + kappa sum_j v_j (grad g_j - grad h)(grad g_j - grad h)^T.
+
+    Hess h = P - N with N = -sum_j v_j Hess g_j and the last term P both
+    positive semidefinite.  A convex combination's spread is at most its
+    second moment, so ||N|| <= kappa sum_j v_j sum_i w_ij ||n_i||^2 <=
+    kappa nu^2 and ||P|| <= kappa sum_j v_j ||grad g_j||^2 <= kappa nu^2.
+    For a unit u, u^T Hess h u lies in [-||N||, ||P||], so ||Hess h|| <= L.
+    Hence |h(q) - h(p) - grad h(p) . (q - p)| <= (L/2) ||q - p||^2 and
+    ||grad h(q) - grad h(p)|| <= L ||q - p||.  In a moving world both bounds
+    hold at each fixed t, since rotations keep ||n_i||, but they say nothing
+    about how h and grad h change with t.
+    """
+    return float(np.sqrt(env._max_normal_sq)), kappa * env._max_normal_sq
 
 
 def _row_terms(env: PolytopeEnvironment, shape: AgentShape, frame):

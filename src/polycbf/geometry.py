@@ -312,6 +312,9 @@ class PolytopeEnvironment:
         self._normals0 = np.array([hs.normal for hs in self.half_spaces])
         anchors0 = np.array([hs.anchor for hs in self.half_spaces])
         self._levels0 = np.einsum("ij,ij->i", self._normals0, anchors0)
+        # max_i ||n_i||^2; rotations preserve norms, so it holds at every t.
+        self._max_normal_sq = float(np.max(np.vecdot(self._normals0,
+                                                     self._normals0)))
         self._frequencies, self._law = self._motion_law()
         self._frame_shapes = ((n_w, self.dimension), (n_w,),
                               (n_w, self.dimension), (n_w,))

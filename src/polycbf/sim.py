@@ -1,22 +1,27 @@
 """Fixed-step closed-loop simulation of the safety-filtered single integrator.
 
 The one integrator is classical RK4, and the control law (smooth barrier ->
-desired velocity -> safety filter) is re-evaluated at each of its four
-stages, which is the closest discrete realization of the continuous closed
-loop.  The goal is checked at each step start, before integrating, so the
-step that reaches it computes no stages.  Runs are fully deterministic:
-identical scenario and config give bit-identical results.
+desired velocity -> safety filter) is applied at each of its four stages,
+which is the closest discrete realization of the continuous closed loop.
+In a static world, a stage whose filter the barrier's curvature bound
+proves inactive takes the desired velocity without evaluating the barrier,
+which is exactly what the filter would return.  The goal is checked at each
+step start, before integrating, so the step that reaches it computes no
+stages.  Runs are fully deterministic: identical scenario and config give
+bit-identical results.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import mul
 
 import numpy as np
 
-from .barrier import smooth_barrier
+from .barrier import BarrierEvaluation, gradient_bounds, smooth_barrier
 from .geometry import _as_point
 from .safety_filter import DegenerateGradientError, FilterResult, safe_velocity
 
@@ -86,15 +91,19 @@ class SimResult:
     """Logged trajectory.  All sequences share one length; rows are sampled
     every record_stride steps plus the final state.  An "error" run keeps
     the rows recorded before the failing step, possibly none; the arrays
-    keep their row shape, e.g. positions (0, p), when empty."""
+    keep their row shape, e.g. positions (0, p), when empty.  psi_values
+    holds the exact nonsmooth margin at each row's state and time, which
+    the barrier evaluation of the row's control law returns alongside h."""
 
     times: np.ndarray
     positions: np.ndarray
     h_values: np.ndarray
+    psi_values: np.ndarray
     u_desired: np.ndarray
     u_safe: np.ndarray
     constraint_active: np.ndarray
     min_h: float
+    min_psi: float
     reached_goal_at: float | None
     termination: Termination
     error: str | None = None
@@ -126,28 +135,93 @@ class SimResult:
                                 + [int(self.constraint_active[i])])
 
 
-def _control(scenario, x: np.ndarray, t: float) -> FilterResult:
+def _control(scenario, x: np.ndarray, t: float,
+             u_des: np.ndarray) -> tuple[BarrierEvaluation, FilterResult]:
     evaluation = smooth_barrier(scenario.environment, scenario.agent, x, t,
                                 scenario.cbf)
-    u_des = scenario.controller.velocity(x)
-    return safe_velocity(evaluation, u_des, scenario.cbf)
+    return evaluation, safe_velocity(evaluation, u_des, scenario.cbf)
 
 
-def step(state, t: float, scenario,
-         dt: float) -> tuple[np.ndarray, FilterResult]:
-    """Advance one RK4 step of dx/dt = k(x, t), evaluating the filtered
-    controller k at all four stages.
+def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, scenario):
+    """A test that the filter is inactive at a later stage of a step from x
+    in a static world, from the barrier evaluation at x alone.
 
-    Returns the new state and the filter result at the step start.  A
-    degenerate gradient at any stage raises DegenerateGradientError.
+    The test takes a stage point p and its desired input k, and returns
+    True only when the filter at (p, k) would return k unchanged.  With
+    h0 = h(x), g0 = grad h(x), delta = p - x and the bounds (nu, L) of
+    `gradient_bounds`, grad h(p) . k >= g0 . k - L ||delta|| ||k|| and
+    h(p) >= h0 + g0 . delta - (L/2) ||delta||^2, and dh/dt = 0, so
+
+        B = g0 . k - L ||delta|| ||k||
+            + gamma (h0 + g0 . delta - (L/2) ||delta||^2)
+
+    is a lower bound on the exact residual grad h(p) . k + gamma h(p).
+    """
+    nu, lipschitz = gradient_bounds(scenario.environment, scenario.cbf.kappa)
+    gamma = scenario.cbf.alpha_gain
+    h0, g0, x0 = evaluation.value, evaluation.gradient.tolist(), x.tolist()
+
+    def certified(point: np.ndarray, u: np.ndarray) -> bool:
+        p, k = point.tolist(), u.tolist()
+        delta = [a - b for a, b in zip(p, x0)]
+        dist, speed = math.hypot(*delta), math.hypot(*k)
+        bound = (sum(map(mul, g0, k)) - lipschitz * dist * speed
+                 + gamma * (h0 + sum(map(mul, g0, delta))
+                            - 0.5 * lipschitz * dist * dist))
+        # The filter tests the residual as computed, not the exact one.  The
+        # kernel's h carries a few ulps of its face values n_i . p + o_i,
+        # its gradient, a convex combination of normals, a few ulps of nu
+        # per entry, and the products gamma h and grad h . k a few ulps of
+        # gamma |h| and nu ||k||; B is rounded from h0 and g0 with errors
+        # of the same kinds.  While gamma |n_i . p + o_i| stays below about
+        # 1e5, all of that is far below this margin, so B above it leaves
+        # the computed residual >= 0 and the filter inactive.
+        return bound > 1e-9 * (1.0 + gamma * abs(h0) + nu * speed)
+
+    return certified
+
+
+def _stage(scenario, point: np.ndarray, t: float, certificate):
+    """The filtered input at one later RK4 stage, and the certificate for
+    the next stage: the same test while it holds, None once it fails."""
+    u_des = scenario.controller.velocity(point)
+    if certificate is not None and certificate(point, u_des):
+        return u_des, certificate
+    return _control(scenario, point, t, u_des)[1].u_safe, None
+
+
+def step(state, t: float, scenario, dt: float
+         ) -> tuple[np.ndarray, BarrierEvaluation, FilterResult]:
+    """Advance one RK4 step of dx/dt = k(x, t), the filtered controller k
+    applied at all four stages.
+
+    Stage 1 evaluates the barrier at x.  If its filter is inactive in a
+    static world, the later stages are certified in order from that one
+    evaluation (see `_idle_certificate`): a certified stage takes its
+    desired input, which the filter would return unchanged, without a
+    barrier call.  The first stage that fails the test and every stage
+    after it evaluate the full control law.  Moving worlds always take the
+    full stages.  Either way the new state is bit for bit the one that
+    four full stages give.
+
+    Returns the new state, and the barrier evaluation and filter result at
+    the step start.  A degenerate gradient at any stage raises
+    DegenerateGradientError.
     """
     x = np.asarray(state, dtype=float)
-    first = _control(scenario, x, t)
+    evaluation, first = _control(scenario, x, t,
+                                 scenario.controller.velocity(x))
+    certificate = None
+    if scenario.environment.is_static and not first.constraint_active:
+        certificate = _idle_certificate(evaluation, x, scenario)
     k1 = first.u_safe
-    k2 = _control(scenario, x + 0.5 * dt * k1, t + 0.5 * dt).u_safe
-    k3 = _control(scenario, x + 0.5 * dt * k2, t + 0.5 * dt).u_safe
-    k4 = _control(scenario, x + dt * k3, t + dt).u_safe
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), first
+    k2, certificate = _stage(scenario, x + 0.5 * dt * k1, t + 0.5 * dt,
+                             certificate)
+    k3, certificate = _stage(scenario, x + 0.5 * dt * k2, t + 0.5 * dt,
+                             certificate)
+    k4, _ = _stage(scenario, x + dt * k3, t + dt, certificate)
+    return (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), evaluation,
+            first)
 
 
 def run(scenario, config: SimConfig | None = None) -> SimResult:
@@ -175,7 +249,7 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
 
     goal = scenario.controller.goal
     n_steps = int(round(config.t_end / config.dt))
-    times, positions, results = [], [], []
+    times, positions, psis, results = [], [], [], []
     termination = Termination.HORIZON
     reached_at = None
     error_msg = None
@@ -186,9 +260,10 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
         done = at_goal or i == n_steps
         try:
             if done:
-                fr = _control(scenario, x, t)
+                ev, fr = _control(scenario, x, t,
+                                  scenario.controller.velocity(x))
             else:
-                x_next, fr = step(x, t, scenario, config.dt)
+                x_next, ev, fr = step(x, t, scenario, config.dt)
         except DegenerateGradientError as err:
             termination = Termination.ERROR
             error_msg = f"{err} at state {x.tolist()}, t={t:.6g}"
@@ -196,6 +271,7 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
         if done or i % config.record_stride == 0:
             times.append(t)
             positions.append(x)
+            psis.append(ev.nonsmooth_value)
             results.append(fr)
         if done:
             if at_goal:
@@ -205,15 +281,18 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
 
     dim = x.shape[0]
     h_arr = np.array([fr.h for fr in results])
+    psi_arr = np.array(psis)
     return SimResult(
         times=np.array(times),
         positions=np.array(positions).reshape(-1, dim),
         h_values=h_arr,
+        psi_values=psi_arr,
         u_desired=np.array([fr.u_desired for fr in results]).reshape(-1, dim),
         u_safe=np.array([fr.u_safe for fr in results]).reshape(-1, dim),
         constraint_active=np.array([fr.constraint_active for fr in results],
                                    dtype=bool),
         min_h=float(h_arr.min()) if h_arr.size else float("nan"),
+        min_psi=float(psi_arr.min()) if psi_arr.size else float("nan"),
         reached_goal_at=reached_at,
         termination=termination,
         error=error_msg,

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+import json
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 
 import polycbf.barrier
 from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
-                             margin_agent, margin_field, provable_buffer,
-                             smooth_barrier)
+                             gradient_bounds, margin_agent, margin_field,
+                             provable_buffer, smooth_barrier)
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
-from polycbf.scenarios import BUILTIN_NAMES, builtin
+from polycbf.scenarios import BUILTIN_NAMES, builtin, load
 from polycbf.verify import scenario_bounds
 
 import oracles
@@ -665,6 +666,72 @@ class TestBatchInvariance:
             assert psi[i] == margin_agent(s.environment, s.agent, c, float(t))
         with pytest.raises(ValueError, match="one time per centre"):
             barrier_field(s.environment, s.agent, centers, times[:-1], s.cbf)
+
+
+# A crossroad with normals of length 3, 0.5 and 2 and a pentagon agent: the
+# softmin across the strip of normals (0, -/+3) is where grad h turns
+# fastest, within 1 % of L = 9 kappa.
+SCALED_WORLD = {
+    "dimension": 2,
+    "halfspaces": [
+        {"normal": [0.0, -3.0], "anchor": [0.0, 1.0]},
+        {"normal": [0.0, 3.0], "anchor": [0.0, -1.0]},
+        {"normal": [-0.5, 0.0], "anchor": [1.0, 0.0]},
+        {"normal": [0.5, 0.0], "anchor": [-1.0, 0.0]},
+        {"normal": [1.2, -1.6], "anchor": [-2.0, 2.0]},
+    ],
+    "regions": [[0, 1], [2, 3, 4]],
+    "agent": {"offsets": [[0.2, 0.0], [0.06, 0.19], [-0.16, 0.12],
+                          [-0.16, -0.12], [0.06, -0.19]]},
+    "controller": {"goal": [0.0, 3.0], "gain": 1.0, "u_max": 1.0},
+    "cbf": {"kappa": 5.0, "buffer": 0.0, "alpha_gain": 2.0},
+    "sim": {"dt": 0.01, "t_end": 5.0, "x0": [-3.0, 0.0],
+            "goal_tolerance": 0.05},
+}
+
+STATIC_NAMES = [name for name in BUILTIN_NAMES
+                if builtin(name).environment.is_static]
+
+
+class TestGradientBounds:
+    """In a static world grad h is L = kappa max_i ||n_i||^2 Lipschitz, and
+    h lies above its tangent less (L/2) ||q - p||^2 (`gradient_bounds`)."""
+
+    @pytest.mark.parametrize("kappa", [0.3, 5.0, 60.0])
+    @pytest.mark.parametrize("name", STATIC_NAMES + ["scaled-json"])
+    def test_lipschitz_and_quadratic_bounds(self, name, kappa, tmp_path):
+        if name == "scaled-json":
+            path = tmp_path / "scaled.json"
+            path.write_text(json.dumps(SCALED_WORLD))
+            s = load(path)
+        else:
+            s = builtin(name)
+        env, params = s.environment, replace(s.cbf, kappa=kappa)
+        nu, lipschitz = gradient_bounds(env, kappa)
+        rng = np.random.default_rng(17)
+        n = 4000
+        p = rng.uniform(*scenario_bounds(s), size=(n, env.dimension))
+        move = rng.normal(size=p.shape)
+        move *= rng.uniform(0.0, 0.05, (n, 1)) / np.linalg.norm(
+            move, axis=1, keepdims=True)
+        q = p + move
+        h_p, g_p, _, _ = polycbf.barrier._evaluate(env, s.agent, p, 0.0,
+                                                   params, derivatives=True)
+        h_q, g_q, _, _ = polycbf.barrier._evaluate(env, s.agent, q, 0.0,
+                                                   params, derivatives=True)
+        dist = np.linalg.norm(q - p, axis=1)
+        assert np.all(np.linalg.norm(g_q - g_p, axis=1)
+                      <= lipschitz * dist * (1 + 1e-6) + 1e-12)
+        assert np.all(h_q >= h_p + np.vecdot(g_p, q - p)
+                      - lipschitz / 2 * dist ** 2 - 1e-12)
+        assert np.all(np.linalg.norm(g_p, axis=1) <= nu * (1 + 1e-12))
+
+    def test_bounds_read_the_longest_normal(self, tmp_path):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(SCALED_WORLD))
+        assert gradient_bounds(load(path).environment, 2.0) == (3.0, 18.0)
+        assert gradient_bounds(builtin("l-shape").environment, 5.0) \
+            == (1.0, 5.0)
 
 
 class TestCbfParams:

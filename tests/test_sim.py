@@ -9,12 +9,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polycbf.sim
-from polycbf.barrier import CbfParams, smooth_barrier
+from polycbf.barrier import CbfParams, margin_agent, smooth_barrier
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
 from polycbf.safety_filter import DesiredController
-from polycbf.scenarios import Scenario, builtin
+from polycbf.scenarios import BUILTIN_NAMES, Scenario, builtin
 from polycbf.sim import SimConfig, Termination, UnsafeStartError, run, step
+from polycbf.verify import scenario_bounds
 
 
 def free_space_scenario(goal, x0, width=1000.0):
@@ -66,7 +67,7 @@ def closing_walls(speed, goal_tolerance=0.05):
 class TestStep:
     def test_equilibrium_at_goal(self):
         s = free_space_scenario(goal=(0.0, 0.0), x0=(0.0, 0.0))
-        state, fr = step((0.0, 0.0), 0.0, s, dt=0.01)
+        state, _, fr = step((0.0, 0.0), 0.0, s, dt=0.01)
         assert np.array_equal(state, [0.0, 0.0])
         assert np.array_equal(fr.u_safe, [0.0, 0.0])
 
@@ -169,11 +170,11 @@ class TestRun:
         res = run(closing_walls(2.0, goal_tolerance))
         assert res.termination is Termination.ERROR
         assert res.times.shape == res.h_values.shape == (0,)
-        assert res.constraint_active.shape == (0,)
+        assert res.psi_values.shape == res.constraint_active.shape == (0,)
         assert res.constraint_active.dtype == bool
         for rows in (res.positions, res.u_desired, res.u_safe):
             assert rows.shape == (0, 2)
-        assert math.isnan(res.min_h)
+        assert math.isnan(res.min_h) and math.isnan(res.min_psi)
         assert res.error.endswith("at state [0.0, 0.0], t=0")
 
     def test_non_finite_barrier_ends_in_error(self, monkeypatch):
@@ -227,6 +228,137 @@ class TestRun:
             errors.append(np.linalg.norm(run(s, cfg).positions[-1] - ref))
         slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
         assert slope >= 1.0
+
+
+STATIC_NAMES = [name for name in BUILTIN_NAMES
+                if builtin(name).environment.is_static]
+
+
+def static_starts():
+    """(name, start) for every start of the static builtins, then two
+    seeded safe starts per static builtin."""
+    starts = [pytest.param(name, x0, id=f"{name}-{i}")
+              for name in STATIC_NAMES
+              for i, x0 in enumerate(builtin(name).all_starts())]
+    rng = np.random.default_rng(41)
+    for name in STATIC_NAMES:
+        s = builtin(name)
+        drawn = 0
+        while drawn < 2:
+            x0 = rng.uniform(*scenario_bounds(s))
+            if smooth_barrier(s.environment, s.agent, x0, 0.0,
+                              s.cbf).value > 0.0:
+                starts.append(pytest.param(name, x0,
+                                           id=f"{name}-seeded-{drawn}"))
+                drawn += 1
+    return starts
+
+
+def assert_same_result(a, b):
+    """Every SimResult field equal bit for bit."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
+            assert x.tobytes() == y.tobytes(), field.name
+        else:
+            assert repr(x) == repr(y), field.name
+
+
+def refuse_always(monkeypatch):
+    """Make every step take its four full stages."""
+    monkeypatch.setattr(polycbf.sim, "_idle_certificate",
+                        lambda *args: lambda point, u: False)
+
+
+def count_barrier_calls(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return smooth_barrier(*args)
+
+    monkeypatch.setattr(polycbf.sim, "smooth_barrier", counted)
+    return calls
+
+
+def approaching_wall(speed):
+    """A point agent 3 cm from the wall x >= 0, with gamma = 2 and a desired
+    input (-speed, 0) at the start, so the start's residual is 0.06 - speed;
+    the proportional controller slows down as the agent closes in."""
+    env = PolytopeEnvironment([HalfSpace((1.0, 0.0), (0.0, 0.0))],
+                              [ConvexRegion([0])])
+    return Scenario(
+        name="wall",
+        environment=env,
+        agent=AgentShape.point(2),
+        controller=DesiredController(goal=(0.03 - speed, 0.0)),
+        cbf=CbfParams(kappa=5.0, alpha_gain=2.0),
+        default_sim=SimConfig(x0=(0.03, 0.0), dt=0.01, t_end=1.0),
+    )
+
+
+class TestIdleCertificate:
+    """In a static world a step whose stage-1 filter is inactive certifies
+    its later stages from the curvature bound and skips their barrier
+    calls, with the same bits as four full stages."""
+
+    @pytest.mark.parametrize("name, x0", static_starts())
+    def test_run_equals_full_stages(self, name, x0, monkeypatch):
+        s = builtin(name)
+        cfg = dataclasses.replace(s.default_sim, x0=x0)
+        certified = run(s, cfg)
+        refuse_always(monkeypatch)
+        assert_same_result(certified, run(s, cfg))
+
+    def test_one_barrier_call_per_step_in_free_corner(self, monkeypatch):
+        calls = count_barrier_calls(monkeypatch)
+        res = run(builtin("convex-corner"))
+        steps = res.times.shape[0] - 1
+        # one call per step, plus the start check and the final row
+        assert len(calls) == steps + 2
+        assert not res.constraint_active.any()
+
+    def test_moving_world_takes_full_stages(self, monkeypatch):
+        calls = count_barrier_calls(monkeypatch)
+        res = run(builtin("revolving-door"))
+        steps = res.times.shape[0] - 1
+        assert len(calls) == 4 * steps + 2
+
+    def test_refuses_input_into_nearby_wall(self, monkeypatch):
+        s = approaching_wall(speed=0.0599)
+        x = s.default_sim.x0
+        calls = count_barrier_calls(monkeypatch)
+        x_next, ev, first = step(x, 0.0, s, 0.01)
+        # Stage 1 is barely inactive, stage 2 is active: the certificate
+        # must refuse there, and the step takes the full stages.
+        assert not first.constraint_active
+        assert len(calls) == 4
+        point = x + 0.5 * 0.01 * first.u_safe
+        u = s.controller.velocity(point)
+        assert not polycbf.sim._idle_certificate(ev, x, s)(point, u)
+        stage2 = polycbf.sim._control(s, point, 0.005, u)[1]
+        assert stage2.constraint_active
+        refuse_always(monkeypatch)
+        assert np.array_equal(step(x, 0.0, s, 0.01)[0], x_next)
+
+    def test_slow_approach_certified(self, monkeypatch):
+        # Slow enough that every stage's residual stays positive.
+        s = approaching_wall(speed=0.03)
+        calls = count_barrier_calls(monkeypatch)
+        step(s.default_sim.x0, 0.0, s, 0.01)
+        assert len(calls) == 1
+
+
+class TestPsi:
+    @pytest.mark.parametrize("name", ["l-shape", "revolving-door"])
+    def test_psi_is_the_exact_margin_at_each_row(self, name):
+        s = builtin(name)
+        res = run(s)
+        assert res.psi_values.shape == res.times.shape
+        for p, t, psi in zip(res.positions, res.times, res.psi_values):
+            assert psi == margin_agent(s.environment, s.agent, p, float(t))
+        assert res.min_psi == res.psi_values.min()
 
 
 class TestSimConfig:
