@@ -13,7 +13,9 @@ b(t), one matrix-vector product per new time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -27,6 +29,7 @@ __all__ = [
     "smooth_barrier",
     "barrier_field",
     "gradient_bounds",
+    "curvature_bounds",
     "provable_buffer",
 ]
 
@@ -97,10 +100,105 @@ def gradient_bounds(env: PolytopeEnvironment,
     For a unit u, u^T Hess h u lies in [-||N||, ||P||], so ||Hess h|| <= L.
     Hence |h(q) - h(p) - grad h(p) . (q - p)| <= (L/2) ||q - p||^2 and
     ||grad h(q) - grad h(p)|| <= L ||q - p||.  In a moving world both bounds
-    hold at each fixed t, since rotations keep ||n_i||, but they say nothing
-    about how h and grad h change with t.
+    hold at each fixed t, since rotations keep ||n_i||; `curvature_bounds`
+    adds how h and grad h change with t.
     """
-    return float(np.sqrt(env._max_normal_sq)), kappa * env._max_normal_sq
+    return math.sqrt(env._max_normal_sq), kappa * env._max_normal_sq
+
+
+def curvature_bounds(env: PolytopeEnvironment, shape: AgentShape,
+                     kappa: float, evaluation: BarrierEvaluation, x, t: float):
+    """Lower bounds on the smooth barrier and its rate near (x, t), from its
+    evaluation there and a curvature bound in z = (p, t) that comes from the
+    motions' constant rates.
+
+    `evaluation` is `smooth_barrier` at centre x (a sequence of floats) and
+    time t: h0, g0 and hdot0 are its value, gradient and time partial.
+    Returns lower(delta, tau, k) -> (h_low, rate_low) over float sequences
+    delta and k and a float tau >= 0 such that, at p = x + delta and
+    with hdot = dh/dt,
+
+        h(p, t + tau)                          >= h_low  = h0 + g0 . delta
+                                                  + hdot0 tau - quad / 2,
+        grad h(p, t + tau) . k + hdot(p, t + tau) >= rate_low = g0 . k
+                                                  + hdot0 - cross.
+
+    With dist = ||delta|| and speed = ||k||, in a static world quad =
+    L dist^2 and cross = L dist speed with the L of `gradient_bounds`, and
+    h_low and rate_low are its bounds bit for bit.
+
+    Proof.  h is a soft max over regions j of g_j, the soft min over the
+    pairs a = (face i of region j, agent vertex k) of psi_a = n_i(t) .
+    (p + dp_k) - c_i(t).  A face moved by a motion with pivot c, drift v
+    and angular rate w has c_i(t) = n_i(t) . (c + t v) + const, so psi_a =
+    n_i(t) . q_a + const with q_a = p + dp_k - c - t v.  Its normal turns
+    at dn/dt = w K n_i (K the quarter turn in 2D, the unit axis's cross
+    product in 3D), so ||dn/dt|| <= w nu and ||d2n/dt2|| <= w^2 nu with
+    nu = max_i ||n_i||; a static face has w = 0 and v = 0.  Hence
+
+        |d psi_a/dt|            <= T  = w nu ||q_a|| + nu ||v||,
+        ||grad_p d psi_a/dt||   <= W  = w nu,
+        |d2 psi_a/dt2|          <= C2 = w^2 nu ||q_a|| + 2 w nu ||v||,
+
+    and grad_p psi_a = n_i, so psi_a has no Hessian in p.  On the segment
+    from (x, t) to (p, t + tau), ||q_a|| <= ||x - c - t v|| + dist +
+    tau ||v|| + r with r the agent's circumradius; T, W and C2 take that
+    bound and the max over the motions.  The composition of
+    `gradient_bounds` carries over to z: with the convex weights pi_a =
+    v_j w_a of the pairs,
+
+        Hess_z h = sum_a pi_a Hess_z psi_a + kappa (Cov_v - E_v Cov_w),
+
+    the covariances taken of the pairs' gradients in z, between regions
+    (weights v) and within them (weights w).  For the directions e =
+    (delta, tau) and f = (k, 1), X_a = e . grad_z psi_a and Y_a = f .
+    grad_z psi_a obey |X_a| <= phi_e = nu dist + T tau and |Y_a| <= phi_f =
+    nu speed + T.  By Cauchy-Schwarz and the law of total variance,
+    |e^T (Cov_v - E_v Cov_w) f| <= sqrt(Var X Var Y) <= phi_e phi_f, and
+    e^T (Cov_v - E_v Cov_w) e >= -E_v Var_w X >= -phi_e^2.  The pairs' own
+    Hessians give |e^T Hess psi_a e| <= 2 W dist tau + tau^2 C2 and
+    |e^T Hess psi_a f| <= W (dist + tau speed) + tau C2.  So along the
+    segment e^T Hess_z h e >= -quad and |e^T Hess_z h f| <= cross with
+
+        quad  = kappa phi_e^2 + 2 W dist tau + tau^2 C2,
+        cross = kappa phi_e phi_f + W (dist + tau speed) + tau C2,
+
+    and Taylor's theorem with integral remainder along the segment gives
+    both bounds.  With w = v = 0, T = W = C2 = 0 and quad and cross are
+    the static L dist^2 and L dist speed.
+    """
+    nu, lipschitz = gradient_bounds(env, kappa)
+    h0, hdot0 = evaluation.value, evaluation.time_partial
+    g0 = evaluation.gradient.tolist()
+    # Per motion: w, W = w nu, nu ||v||, ||v|| and ||x - c - t v|| + r.
+    reach = []
+    for rate, pivot, drift in env._motion_rates:
+        drift_speed = math.hypot(*drift)
+        offset = math.hypot(*[a - c - t * d
+                              for a, c, d in zip(x, pivot, drift)])
+        reach.append((rate, rate * nu, nu * drift_speed, drift_speed,
+                      offset + shape.circumradius))
+
+    def lower(delta, tau: float, k) -> tuple[float, float]:
+        dist, speed = math.hypot(*delta), math.hypot(*k)
+        quad, cross = lipschitz * dist * dist, lipschitz * dist * speed
+        if reach:  # the time terms, all zero in a static world
+            rate_bound = twist = accel = 0.0
+            for rate, turn, slide, drift_speed, base in reach:
+                q = base + dist + tau * drift_speed
+                rate_bound = max(rate_bound, turn * q + slide)
+                twist = max(twist, turn)
+                accel = max(accel, rate * (turn * q + 2.0 * slide))
+            quad += (kappa * rate_bound * tau
+                     * (2.0 * nu * dist + rate_bound * tau)
+                     + 2.0 * twist * dist * tau + tau * tau * accel)
+            cross += (kappa * rate_bound
+                      * (nu * dist + tau * (nu * speed + rate_bound))
+                      + twist * (dist + tau * speed) + tau * accel)
+        return (h0 + sum(map(mul, g0, delta)) + hdot0 * tau - 0.5 * quad,
+                sum(map(mul, g0, k)) + hdot0 - cross)
+
+    return lower
 
 
 def _row_terms(env: PolytopeEnvironment, shape: AgentShape, frame):

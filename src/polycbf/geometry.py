@@ -315,12 +315,19 @@ class PolytopeEnvironment:
         # max_i ||n_i||^2; rotations preserve norms, so it holds at every t.
         self._max_normal_sq = float(np.max(np.vecdot(self._normals0,
                                                      self._normals0)))
-        self._frequencies, self._law = self._motion_law()
+        motions = list({id(hs.motion): hs.motion for hs in self.half_spaces
+                        if hs.motion is not None}.values())
+        # Per motion: the angular rate, pivot and drift as Python floats,
+        # for the barrier's curvature bound in time (`curvature_bounds`).
+        self._motion_rates = tuple(
+            (abs(m._rate), m.center.tolist(), m.linear_velocity.tolist())
+            for m in motions)
+        self._frequencies, self._law = self._motion_law(motions)
         self._frame_shapes = ((n_w, self.dimension), (n_w,),
                               (n_w, self.dimension), (n_w,))
         self._memo = None
 
-    def _motion_law(self):
+    def _motion_law(self, motions):
         """The frame as fixed coefficients of the time basis b(t).
 
         A motion with constant rates turns its faces by R(t) = P + cos(a) Q
@@ -341,8 +348,6 @@ class PolytopeEnvironment:
             and the coefficients of the frame quantities stacked as `frame`
             returns them; both None in a static world.
         """
-        motions = list({id(hs.motion): hs.motion for hs in self.half_spaces
-                        if hs.motion is not None}.values())
         if not motions:
             return None, None
         group = {id(m): g for g, m in enumerate(motions)}
@@ -460,7 +465,7 @@ class AgentShape:
     shape's identity.
     """
 
-    __slots__ = ("offsets", "dimension")
+    __slots__ = ("offsets", "dimension", "_circumradius")
 
     def __init__(self, offsets):
         arr = np.array(offsets, dtype=float)
@@ -475,6 +480,7 @@ class AgentShape:
         arr.setflags(write=False)
         self.offsets = arr
         self.dimension = arr.shape[1]
+        self._circumradius = None
 
     def __reduce__(self):
         # Copies and unpickled shapes also go through __init__, so they
@@ -491,7 +497,12 @@ class AgentShape:
 
     @property
     def circumradius(self) -> float:
-        return float(np.max(np.linalg.norm(self.offsets, axis=1)))
+        # Computed on first use, not in __init__: a finite offset near the
+        # float limit may overflow here, and a loaded shape need not be used.
+        if self._circumradius is None:
+            self._circumradius = float(
+                np.max(np.linalg.norm(self.offsets, axis=1)))
+        return self._circumradius
 
     def vertices(self, center) -> np.ndarray:
         """Vertex positions center + offset_k, order preserved."""

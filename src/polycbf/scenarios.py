@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .barrier import CbfParams
+from .barrier import CbfParams, provable_buffer
 from .geometry import (AgentShape, ConvexRegion, HalfSpace,
                        PolytopeEnvironment, RigidMotion)
 from .safety_filter import DesiredController
@@ -61,6 +61,14 @@ class Scenario:
 
     def all_starts(self) -> list[np.ndarray]:
         return [self.default_sim.x0, *self.alternative_starts]
+
+    @property
+    def certified(self) -> bool:
+        """Whether the buffer is certified: buffer >= ln N_p, so h <= psi
+        everywhere and h >= 0 along a run certifies the exact margin.  This
+        "certified buffer" is a property of the barrier and unrelated to the
+        "certified idle stages" of `sim.step`, which skip barrier calls."""
+        return self.cbf.buffer >= provable_buffer(self.environment)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scenario):

@@ -3,12 +3,13 @@
 The one integrator is classical RK4, and the control law (smooth barrier ->
 desired velocity -> safety filter) is applied at each of its four stages,
 which is the closest discrete realization of the continuous closed loop.
-In a static world, a stage whose filter the barrier's curvature bound
-proves inactive takes the desired velocity without evaluating the barrier,
-which is exactly what the filter would return.  The goal is checked at each
-step start, before integrating, so the step that reaches it computes no
-stages.  Runs are fully deterministic: identical scenario and config give
-bit-identical results.
+A stage whose filter the barrier's curvature bound in (p, t) proves
+inactive takes the desired velocity without evaluating the barrier, which
+is exactly what the filter would return; the bound covers static and
+moving worlds alike.  The goal is checked at each step start, before
+integrating, so the step that reaches it computes no stages.  Runs are
+fully deterministic: identical scenario and config give bit-identical
+results.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import mul
 
 import numpy as np
 
-from .barrier import BarrierEvaluation, gradient_bounds, smooth_barrier
+from .barrier import (BarrierEvaluation, curvature_bounds, gradient_bounds,
+                      smooth_barrier)
 from .geometry import _as_point
 from .safety_filter import DegenerateGradientError, FilterResult, safe_velocity
 
@@ -93,7 +94,10 @@ class SimResult:
     the rows recorded before the failing step, possibly none; the arrays
     keep their row shape, e.g. positions (0, p), when empty.  psi_values
     holds the exact nonsmooth margin at each row's state and time, which
-    the barrier evaluation of the row's control law returns alongside h."""
+    the barrier evaluation of the row's control law returns alongside h.
+    certified is the scenario's `Scenario.certified` (buffer >= ln N_p),
+    under which h >= 0 implies psi >= 0; it says nothing about the
+    certified idle stages of `step`."""
 
     times: np.ndarray
     positions: np.ndarray
@@ -106,6 +110,7 @@ class SimResult:
     min_psi: float
     reached_goal_at: float | None
     termination: Termination
+    certified: bool
     error: str | None = None
 
     def write_csv(self, path) -> None:
@@ -142,41 +147,46 @@ def _control(scenario, x: np.ndarray, t: float,
     return evaluation, safe_velocity(evaluation, u_des, scenario.cbf)
 
 
-def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, scenario):
-    """A test that the filter is inactive at a later stage of a step from x
-    in a static world, from the barrier evaluation at x alone.
+def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, t: float,
+                      scenario):
+    """A test that the filter is inactive at a later stage of a step from
+    (x, t), from the barrier evaluation at (x, t) alone.
 
-    The test takes a stage point p and its desired input k, and returns
-    True only when the filter at (p, k) would return k unchanged.  With
-    h0 = h(x), g0 = grad h(x), delta = p - x and the bounds (nu, L) of
-    `gradient_bounds`, grad h(p) . k >= g0 . k - L ||delta|| ||k|| and
-    h(p) >= h0 + g0 . delta - (L/2) ||delta||^2, and dh/dt = 0, so
+    The test takes a stage point p, its time t_s >= t and its desired input
+    k, and returns True only when the filter at (p, t_s, k) would return k
+    unchanged.  With the lower bounds (h_low, rate_low) of
+    `curvature_bounds` at delta = p - x and tau = t_s - t,
 
-        B = g0 . k - L ||delta|| ||k||
-            + gamma (h0 + g0 . delta - (L/2) ||delta||^2)
+        B = rate_low + gamma h_low
 
-    is a lower bound on the exact residual grad h(p) . k + gamma h(p).
+    is a lower bound on the exact residual grad h . k + dh/dt + gamma h at
+    (p, t_s).  In a static world, where dh/dt = 0, B is
+    g0 . k - L ||delta|| ||k|| + gamma (h0 + g0 . delta - (L/2) ||delta||^2)
+    with h0 = h(x) and g0 = grad h(x).
     """
-    nu, lipschitz = gradient_bounds(scenario.environment, scenario.cbf.kappa)
-    gamma = scenario.cbf.alpha_gain
-    h0, g0, x0 = evaluation.value, evaluation.gradient.tolist(), x.tolist()
+    env, params = scenario.environment, scenario.cbf
+    nu = gradient_bounds(env, params.kappa)[0]
+    gamma = params.alpha_gain
+    x0 = x.tolist()
+    lower = curvature_bounds(env, scenario.agent, params.kappa, evaluation,
+                             x0, t)
+    # The filter tests the residual as computed, not the exact one.  The
+    # kernel's h carries a few ulps of its face values n_i . p + o_i, its
+    # gradient, a convex combination of normals, a few ulps of nu per
+    # entry, its dh/dt a few ulps of the face rates, and the products
+    # gamma h and grad h . k a few ulps of gamma |h| and nu ||k||; B is
+    # rounded from the evaluation at (x, t) with errors of the same kinds.
+    # While gamma |n_i . p + o_i| and the face rates stay below about 1e5,
+    # all of that is far below this margin, so B above it leaves the
+    # computed residual >= 0 and the filter inactive.
+    scale = (1.0 + gamma * abs(evaluation.value)
+             + abs(evaluation.time_partial))
 
-    def certified(point: np.ndarray, u: np.ndarray) -> bool:
-        p, k = point.tolist(), u.tolist()
-        delta = [a - b for a, b in zip(p, x0)]
-        dist, speed = math.hypot(*delta), math.hypot(*k)
-        bound = (sum(map(mul, g0, k)) - lipschitz * dist * speed
-                 + gamma * (h0 + sum(map(mul, g0, delta))
-                            - 0.5 * lipschitz * dist * dist))
-        # The filter tests the residual as computed, not the exact one.  The
-        # kernel's h carries a few ulps of its face values n_i . p + o_i,
-        # its gradient, a convex combination of normals, a few ulps of nu
-        # per entry, and the products gamma h and grad h . k a few ulps of
-        # gamma |h| and nu ||k||; B is rounded from h0 and g0 with errors
-        # of the same kinds.  While gamma |n_i . p + o_i| stays below about
-        # 1e5, all of that is far below this margin, so B above it leaves
-        # the computed residual >= 0 and the filter inactive.
-        return bound > 1e-9 * (1.0 + gamma * abs(h0) + nu * speed)
+    def certified(point: np.ndarray, t_stage: float, u: np.ndarray) -> bool:
+        k = u.tolist()
+        h_low, rate_low = lower([a - b for a, b in zip(point.tolist(), x0)],
+                                t_stage - t, k)
+        return rate_low + gamma * h_low > 1e-9 * (scale + nu * math.hypot(*k))
 
     return certified
 
@@ -185,7 +195,7 @@ def _stage(scenario, point: np.ndarray, t: float, certificate):
     """The filtered input at one later RK4 stage, and the certificate for
     the next stage: the same test while it holds, None once it fails."""
     u_des = scenario.controller.velocity(point)
-    if certificate is not None and certificate(point, u_des):
+    if certificate is not None and certificate(point, t, u_des):
         return u_des, certificate
     return _control(scenario, point, t, u_des)[1].u_safe, None
 
@@ -195,14 +205,13 @@ def step(state, t: float, scenario, dt: float
     """Advance one RK4 step of dx/dt = k(x, t), the filtered controller k
     applied at all four stages.
 
-    Stage 1 evaluates the barrier at x.  If its filter is inactive in a
-    static world, the later stages are certified in order from that one
-    evaluation (see `_idle_certificate`): a certified stage takes its
-    desired input, which the filter would return unchanged, without a
-    barrier call.  The first stage that fails the test and every stage
-    after it evaluate the full control law.  Moving worlds always take the
-    full stages.  Either way the new state is bit for bit the one that
-    four full stages give.
+    Stage 1 evaluates the barrier at (x, t).  If its filter is inactive,
+    the later stages are certified in order from that one evaluation (see
+    `_idle_certificate`), in static and moving worlds alike: a certified
+    stage takes its desired input, which the filter would return
+    unchanged, without a barrier call.  The first stage that fails the
+    test and every stage after it evaluate the full control law.  Either
+    way the new state is bit for bit the one that four full stages give.
 
     Returns the new state, and the barrier evaluation and filter result at
     the step start.  A degenerate gradient at any stage raises
@@ -212,8 +221,8 @@ def step(state, t: float, scenario, dt: float
     evaluation, first = _control(scenario, x, t,
                                  scenario.controller.velocity(x))
     certificate = None
-    if scenario.environment.is_static and not first.constraint_active:
-        certificate = _idle_certificate(evaluation, x, scenario)
+    if not first.constraint_active:
+        certificate = _idle_certificate(evaluation, x, t, scenario)
     k1 = first.u_safe
     k2, certificate = _stage(scenario, x + 0.5 * dt * k1, t + 0.5 * dt,
                              certificate)
@@ -295,5 +304,6 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
         min_psi=float(psi_arr.min()) if psi_arr.size else float("nan"),
         reached_goal_at=reached_at,
         termination=termination,
+        certified=scenario.certified,
         error=error_msg,
     )

@@ -16,14 +16,15 @@ from hypothesis import strategies as st
 
 import polycbf.barrier
 from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
-                             gradient_bounds, margin_agent, margin_field,
-                             provable_buffer, smooth_barrier)
+                             curvature_bounds, gradient_bounds, margin_agent,
+                             margin_field, provable_buffer, smooth_barrier)
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
 from polycbf.scenarios import BUILTIN_NAMES, builtin, load
 from polycbf.verify import scenario_bounds
 
 import oracles
+from worlds import MOVING_WORLDS
 
 
 def box_env(width=4.0):
@@ -732,6 +733,77 @@ class TestGradientBounds:
         assert gradient_bounds(load(path).environment, 2.0) == (3.0, 18.0)
         assert gradient_bounds(builtin("l-shape").environment, 5.0) \
             == (1.0, 5.0)
+
+
+class TestCurvatureBounds:
+    """Within one RK4 step's reach of (x, t), h and its rate along (k, 1)
+    stay above the lower bounds of `curvature_bounds`, in moving worlds of
+    every kind: turning (2D and 3D), translating only, and mixed."""
+
+    DT, U_MAX = 0.01, 1.0
+
+    @pytest.mark.parametrize("kappa", [0.3, 5.0, 60.0])
+    @pytest.mark.parametrize("name", sorted(MOVING_WORLDS))
+    def test_lower_bounds_hold_within_one_step(self, name, kappa):
+        s = MOVING_WORLDS[name]()
+        env, params = s.environment, replace(s.cbf, kappa=kappa)
+        dim = env.dimension
+        rng = np.random.default_rng(23)
+        n = 2000
+        low, high = (np.asarray(b) for b in scenario_bounds(s))
+        x = rng.uniform(low, high, size=(n, dim))
+        # A quarter of the centres lie up to 50 m from the world's centre,
+        # far from every pivot, where |dh/dt| grows with the distance; a
+        # quarter lie within 1 m of a pivot, where d2h/dt2 is not dwarfed
+        # by kappa (dh/dt)^2.
+        quarter = n // 4
+        x[:quarter] = (low + high) / 2 + rng.uniform(-50.0, 50.0,
+                                                     (quarter, dim))
+        pivots = np.array([pivot for _, pivot, _ in env._motion_rates])
+        x[quarter:2 * quarter] = pivots[rng.integers(len(pivots), size=quarter)] \
+            + rng.uniform(-1.0, 1.0, (quarter, dim))
+        t = rng.uniform(0.0, 40.0, n)
+
+        def within(radius, size):
+            v = rng.normal(size=(n, size))
+            v *= rng.uniform(0.0, radius, (n, 1)) / np.linalg.norm(
+                v, axis=1, keepdims=True)
+            return v
+
+        # Some rows step in time only, some hold still, some take a whole
+        # step in time.
+        delta = within(self.DT * self.U_MAX, dim)
+        delta[::4] = 0.0
+        k = within(self.U_MAX, dim)
+        k[1::4] = 0.0
+        tau = rng.uniform(0.0, self.DT, n)
+        tau[::3] = self.DT
+        h0, g0, hdot0, psi0 = polycbf.barrier._evaluate(
+            env, s.agent, x, t, params, derivatives=True)
+        h1, g1, hdot1, _ = polycbf.barrier._evaluate(
+            env, s.agent, x + delta, t + tau, params, derivatives=True)
+        for i in range(n):
+            ev = BarrierEvaluation(float(h0[i]), g0[i], float(hdot0[i]),
+                                   float(psi0[i]))
+            lower = curvature_bounds(env, s.agent, kappa, ev, x[i].tolist(),
+                                     float(t[i]))
+            h_low, rate_low = lower(delta[i].tolist(), float(tau[i]),
+                                    k[i].tolist())
+            tol = 1e-9 * (1.0 + abs(h0[i]) + abs(hdot0[i]))
+            assert h1[i] >= h_low - tol, (i, h1[i], h_low)
+            assert g1[i] @ k[i] + hdot1[i] >= rate_low - tol, (i, rate_low)
+
+    def test_static_world_gives_the_gradient_bounds(self):
+        s = builtin("l-shape")
+        nu, lipschitz = gradient_bounds(s.environment, s.cbf.kappa)
+        ev = BarrierEvaluation(0.3, np.array([0.6, -0.8]), 0.0, 0.4)
+        lower = curvature_bounds(s.environment, s.agent, s.cbf.kappa, ev,
+                                 [1.5, -0.5], 7.0)
+        delta, k = [0.003, -0.004], [0.5, 0.25]
+        dist, speed = math.hypot(*delta), math.hypot(*k)
+        assert lower(delta, 0.01, k) == (
+            0.3 + (0.6 * 0.003 + -0.8 * -0.004) - 0.5 * lipschitz * dist * dist,
+            (0.6 * 0.5 + -0.8 * 0.25) - lipschitz * dist * speed)
 
 
 class TestCbfParams:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polycbf.barrier import smooth_barrier
+from polycbf.barrier import provable_buffer, smooth_barrier
 from polycbf.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError,
                                _scenario_to_dict, builtin, load, save,
                                static_variant)
@@ -98,6 +98,23 @@ class TestBuiltinFixtures:
     def test_builtin_returns_fresh_copies(self, name):
         assert builtin(name) == builtin(name)
         assert builtin(name) is not builtin(name)
+
+    def test_certified_buffer(self):
+        # buffer >= ln N_p: both corners (ln 1, ln 2) and the crossroad
+        # (ln 2) are certified; the L-shape (0.7 < ln 5) and the three
+        # fixtures at buffer 0 are not.
+        assert {name for name in BUILTIN_NAMES if builtin(name).certified} \
+            == {"convex-corner", "concave-corner", "crossroad"}
+        s = builtin("revolving-door")
+        lifted = dataclasses.replace(s, cbf=dataclasses.replace(
+            s.cbf, buffer=provable_buffer(s.environment)))
+        assert lifted.certified
+        assert run(s, dataclasses.replace(s.default_sim, t_end=0.1)
+                   ).certified is False
+        assert run(lifted, dataclasses.replace(lifted.default_sim,
+                                               t_end=0.1)).certified is True
+        with pytest.raises(AttributeError):
+            s.certified = True
 
 
 class TestStaticVariant:

@@ -17,6 +17,8 @@ from polycbf.scenarios import BUILTIN_NAMES, Scenario, builtin
 from polycbf.sim import SimConfig, Termination, UnsafeStartError, run, step
 from polycbf.verify import scenario_bounds
 
+from worlds import spun_pyramid
+
 
 def free_space_scenario(goal, x0, width=1000.0):
     """Huge box so the constraint never activates."""
@@ -268,7 +270,7 @@ def assert_same_result(a, b):
 def refuse_always(monkeypatch):
     """Make every step take its four full stages."""
     monkeypatch.setattr(polycbf.sim, "_idle_certificate",
-                        lambda *args: lambda point, u: False)
+                        lambda *args: lambda point, t, u: False)
 
 
 def count_barrier_calls(monkeypatch):
@@ -280,6 +282,43 @@ def count_barrier_calls(monkeypatch):
 
     monkeypatch.setattr(polycbf.sim, "smooth_barrier", counted)
     return calls
+
+
+def moving_starts():
+    """(name, start) for both builtin revolving-door starts, two seeded safe
+    door starts, and the default start of the spun pyramid."""
+    door = builtin("revolving-door")
+    starts = [pytest.param("revolving-door", x0, id=f"revolving-door-{i}")
+              for i, x0 in enumerate(door.all_starts())]
+    rng = np.random.default_rng(43)
+    while len(starts) < 4:
+        x0 = rng.uniform(*scenario_bounds(door))
+        if smooth_barrier(door.environment, door.agent, x0, 0.0,
+                          door.cbf).value > 0.0:
+            starts.append(pytest.param(
+                "revolving-door", x0,
+                id=f"revolving-door-seeded-{len(starts) - 2}"))
+    starts.append(pytest.param("spun-pyramid", spun_pyramid().default_sim.x0,
+                               id="spun-pyramid"))
+    return starts
+
+
+def closing_wall():
+    """A point agent at rest at its goal 0.251 from the wall x >= 0, which
+    translates toward it at 0.5, with gamma = 2: the start's residual
+    dh/dt + gamma h = -0.5 + 0.502 is barely positive, and half a step
+    later the wall is 0.2485 away and the residual is -0.003."""
+    wall = HalfSpace((1.0, 0.0), (0.0, 0.0), RigidMotion(
+        (0.0, 0.0), omega=0.0, linear_velocity=(0.5, 0.0)))
+    env = PolytopeEnvironment([wall], [ConvexRegion([0])])
+    return Scenario(
+        name="closing-wall",
+        environment=env,
+        agent=AgentShape.point(2),
+        controller=DesiredController(goal=(0.251, 0.0)),
+        cbf=CbfParams(kappa=5.0, alpha_gain=2.0),
+        default_sim=SimConfig(x0=(0.251, 0.0), dt=0.01, t_end=1.0),
+    )
 
 
 def approaching_wall(speed):
@@ -319,28 +358,47 @@ class TestIdleCertificate:
         assert len(calls) == steps + 2
         assert not res.constraint_active.any()
 
-    def test_moving_world_takes_full_stages(self, monkeypatch):
+    @pytest.mark.parametrize("name, x0", moving_starts())
+    def test_moving_world_run_equals_full_stages(self, name, x0,
+                                                 monkeypatch):
+        s = spun_pyramid() if name == "spun-pyramid" else builtin(name)
+        cfg = dataclasses.replace(s.default_sim, x0=x0)
         calls = count_barrier_calls(monkeypatch)
-        res = run(builtin("revolving-door"))
-        steps = res.times.shape[0] - 1
-        assert len(calls) == 4 * steps + 2
+        certified = run(s, cfg)
+        steps = certified.times.shape[0] - 1
+        # Some steps are certified idle and skip their later stages' calls.
+        assert len(calls) < 4 * steps + 2
+        refuse_always(monkeypatch)
+        assert_same_result(certified, run(s, cfg))
 
-    def test_refuses_input_into_nearby_wall(self, monkeypatch):
-        s = approaching_wall(speed=0.0599)
+    @staticmethod
+    def assert_refused_at_stage_2(s, monkeypatch):
+        """Stage 1 of a step from the default start is barely inactive and
+        stage 2 is active: the certificate must refuse there, and the step
+        takes the full stages."""
         x = s.default_sim.x0
         calls = count_barrier_calls(monkeypatch)
         x_next, ev, first = step(x, 0.0, s, 0.01)
-        # Stage 1 is barely inactive, stage 2 is active: the certificate
-        # must refuse there, and the step takes the full stages.
         assert not first.constraint_active
         assert len(calls) == 4
         point = x + 0.5 * 0.01 * first.u_safe
         u = s.controller.velocity(point)
-        assert not polycbf.sim._idle_certificate(ev, x, s)(point, u)
+        assert not polycbf.sim._idle_certificate(ev, x, 0.0, s)(point, 0.005,
+                                                               u)
         stage2 = polycbf.sim._control(s, point, 0.005, u)[1]
         assert stage2.constraint_active
         refuse_always(monkeypatch)
         assert np.array_equal(step(x, 0.0, s, 0.01)[0], x_next)
+        return first
+
+    def test_refuses_input_into_nearby_wall(self, monkeypatch):
+        self.assert_refused_at_stage_2(approaching_wall(speed=0.0599),
+                                       monkeypatch)
+
+    def test_refuses_wall_closing_on_resting_agent(self, monkeypatch):
+        # At rest only the time terms move the residual.
+        first = self.assert_refused_at_stage_2(closing_wall(), monkeypatch)
+        assert np.array_equal(first.u_safe, [0.0, 0.0])
 
     def test_slow_approach_certified(self, monkeypatch):
         # Slow enough that every stage's residual stays positive.

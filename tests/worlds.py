@@ -1,0 +1,64 @@
+"""Moving variants of the builtin worlds, for the tests of the barrier's
+curvature bound in (p, t) and of the certified-idle RK4 stages."""
+
+import dataclasses
+
+from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
+                              PolytopeEnvironment, RigidMotion)
+from polycbf.scenarios import builtin
+
+
+def with_motions(name, motions, new_name):
+    """The builtin `name` with half-space i carried by motions[i] (None or
+    absent: static)."""
+    s = builtin(name)
+    env = s.environment
+    half_spaces = [HalfSpace(hs.normal, hs.anchor, motions.get(i))
+                   for i, hs in enumerate(env.half_spaces)]
+    return dataclasses.replace(
+        s, name=new_name,
+        environment=PolytopeEnvironment(half_spaces, env.regions))
+
+
+def spun_pyramid():
+    """The pyramid spun about a tilted axis through an off-centre pivot."""
+    spin = RigidMotion((0.4, -0.3, 0.2), axis_rate=(0.1, -0.15, 0.25))
+    return with_motions("pyramid", dict.fromkeys(range(6), spin),
+                        "spun-pyramid")
+
+
+def sliding_l_shape():
+    """The L-shape translating without turning (omega = 0)."""
+    slide = RigidMotion((0.0, 0.0), omega=0.0, linear_velocity=(0.3, -0.2))
+    return with_motions("l-shape", dict.fromkeys(range(6), slide),
+                        "sliding-l-shape")
+
+
+def mixed_world():
+    """A point agent, a static box far out at x in [18, 22], and two moving
+    walls, each a region of its own: one turning clockwise (negative omega)
+    about the origin, one turning while it drifts.  Near the origin the
+    turning wall outweighs the box even at kappa = 0.3, so h follows one
+    face whose d2/dt2 is not dwarfed by kappa (dh/dt)^2."""
+    box = [HalfSpace((1.0, 0.0), (18.0, 0.0)),
+           HalfSpace((-1.0, 0.0), (22.0, 0.0)),
+           HalfSpace((0.0, 1.0), (0.0, -2.0)),
+           HalfSpace((0.0, -1.0), (0.0, 2.0))]
+    turning = HalfSpace((1.0, 0.0), (0.5, 0.0),
+                        RigidMotion((0.0, 0.0), omega=-0.8))
+    drifting = HalfSpace((0.0, 1.0), (0.0, -0.5),
+                         RigidMotion((1.0, 1.0), omega=0.1,
+                                     linear_velocity=(0.05, 0.1)))
+    env = PolytopeEnvironment(box + [turning, drifting],
+                              [ConvexRegion([0, 1, 2, 3]), ConvexRegion([4]),
+                               ConvexRegion([5])])
+    return dataclasses.replace(builtin("crossroad"), name="mixed-world",
+                               environment=env, agent=AgentShape.point(2))
+
+
+MOVING_WORLDS = {
+    "revolving-door": lambda: builtin("revolving-door"),
+    "spun-pyramid": spun_pyramid,
+    "sliding-l-shape": sliding_l_shape,
+    "mixed-world": mixed_world,
+}
