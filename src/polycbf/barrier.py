@@ -115,8 +115,8 @@ def curvature_bounds(env: PolytopeEnvironment, shape: AgentShape,
     `evaluation` is `smooth_barrier` at centre x (a sequence of floats) and
     time t: h0, g0 and hdot0 are its value, gradient and time partial.
     Returns lower(delta, tau, k) -> (h_low, rate_low) over float sequences
-    delta and k and a float tau >= 0 such that, at p = x + delta and
-    with hdot = dh/dt,
+    delta and k and a float tau such that, at p = x + delta and with
+    hdot = dh/dt,
 
         h(p, t + tau)                          >= h_low  = h0 + g0 . delta
                                                   + hdot0 tau - quad / 2,
@@ -141,9 +141,10 @@ def curvature_bounds(env: PolytopeEnvironment, shape: AgentShape,
         |d2 psi_a/dt2|          <= C2 = w^2 nu ||q_a|| + 2 w nu ||v||,
 
     and grad_p psi_a = n_i, so psi_a has no Hessian in p.  On the segment
-    from (x, t) to (p, t + tau), ||q_a|| <= ||x - c - t v|| + dist +
-    tau ||v|| + r with r the agent's circumradius; T, W and C2 take that
-    bound and the max over the motions.  The composition of
+    from (x, t) to (p, t + tau), which may span many steps, ||q_a|| <=
+    ||x - c - t v|| + dist + tau ||v|| + r with r the agent's circumradius;
+    T, W and C2 take that bound and the max over the motions.  (A tau < 0
+    takes |tau| everywhere below but in hdot0 tau.)  The composition of
     `gradient_bounds` carries over to z: with the convex weights pi_a =
     v_j w_a of the pairs,
 
@@ -180,21 +181,21 @@ def curvature_bounds(env: PolytopeEnvironment, shape: AgentShape,
                       offset + shape.circumradius))
 
     def lower(delta, tau: float, k) -> tuple[float, float]:
-        dist, speed = math.hypot(*delta), math.hypot(*k)
+        dist, speed, span = math.hypot(*delta), math.hypot(*k), abs(tau)
         quad, cross = lipschitz * dist * dist, lipschitz * dist * speed
         if reach:  # the time terms, all zero in a static world
             rate_bound = twist = accel = 0.0
             for rate, turn, slide, drift_speed, base in reach:
-                q = base + dist + tau * drift_speed
+                q = base + dist + span * drift_speed
                 rate_bound = max(rate_bound, turn * q + slide)
                 twist = max(twist, turn)
                 accel = max(accel, rate * (turn * q + 2.0 * slide))
-            quad += (kappa * rate_bound * tau
-                     * (2.0 * nu * dist + rate_bound * tau)
-                     + 2.0 * twist * dist * tau + tau * tau * accel)
+            quad += (kappa * rate_bound * span
+                     * (2.0 * nu * dist + rate_bound * span)
+                     + 2.0 * twist * dist * span + span * span * accel)
             cross += (kappa * rate_bound
-                      * (nu * dist + tau * (nu * speed + rate_bound))
-                      + twist * (dist + tau * speed) + tau * accel)
+                      * (nu * dist + span * (nu * speed + rate_bound))
+                      + twist * (dist + span * speed) + span * accel)
         return (h0 + sum(map(mul, g0, delta)) + hdot0 * tau - 0.5 * quad,
                 sum(map(mul, g0, k)) + hdot0 - cross)
 

@@ -67,7 +67,7 @@ class Scenario:
         """Whether the buffer is certified: buffer >= ln N_p, so h <= psi
         everywhere and h >= 0 along a run certifies the exact margin.  This
         "certified buffer" is a property of the barrier and unrelated to the
-        "certified idle stages" of `sim.step`, which skip barrier calls."""
+        idle certificate that `sim.run` carries across steps."""
         return self.cbf.buffer >= provable_buffer(self.environment)
 
     def __eq__(self, other) -> bool:

@@ -4,12 +4,12 @@ The one integrator is classical RK4, and the control law (smooth barrier ->
 desired velocity -> safety filter) is applied at each of its four stages,
 which is the closest discrete realization of the continuous closed loop.
 A stage whose filter the barrier's curvature bound in (p, t) proves
-inactive takes the desired velocity without evaluating the barrier, which
-is exactly what the filter would return; the bound covers static and
-moving worlds alike.  The goal is checked at each step start, before
-integrating, so the step that reaches it computes no stages.  Runs are
-fully deterministic: identical scenario and config give bit-identical
-results.
+inactive, from the last inactive full evaluation of the run, takes the
+desired velocity without evaluating the barrier, which is exactly what the
+filter would return; the bound covers static and moving worlds alike.  The
+goal is checked at each step start, before integrating, so the step that
+reaches it computes no stages.  Runs are fully deterministic: identical
+scenario and config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -21,13 +21,16 @@ from enum import Enum
 
 import numpy as np
 
-from .barrier import (BarrierEvaluation, curvature_bounds, gradient_bounds,
-                      smooth_barrier)
+from .barrier import (BarrierEvaluation, barrier_field, curvature_bounds,
+                      gradient_bounds, smooth_barrier)
 from .geometry import _as_point
-from .safety_filter import DegenerateGradientError, FilterResult, safe_velocity
+from .safety_filter import DegenerateGradientError, safe_velocity
 
 __all__ = ["SimConfig", "SimResult", "Termination", "UnsafeStartError",
            "step", "run"]
+
+# Recorded rows per `barrier_field` call, bounding its moving-world memory.
+_ROW_BLOCK = 256
 
 
 class UnsafeStartError(RuntimeError):
@@ -92,12 +95,12 @@ class SimResult:
     """Logged trajectory.  All sequences share one length; rows are sampled
     every record_stride steps plus the final state.  An "error" run keeps
     the rows recorded before the failing step, possibly none; the arrays
-    keep their row shape, e.g. positions (0, p), when empty.  psi_values
-    holds the exact nonsmooth margin at each row's state and time, which
-    the barrier evaluation of the row's control law returns alongside h.
+    keep their row shape, e.g. positions (0, p), when empty.  h_values and
+    psi_values hold the smooth barrier and the exact nonsmooth margin at
+    each row's state and time, from batched kernel calls after the run.
     certified is the scenario's `Scenario.certified` (buffer >= ln N_p),
-    under which h >= 0 implies psi >= 0; it says nothing about the
-    certified idle stages of `step`."""
+    under which h >= 0 implies psi >= 0; it says nothing about the idle
+    certificate of `step`."""
 
     times: np.ndarray
     positions: np.ndarray
@@ -140,20 +143,13 @@ class SimResult:
                                 + [int(self.constraint_active[i])])
 
 
-def _control(scenario, x: np.ndarray, t: float,
-             u_des: np.ndarray) -> tuple[BarrierEvaluation, FilterResult]:
-    evaluation = smooth_barrier(scenario.environment, scenario.agent, x, t,
-                                scenario.cbf)
-    return evaluation, safe_velocity(evaluation, u_des, scenario.cbf)
-
-
 def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, t: float,
                       scenario):
-    """A test that the filter is inactive at a later stage of a step from
-    (x, t), from the barrier evaluation at (x, t) alone.
+    """A test that the filter is inactive at any later stage, however many
+    steps on, from the barrier evaluation at an anchor (x, t) alone.
 
-    The test takes a stage point p, its time t_s >= t and its desired input
-    k, and returns True only when the filter at (p, t_s, k) would return k
+    The test takes a stage point p, its time t_s and its desired input k,
+    and returns True only when the filter at (p, t_s, k) would return k
     unchanged.  With the lower bounds (h_low, rate_low) of
     `curvature_bounds` at delta = p - x and tau = t_s - t,
 
@@ -176,9 +172,12 @@ def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, t: float,
     # entry, its dh/dt a few ulps of the face rates, and the products
     # gamma h and grad h . k a few ulps of gamma |h| and nu ||k||; B is
     # rounded from the evaluation at (x, t) with errors of the same kinds.
-    # While gamma |n_i . p + o_i| and the face rates stay below about 1e5,
-    # all of that is far below this margin, so B above it leaves the
-    # computed residual >= 0 and the filter inactive.
+    # A stage moves h and the face values off the anchor's by at most phi =
+    # nu ||delta|| + T |tau| (T of `curvature_bounds`), and B > 0 needs phi
+    # < (1 + sqrt(1 + 2 kappa |h0|)) / kappa, as quad >= kappa phi^2 and
+    # cross >= kappa phi (nu ||k|| + T).  While gamma |h0|, the anchor's
+    # gamma |n_i . x + o_i| and T stay below about 1e5, all of that is far
+    # below this margin, so B above it leaves the computed residual >= 0.
     scale = (1.0 + gamma * abs(evaluation.value)
              + abs(evaluation.time_partial))
 
@@ -191,46 +190,45 @@ def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, t: float,
     return certified
 
 
-def _stage(scenario, point: np.ndarray, t: float, certificate):
-    """The filtered input at one later RK4 stage, and the certificate for
-    the next stage: the same test while it holds, None once it fails."""
-    u_des = scenario.controller.velocity(point)
-    if certificate is not None and certificate(point, t, u_des):
-        return u_des, certificate
-    return _control(scenario, point, t, u_des)[1].u_safe, None
+def _stage(scenario, x: np.ndarray, t: float, certificate):
+    """The control law at one stage: (u_des, u_safe, active, certificate).
+    A certified stage takes u_des, which its filter would return unchanged,
+    without a barrier call; otherwise an inactive filter anchors a new
+    certificate at the stage and an active one drops it."""
+    u_des = scenario.controller.velocity(x)
+    if certificate is not None and certificate(x, t, u_des):
+        return u_des, u_des, False, certificate
+    evaluation = smooth_barrier(scenario.environment, scenario.agent, x, t,
+                                scenario.cbf)
+    result = safe_velocity(evaluation, u_des, scenario.cbf)
+    if result.constraint_active:
+        return u_des, result.u_safe, True, None
+    return u_des, u_des, False, _idle_certificate(evaluation, x, t, scenario)
 
 
-def step(state, t: float, scenario, dt: float
-         ) -> tuple[np.ndarray, BarrierEvaluation, FilterResult]:
+def step(state, t: float, scenario, dt: float, certificate=None) -> tuple:
     """Advance one RK4 step of dx/dt = k(x, t), the filtered controller k
     applied at all four stages.
 
-    Stage 1 evaluates the barrier at (x, t).  If its filter is inactive,
-    the later stages are certified in order from that one evaluation (see
-    `_idle_certificate`), in static and moving worlds alike: a certified
-    stage takes its desired input, which the filter would return
-    unchanged, without a barrier call.  The first stage that fails the
-    test and every stage after it evaluate the full control law.  Either
-    way the new state is bit for bit the one that four full stages give.
+    `certificate` is an idle test (`_idle_certificate`) anchored at an
+    earlier stage, possibly of an earlier step, or None; every stage, the
+    first included, goes through `_stage` with it in turn.  In static and
+    moving worlds alike, the new state is bit for bit the one that four
+    full stages give.
 
-    Returns the new state, and the barrier evaluation and filter result at
-    the step start.  A degenerate gradient at any stage raises
-    DegenerateGradientError.
+    Returns the new state, the stage-1 row (u_des, u_safe, active) and the
+    certificate for the next step.  A degenerate gradient at any stage
+    raises DegenerateGradientError.
     """
     x = np.asarray(state, dtype=float)
-    evaluation, first = _control(scenario, x, t,
-                                 scenario.controller.velocity(x))
-    certificate = None
-    if not first.constraint_active:
-        certificate = _idle_certificate(evaluation, x, t, scenario)
-    k1 = first.u_safe
-    k2, certificate = _stage(scenario, x + 0.5 * dt * k1, t + 0.5 * dt,
-                             certificate)
-    k3, certificate = _stage(scenario, x + 0.5 * dt * k2, t + 0.5 * dt,
-                             certificate)
-    k4, _ = _stage(scenario, x + dt * k3, t + dt, certificate)
-    return (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), evaluation,
-            first)
+    u_des, k1, active, certificate = _stage(scenario, x, t, certificate)
+    _, k2, _, certificate = _stage(scenario, x + 0.5 * dt * k1, t + 0.5 * dt,
+                                   certificate)
+    _, k3, _, certificate = _stage(scenario, x + 0.5 * dt * k2, t + 0.5 * dt,
+                                   certificate)
+    _, k4, _, certificate = _stage(scenario, x + dt * k3, t + dt, certificate)
+    return (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+            (u_des, k1, active), certificate)
 
 
 def run(scenario, config: SimConfig | None = None) -> SimResult:
@@ -238,10 +236,11 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
 
     Refuses to start when h(x0, 0) <= 0.  Each step start first checks the
     goal on the state alone: at the goal or the horizon the control law is
-    evaluated once for the last row, otherwise one RK4 `step` is taken.  A
+    applied once for the last row, otherwise one RK4 `step` is taken.  A
     degenerate-gradient error ends the run with termination "error" and a
     message naming the state and t of the failing step; the rows recorded
-    before it are kept, possibly none.
+    before it are kept, possibly none.  The rows' h and psi come from
+    `barrier_field` after the loop, bit for bit `smooth_barrier`'s.
     """
     if config is None:
         config = scenario.default_sim
@@ -249,19 +248,18 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     if x0 is None:
         raise ValueError("no initial state: set SimConfig.x0")
     x = np.asarray(x0, dtype=float)
+    env, agent, params = scenario.environment, scenario.agent, scenario.cbf
 
-    first = smooth_barrier(scenario.environment, scenario.agent, x, 0.0,
-                           scenario.cbf)
+    first = smooth_barrier(env, agent, x, 0.0, params)
     if not first.value > 0.0:
         raise UnsafeStartError(
             f"h(x0, 0) = {first.value:.6g} <= 0 at x0 = {x.tolist()}")
 
     goal = scenario.controller.goal
     n_steps = int(round(config.t_end / config.dt))
-    times, positions, psis, results = [], [], [], []
+    times, positions, rows = [], [], []
     termination = Termination.HORIZON
-    reached_at = None
-    error_msg = None
+    reached_at = certificate = error_msg = None
 
     for i in range(n_steps + 1):
         t = i * config.dt
@@ -269,10 +267,10 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
         done = at_goal or i == n_steps
         try:
             if done:
-                ev, fr = _control(scenario, x, t,
-                                  scenario.controller.velocity(x))
+                row = _stage(scenario, x, t, certificate)[:3]
             else:
-                x_next, ev, fr = step(x, t, scenario, config.dt)
+                x_next, row, certificate = step(x, t, scenario, config.dt,
+                                                certificate)
         except DegenerateGradientError as err:
             termination = Termination.ERROR
             error_msg = f"{err} at state {x.tolist()}, t={t:.6g}"
@@ -280,8 +278,7 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
         if done or i % config.record_stride == 0:
             times.append(t)
             positions.append(x)
-            psis.append(ev.nonsmooth_value)
-            results.append(fr)
+            rows.append(row)
         if done:
             if at_goal:
                 termination, reached_at = Termination.GOAL, t
@@ -289,17 +286,19 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
         x = x_next
 
     dim = x.shape[0]
-    h_arr = np.array([fr.h for fr in results])
-    psi_arr = np.array(psis)
+    h_arr, psi_arr = np.empty(len(rows)), np.empty(len(rows))
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        h_arr[block], psi_arr[block] = barrier_field(
+            env, agent, positions[block], times[block], params)
     return SimResult(
         times=np.array(times),
         positions=np.array(positions).reshape(-1, dim),
         h_values=h_arr,
         psi_values=psi_arr,
-        u_desired=np.array([fr.u_desired for fr in results]).reshape(-1, dim),
-        u_safe=np.array([fr.u_safe for fr in results]).reshape(-1, dim),
-        constraint_active=np.array([fr.constraint_active for fr in results],
-                                   dtype=bool),
+        u_desired=np.array([row[0] for row in rows]).reshape(-1, dim),
+        u_safe=np.array([row[1] for row in rows]).reshape(-1, dim),
+        constraint_active=np.array([row[2] for row in rows], dtype=bool),
         min_h=float(h_arr.min()) if h_arr.size else float("nan"),
         min_psi=float(psi_arr.min()) if psi_arr.size else float("nan"),
         reached_goal_at=reached_at,

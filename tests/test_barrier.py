@@ -736,16 +736,18 @@ class TestGradientBounds:
 
 
 class TestCurvatureBounds:
-    """Within one RK4 step's reach of (x, t), h and its rate along (k, 1)
-    stay above the lower bounds of `curvature_bounds`, in moving worlds of
-    every kind: turning (2D and 3D), translating only, and mixed."""
+    """Near (x, t), h and its rate along (k, 1) stay above the lower bounds
+    of `curvature_bounds`, in moving worlds of every kind (turning in 2D
+    and 3D, translating only, and mixed) and in the static builtins, both
+    within one RK4 step's reach and many steps away."""
 
     DT, U_MAX = 0.01, 1.0
 
-    @pytest.mark.parametrize("kappa", [0.3, 5.0, 60.0])
-    @pytest.mark.parametrize("name", sorted(MOVING_WORLDS))
-    def test_lower_bounds_hold_within_one_step(self, name, kappa):
-        s = MOVING_WORLDS[name]()
+    @staticmethod
+    def assert_lower_bounds(s, kappa, reach, span, backward=False):
+        """Check both bounds at 2000 centres x and times t, at x + delta
+        and t + tau with ||delta|| <= reach and tau in [0, span] (every
+        fifth tau negated when backward)."""
         env, params = s.environment, replace(s.cbf, kappa=kappa)
         dim = env.dimension
         rng = np.random.default_rng(23)
@@ -753,15 +755,17 @@ class TestCurvatureBounds:
         low, high = (np.asarray(b) for b in scenario_bounds(s))
         x = rng.uniform(low, high, size=(n, dim))
         # A quarter of the centres lie up to 50 m from the world's centre,
-        # far from every pivot, where |dh/dt| grows with the distance; a
-        # quarter lie within 1 m of a pivot, where d2h/dt2 is not dwarfed
-        # by kappa (dh/dt)^2.
+        # far from every pivot, where |dh/dt| grows with the distance; in a
+        # moving world a quarter lie within 1 m of a pivot, where d2h/dt2
+        # is not dwarfed by kappa (dh/dt)^2.
         quarter = n // 4
         x[:quarter] = (low + high) / 2 + rng.uniform(-50.0, 50.0,
                                                      (quarter, dim))
         pivots = np.array([pivot for _, pivot, _ in env._motion_rates])
-        x[quarter:2 * quarter] = pivots[rng.integers(len(pivots), size=quarter)] \
-            + rng.uniform(-1.0, 1.0, (quarter, dim))
+        if pivots.size:
+            x[quarter:2 * quarter] = pivots[rng.integers(len(pivots),
+                                                         size=quarter)] \
+                + rng.uniform(-1.0, 1.0, (quarter, dim))
         t = rng.uniform(0.0, 40.0, n)
 
         def within(radius, size):
@@ -770,14 +774,16 @@ class TestCurvatureBounds:
                 v, axis=1, keepdims=True)
             return v
 
-        # Some rows step in time only, some hold still, some take a whole
-        # step in time.
-        delta = within(self.DT * self.U_MAX, dim)
+        # Some rows step in time only, some hold still, some take the
+        # whole span in time.
+        delta = within(reach, dim)
         delta[::4] = 0.0
-        k = within(self.U_MAX, dim)
+        k = within(TestCurvatureBounds.U_MAX, dim)
         k[1::4] = 0.0
-        tau = rng.uniform(0.0, self.DT, n)
-        tau[::3] = self.DT
+        tau = rng.uniform(0.0, span, n)
+        tau[::3] = span
+        if backward:
+            tau[::5] *= -1.0
         h0, g0, hdot0, psi0 = polycbf.barrier._evaluate(
             env, s.agent, x, t, params, derivatives=True)
         h1, g1, hdot1, _ = polycbf.barrier._evaluate(
@@ -792,6 +798,20 @@ class TestCurvatureBounds:
             tol = 1e-9 * (1.0 + abs(h0[i]) + abs(hdot0[i]))
             assert h1[i] >= h_low - tol, (i, h1[i], h_low)
             assert g1[i] @ k[i] + hdot1[i] >= rate_low - tol, (i, rate_low)
+
+    @pytest.mark.parametrize("kappa", [0.3, 5.0, 60.0])
+    @pytest.mark.parametrize("name", sorted(MOVING_WORLDS))
+    def test_lower_bounds_hold_within_one_step(self, name, kappa):
+        self.assert_lower_bounds(MOVING_WORLDS[name](), kappa,
+                                 self.DT * self.U_MAX, self.DT)
+
+    @pytest.mark.parametrize("kappa", [0.3, 5.0, 60.0])
+    @pytest.mark.parametrize("name", sorted(MOVING_WORLDS) + STATIC_NAMES)
+    def test_lower_bounds_hold_over_many_steps(self, name, kappa):
+        # An anchor certifies stages up to 2 m and 2 s (200 steps) away,
+        # and a stage an ulp before its anchor takes the bound at |tau|.
+        s = MOVING_WORLDS[name]() if name in MOVING_WORLDS else builtin(name)
+        self.assert_lower_bounds(s, kappa, 2.0, 2.0, backward=True)
 
     def test_static_world_gives_the_gradient_bounds(self):
         s = builtin("l-shape")

@@ -12,7 +12,7 @@ import polycbf.sim
 from polycbf.barrier import CbfParams, margin_agent, smooth_barrier
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
-from polycbf.safety_filter import DesiredController
+from polycbf.safety_filter import DesiredController, safe_velocity
 from polycbf.scenarios import BUILTIN_NAMES, Scenario, builtin
 from polycbf.sim import SimConfig, Termination, UnsafeStartError, run, step
 from polycbf.verify import scenario_bounds
@@ -69,9 +69,9 @@ def closing_walls(speed, goal_tolerance=0.05):
 class TestStep:
     def test_equilibrium_at_goal(self):
         s = free_space_scenario(goal=(0.0, 0.0), x0=(0.0, 0.0))
-        state, _, fr = step((0.0, 0.0), 0.0, s, dt=0.01)
+        state, (_, u_safe, _), _ = step((0.0, 0.0), 0.0, s, dt=0.01)
         assert np.array_equal(state, [0.0, 0.0])
-        assert np.array_equal(fr.u_safe, [0.0, 0.0])
+        assert np.array_equal(u_safe, [0.0, 0.0])
 
     def test_exponential_approach(self):
         # unsaturated linear feedback: x(t) = g + (x0 - g) exp(-t)
@@ -181,7 +181,11 @@ class TestRun:
 
     def test_non_finite_barrier_ends_in_error(self, monkeypatch):
         # A NaN barrier value from t = 0.5 on must end the run rather than
-        # feed a NaN input into the next RK4 stage.
+        # feed a NaN input into the next RK4 stage.  In free space the idle
+        # certificate would skip every evaluation after the first, so the
+        # run takes full stages to reach the NaN.
+        refuse_always(monkeypatch)
+
         def nan_late(env, shape, x, t, params):
             ev = smooth_barrier(env, shape, x, t, params)
             return dataclasses.replace(ev, value=math.nan) if t >= 0.5 else ev
@@ -338,9 +342,10 @@ def approaching_wall(speed):
 
 
 class TestIdleCertificate:
-    """In a static world a step whose stage-1 filter is inactive certifies
-    its later stages from the curvature bound and skips their barrier
-    calls, with the same bits as four full stages."""
+    """An inactive full stage anchors a certificate that the curvature
+    bound carries over later stages, across steps, in static and moving
+    worlds; certified stages skip their barrier calls, with the same bits
+    as full stages."""
 
     @pytest.mark.parametrize("name, x0", static_starts())
     def test_run_equals_full_stages(self, name, x0, monkeypatch):
@@ -350,12 +355,15 @@ class TestIdleCertificate:
         refuse_always(monkeypatch)
         assert_same_result(certified, run(s, cfg))
 
-    def test_one_barrier_call_per_step_in_free_corner(self, monkeypatch):
+    def test_free_corner_needs_few_barrier_calls(self, monkeypatch):
         calls = count_barrier_calls(monkeypatch)
         res = run(builtin("convex-corner"))
-        steps = res.times.shape[0] - 1
-        # one call per step, plus the start check and the final row
-        assert len(calls) == steps + 2
+        assert res.times.shape[0] - 1 == 514
+        # The start check, then one anchor per idle stretch of 0.19 to
+        # 0.56 s, which the certificate carries across steps and through
+        # the final row.
+        assert len(calls) == 12
+        assert calls[:2] == [0.0, 0.0]
         assert not res.constraint_active.any()
 
     @pytest.mark.parametrize("name, x0", moving_starts())
@@ -378,18 +386,19 @@ class TestIdleCertificate:
         takes the full stages."""
         x = s.default_sim.x0
         calls = count_barrier_calls(monkeypatch)
-        x_next, ev, first = step(x, 0.0, s, 0.01)
-        assert not first.constraint_active
+        x_next, (_, u_safe, active), _ = step(x, 0.0, s, 0.01)
+        assert not active
         assert len(calls) == 4
-        point = x + 0.5 * 0.01 * first.u_safe
+        point = x + 0.5 * 0.01 * u_safe
         u = s.controller.velocity(point)
+        ev = smooth_barrier(s.environment, s.agent, x, 0.0, s.cbf)
         assert not polycbf.sim._idle_certificate(ev, x, 0.0, s)(point, 0.005,
                                                                u)
-        stage2 = polycbf.sim._control(s, point, 0.005, u)[1]
-        assert stage2.constraint_active
+        stage2 = smooth_barrier(s.environment, s.agent, point, 0.005, s.cbf)
+        assert safe_velocity(stage2, u, s.cbf).constraint_active
         refuse_always(monkeypatch)
         assert np.array_equal(step(x, 0.0, s, 0.01)[0], x_next)
-        return first
+        return u_safe
 
     def test_refuses_input_into_nearby_wall(self, monkeypatch):
         self.assert_refused_at_stage_2(approaching_wall(speed=0.0599),
@@ -397,8 +406,8 @@ class TestIdleCertificate:
 
     def test_refuses_wall_closing_on_resting_agent(self, monkeypatch):
         # At rest only the time terms move the residual.
-        first = self.assert_refused_at_stage_2(closing_wall(), monkeypatch)
-        assert np.array_equal(first.u_safe, [0.0, 0.0])
+        u_safe = self.assert_refused_at_stage_2(closing_wall(), monkeypatch)
+        assert np.array_equal(u_safe, [0.0, 0.0])
 
     def test_slow_approach_certified(self, monkeypatch):
         # Slow enough that every stage's residual stays positive.
@@ -407,15 +416,57 @@ class TestIdleCertificate:
         step(s.default_sim.x0, 0.0, s, 0.01)
         assert len(calls) == 1
 
+    def test_certificate_carries_into_next_step(self, monkeypatch):
+        # The first step's anchor certifies all four stages of the second,
+        # stage 1 included.
+        s = approaching_wall(speed=0.03)
+        calls = count_barrier_calls(monkeypatch)
+        x1, _, certificate = step(s.default_sim.x0, 0.0, s, 0.01)
+        assert certificate is not None
+        x2, row, carried = step(x1, 0.01, s, 0.01, certificate)
+        assert len(calls) == 1
+        assert carried is certificate
+        assert row[1] is row[0] and not row[2]
+        refuse_always(monkeypatch)
+        assert np.array_equal(step(x1, 0.01, s, 0.01)[0], x2)
+
+
+def row_value_runs():
+    """(scenario, config, termination): two builtins whose runs mix
+    certified and full steps, the door at record_stride 7, an error run,
+    and a goal run whose steps are almost all certified."""
+    door = builtin("revolving-door")
+    stride = dataclasses.replace(door.default_sim, record_stride=7)
+    return [
+        pytest.param(builtin("l-shape"), None, Termination.GOAL,
+                     id="l-shape"),
+        pytest.param(door, None, Termination.GOAL, id="revolving-door"),
+        pytest.param(door, stride, Termination.GOAL,
+                     id="revolving-door-stride-7"),
+        pytest.param(closing_walls(0.5), None, Termination.ERROR,
+                     id="closing-walls-error"),
+        pytest.param(builtin("convex-corner"), None, Termination.GOAL,
+                     id="convex-corner-goal"),
+    ]
+
 
 class TestPsi:
-    @pytest.mark.parametrize("name", ["l-shape", "revolving-door"])
-    def test_psi_is_the_exact_margin_at_each_row(self, name):
-        s = builtin(name)
-        res = run(s)
+    @pytest.mark.parametrize("s, config, termination", row_value_runs())
+    def test_psi_is_the_exact_margin_at_each_row(self, s, config,
+                                                 termination):
+        """Each row's h and psi come from blocked `barrier_field` calls at
+        the rows' own times, with the bits of the one-row calls."""
+        res = run(s, config)
+        assert res.termination is termination
+        assert res.times.size > 0
         assert res.psi_values.shape == res.times.shape
-        for p, t, psi in zip(res.positions, res.times, res.psi_values):
-            assert psi == margin_agent(s.environment, s.agent, p, float(t))
+        env, agent = s.environment, s.agent
+        h = np.array([smooth_barrier(env, agent, p, float(t), s.cbf).value
+                      for p, t in zip(res.positions, res.times)])
+        psi = np.array([margin_agent(env, agent, p, float(t))
+                        for p, t in zip(res.positions, res.times)])
+        assert res.h_values.tobytes() == h.tobytes()
+        assert res.psi_values.tobytes() == psi.tobytes()
         assert res.min_psi == res.psi_values.min()
 
 
