@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from operator import mul
 
 import numpy as np
@@ -242,19 +243,24 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     the soft support -(1/kappa) ln sum_k exp(-kappa n_i . dp_k) for h, since
     sum_k exp(-kappa psi_ik) = exp(-kappa (n_i . p - c_i)) sum_k
     exp(-kappa n_i . dp_k).  None of this depends on the centre, so it is
-    kept in a one-entry memo on env keyed by (shape identity, kappa, t),
-    where t is ignored in a static world.  The entry is read once and
-    replaced by a single assignment, so concurrent callers each see a
-    whole entry.  An ndarray t in a moving world gives one set of terms
-    per time, with t.shape prepended to every shape below; it neither
-    reads the memo's terms nor replaces the entry.
+    kept in a one-entry memo on env keyed by (shape identity, kappa).  In a
+    static world the entry holds the terms; in a moving one it maps each of
+    its times to the terms there.  A scalar t that misses replaces the entry
+    with one of that time alone, and `_hold_times` replaces it with a block
+    of times that a rollout will ask for.  The entry is read once and
+    replaced by a single assignment, so concurrent callers each see a whole
+    entry.  An ndarray t in a moving world gives one set of terms per time,
+    with t.shape prepended to every shape below; it neither reads the
+    memo's terms nor replaces the entry.
 
     In a moving world each per-row normal, level and vertex dot, and the
     rates of normals and levels, is a fixed combination of the time basis
     b(t) (see `PolytopeEnvironment._motion_law`), so a new t costs one
     `matvec` of the shape's coefficients with b(t) and the support
-    log-sum-exp.  The coefficients ride in the memo entry and are rebuilt
-    only when the shape changes.
+    log-sum-exp, and a batch of times costs one batched call of each.  The
+    coefficients ride in the memo entry and are rebuilt only when the shape
+    changes.  The terms at t[i] of a batch equal the scalar call's at t[i]
+    bit for bit, so an entry's terms do not depend on how they were built.
 
     Returns
     -------
@@ -269,9 +275,10 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     static = env.is_static
     memo = static or not isinstance(t, np.ndarray)
     entry = env._memo
-    if (memo and entry is not None and entry[0] is shape
-            and entry[2] == kappa and (static or entry[3] == t)):
-        return entry[4]
+    if memo and entry is not None and entry[0] is shape and entry[2] == kappa:
+        terms = entry[3] if static else entry[3].get(t)
+        if terms is not None:
+            return terms
     if shape.dimension != env.dimension:
         raise ValueError(
             f"agent dimension {shape.dimension} != environment dimension "
@@ -299,14 +306,37 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
             # The support's rate is ndot_i . (softmin-weighted mean dp_k).
             support_rates = np.vecdot(normal_rates, vertex_exp @ shape.offsets)
             rate_offsets = support_rates / vertex_sums - level_rates
-    # C-contiguous copies for a batch of times, which frees the product.
-    if normal_rates is not None:
+    if not memo:
+        # C-contiguous copies for a batch of times, which frees the product;
+        # one time's terms are contiguous views of it already.
+        normals = np.ascontiguousarray(normals)
         normal_rates = np.ascontiguousarray(normal_rates)
-    terms = (np.ascontiguousarray(normals), hard - levels, soft_offsets,
-             normal_rates, rate_offsets)
+    terms = (normals, hard - levels, soft_offsets, normal_rates, rate_offsets)
     if memo:
-        env._memo = (shape, law, kappa, t, terms)
+        env._memo = (shape, law, kappa, terms if static else {t: terms})
     return terms
+
+
+def _hold_times(env: PolytopeEnvironment, shape: AgentShape, times,
+                kappa: float | None) -> None:
+    """Replace env's memo entry with the face terms at each of `times`, a
+    1-D ndarray, from one batched `_face_terms` call; a no-op in a static
+    world, whose entry serves every t.
+
+    A caller that knows the times of its next scalar calls, such as the
+    RK4 stages of a block of steps, hands them here, and each of those
+    calls then hits the memo with terms equal to its own miss's.
+    """
+    if env.is_static:
+        return
+    keys = list(dict.fromkeys(times.tolist()))  # each distinct time once
+    entry = env._memo
+    law = entry[1] if entry is not None and entry[0] is shape \
+        else _shape_law(env, shape)
+    # One view per time into each batched term, C-contiguous like a miss's.
+    columns = [repeat(None) if term is None else list(term)
+               for term in _face_terms(env, shape, np.array(keys), kappa)]
+    env._memo = (shape, law, kappa, dict(zip(keys, zip(*columns))))
 
 
 def _row_max(values):

@@ -266,11 +266,12 @@ class PolytopeEnvironment:
     coefficients of one time basis b(t) at construction, and `frame(t)`
     evaluates them with one matrix-vector product.
 
-    The barrier kernel keeps the centre-independent terms of its last call
-    at one time (frame, agent supports and face levels per region row) in
-    `_memo`, one tuple keyed by (agent shape identity, kappa, t) and
-    replaced by a single assignment; t is ignored when the environment is
-    static.  In a moving world the entry also holds the agent shape's
+    The barrier kernel keeps its centre-independent terms (frame, agent
+    supports and face levels per region row) in `_memo`, one tuple keyed
+    by (agent shape identity, kappa) and replaced by a single assignment.
+    In a static world it holds the terms; in a moving one it maps each of
+    its times to the terms there (one time after a miss, a block of times
+    after `barrier._hold_times`) and also holds the agent shape's
     coefficients over b(t).  A call with one time per centre in a moving
     world leaves the entry as it is.
     """

@@ -21,8 +21,8 @@ from enum import Enum
 
 import numpy as np
 
-from .barrier import (BarrierEvaluation, barrier_field, curvature_bounds,
-                      gradient_bounds, smooth_barrier)
+from .barrier import (BarrierEvaluation, _hold_times, barrier_field,
+                      curvature_bounds, gradient_bounds, smooth_barrier)
 from .geometry import _as_point
 from .safety_filter import DegenerateGradientError, safe_velocity
 
@@ -31,6 +31,8 @@ __all__ = ["SimConfig", "SimResult", "Termination", "UnsafeStartError",
 
 # Recorded rows per `barrier_field` call, bounding its moving-world memory.
 _ROW_BLOCK = 256
+# Steps per block whose stage times `run` hands to the kernel's memo at once.
+_STEP_BLOCK = 64
 
 
 class UnsafeStartError(RuntimeError):
@@ -190,38 +192,44 @@ def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, t: float,
     return certified
 
 
-def _stage(scenario, x: np.ndarray, t: float, certificate):
+def _stage(scenario, x: np.ndarray, t: float, certificate,
+           evaluation: BarrierEvaluation | None = None):
     """The control law at one stage: (u_des, u_safe, active, certificate).
     A certified stage takes u_des, which its filter would return unchanged,
     without a barrier call; otherwise an inactive filter anchors a new
-    certificate at the stage and an active one drops it."""
+    certificate at the stage and an active one drops it.  `evaluation`, the
+    barrier at (x, t) if the caller has it, stands in for the call."""
     u_des = scenario.controller.velocity(x)
     if certificate is not None and certificate(x, t, u_des):
         return u_des, u_des, False, certificate
-    evaluation = smooth_barrier(scenario.environment, scenario.agent, x, t,
-                                scenario.cbf)
+    if evaluation is None:
+        evaluation = smooth_barrier(scenario.environment, scenario.agent, x,
+                                    t, scenario.cbf)
     result = safe_velocity(evaluation, u_des, scenario.cbf)
     if result.constraint_active:
         return u_des, result.u_safe, True, None
     return u_des, u_des, False, _idle_certificate(evaluation, x, t, scenario)
 
 
-def step(state, t: float, scenario, dt: float, certificate=None) -> tuple:
+def step(state, t: float, scenario, dt: float, certificate=None,
+         evaluation: BarrierEvaluation | None = None) -> tuple:
     """Advance one RK4 step of dx/dt = k(x, t), the filtered controller k
     applied at all four stages.
 
     `certificate` is an idle test (`_idle_certificate`) anchored at an
     earlier stage, possibly of an earlier step, or None; every stage, the
-    first included, goes through `_stage` with it in turn.  In static and
-    moving worlds alike, the new state is bit for bit the one that four
-    full stages give.
+    first included, goes through `_stage` with it in turn.  `evaluation`,
+    `smooth_barrier` at (state, t) if the caller has it, saves stage 1 its
+    barrier call.  In static and moving worlds alike, the new state is bit
+    for bit the one that four full stages give.
 
     Returns the new state, the stage-1 row (u_des, u_safe, active) and the
     certificate for the next step.  A degenerate gradient at any stage
     raises DegenerateGradientError.
     """
     x = np.asarray(state, dtype=float)
-    u_des, k1, active, certificate = _stage(scenario, x, t, certificate)
+    u_des, k1, active, certificate = _stage(scenario, x, t, certificate,
+                                            evaluation)
     _, k2, _, certificate = _stage(scenario, x + 0.5 * dt * k1, t + 0.5 * dt,
                                    certificate)
     _, k3, _, certificate = _stage(scenario, x + 0.5 * dt * k2, t + 0.5 * dt,
@@ -234,13 +242,19 @@ def step(state, t: float, scenario, dt: float, certificate=None) -> tuple:
 def run(scenario, config: SimConfig | None = None) -> SimResult:
     """Simulate until the goal, the horizon, or a filter failure.
 
-    Refuses to start when h(x0, 0) <= 0.  Each step start first checks the
-    goal on the state alone: at the goal or the horizon the control law is
-    applied once for the last row, otherwise one RK4 `step` is taken.  A
-    degenerate-gradient error ends the run with termination "error" and a
-    message naming the state and t of the failing step; the rows recorded
-    before it are kept, possibly none.  The rows' h and psi come from
-    `barrier_field` after the loop, bit for bit `smooth_barrier`'s.
+    Refuses to start when h(x0, 0) <= 0, and the first stage reuses that
+    evaluation.  Each step start first checks the goal on the state alone:
+    at the goal or the horizon the control law is applied once for the last
+    row, otherwise one RK4 `step` is taken.  A degenerate-gradient error
+    ends the run with termination "error" and a message naming the state
+    and t of the failing step; the rows recorded before it are kept,
+    possibly none.  The rows' h and psi come from `barrier_field` after the
+    loop, bit for bit `smooth_barrier`'s.
+
+    Every _STEP_BLOCK steps, the stage times t, t + dt/2 and t + dt of the
+    next block go to the kernel's memo in one batched call (`_hold_times`),
+    so in a moving world the stages' barrier calls hit it; the terms are
+    bit for bit those of a miss, and a static world ignores them.
     """
     if config is None:
         config = scenario.default_sim
@@ -250,10 +264,10 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     x = np.asarray(x0, dtype=float)
     env, agent, params = scenario.environment, scenario.agent, scenario.cbf
 
-    first = smooth_barrier(env, agent, x, 0.0, params)
-    if not first.value > 0.0:
+    evaluation = smooth_barrier(env, agent, x, 0.0, params)
+    if not evaluation.value > 0.0:
         raise UnsafeStartError(
-            f"h(x0, 0) = {first.value:.6g} <= 0 at x0 = {x.tolist()}")
+            f"h(x0, 0) = {evaluation.value:.6g} <= 0 at x0 = {x.tolist()}")
 
     goal = scenario.controller.goal
     n_steps = int(round(config.t_end / config.dt))
@@ -262,15 +276,21 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     reached_at = certificate = error_msg = None
 
     for i in range(n_steps + 1):
+        if i % _STEP_BLOCK == 0:
+            starts = np.arange(i, min(i + _STEP_BLOCK, n_steps + 1)) \
+                * config.dt
+            _hold_times(env, agent, np.concatenate(
+                (starts, starts + 0.5 * config.dt, starts + config.dt)),
+                params.kappa)
         t = i * config.dt
         at_goal = float(np.linalg.norm(x - goal)) <= config.goal_tolerance
         done = at_goal or i == n_steps
         try:
             if done:
-                row = _stage(scenario, x, t, certificate)[:3]
+                row = _stage(scenario, x, t, certificate, evaluation)[:3]
             else:
                 x_next, row, certificate = step(x, t, scenario, config.dt,
-                                                certificate)
+                                                certificate, evaluation)
         except DegenerateGradientError as err:
             termination = Termination.ERROR
             error_msg = f"{err} at state {x.tolist()}, t={t:.6g}"
@@ -283,7 +303,7 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
             if at_goal:
                 termination, reached_at = Termination.GOAL, t
             break
-        x = x_next
+        x, evaluation = x_next, None
 
     dim = x.shape[0]
     h_arr, psi_arr = np.empty(len(rows)), np.empty(len(rows))

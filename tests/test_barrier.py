@@ -537,7 +537,55 @@ class TestFaceTermMemo:
             if not env.is_static and np.ndim(args[2]) == 1:
                 assert env._memo is entry
 
+    @pytest.mark.parametrize("name", [*MOVING_WORLDS, "moving-3d"])
+    def test_block_terms_match_fresh_misses(self, name):
+        if name == "moving-3d":
+            _, env, shape, params, bounds = invariance_cases()[-1]
+        else:
+            s = MOVING_WORLDS[name]()
+            env, shape, params = s.environment, s.agent, s.cbf
+            bounds = scenario_bounds(s)
+        pristine = copy.deepcopy(env)
+        kappa, dt = params.kappa, 0.01
+        # The stage times of steps 40 to 71, as `sim.run` hands them over.
+        # At i = 41, 47, 57 and 70, i dt + dt is an ulp off (i + 1) dt, and
+        # each of the two is a time of its own.
+        starts = np.arange(40, 72) * dt
+        times = np.concatenate((starts, starts + 0.5 * dt, starts + dt))
+        for i in (41, 47, 57, 70):
+            stage_4, next_start = i * dt + dt, (i + 1) * dt
+            assert abs(stage_4 - next_start) == math.ulp(next_start)
+            assert stage_4 in times and next_start in times
+        polycbf.barrier._hold_times(env, shape, times, kappa)
+        entry = env._memo
+        center = np.random.default_rng(5).uniform(*bounds)
+        for t in times.tolist():
+            got = polycbf.barrier._face_terms(env, shape, t, kappa)
+            assert env._memo is entry  # served from the block
+            want = polycbf.barrier._face_terms(copy.deepcopy(pristine), shape,
+                                               t, kappa)
+            for g, w in zip(got, want):
+                assert g.flags.c_contiguous
+                assert (g.dtype, g.shape) == (w.dtype, w.shape)
+                assert g.tobytes() == w.tobytes()
+            assert_same_bits(
+                smooth_barrier(env, shape, center, t, params),
+                smooth_barrier(copy.deepcopy(pristine), shape, center, t,
+                               params))
+            assert env._memo is entry
+
+    def test_blocks_leave_static_worlds_alone(self):
+        s = builtin("l-shape")
+        env = s.environment
+        smooth_barrier(env, s.agent, s.default_sim.x0, 0.0, s.cbf)
+        entry = env._memo
+        polycbf.barrier._hold_times(env, s.agent, np.array([0.0, 0.5]),
+                                    s.cbf.kappa)
+        assert env._memo is entry
+
     def test_shared_env_across_threads(self):
+        # Four threads make scalar calls while a fifth installs blocks of
+        # their times on the same env.
         s = builtin("revolving-door")
         env, dt = s.environment, s.default_sim.dt
         pristine = copy.deepcopy(env)
@@ -557,14 +605,24 @@ class TestFaceTermMemo:
             return [smooth_barrier(on, shapes[k], center, t, s.cbf)
                     for k, t in seq]
 
-        sequences = [sequence(seed) for seed in range(4)]
-        serial = [evaluate(copy.deepcopy(pristine), seq) for seq in sequences]
+        def install(on, seq):
+            out = []
+            for k, t in seq:
+                polycbf.barrier._hold_times(on, shapes[k], np.array(times),
+                                            s.cbf.kappa)
+                out.append(smooth_barrier(on, shapes[k], center, t, s.cbf))
+            return out
+
+        workers = [evaluate] * 4 + [install]
+        sequences = [sequence(seed) for seed in range(5)]
+        serial = [work(copy.deepcopy(pristine), seq)
+                  for work, seq in zip(workers, sequences)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                threaded = list(pool.map(evaluate, [env] * 4, sequences,
-                                         timeout=60))
+            with ThreadPoolExecutor(max_workers=5) as pool:
+                threaded = list(pool.map(lambda work, seq: work(env, seq),
+                                         workers, sequences, timeout=60))
         finally:
             sys.setswitchinterval(interval)
         for got, want in zip(threaded, serial):

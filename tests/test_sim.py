@@ -359,11 +359,11 @@ class TestIdleCertificate:
         calls = count_barrier_calls(monkeypatch)
         res = run(builtin("convex-corner"))
         assert res.times.shape[0] - 1 == 514
-        # The start check, then one anchor per idle stretch of 0.19 to
-        # 0.56 s, which the certificate carries across steps and through
-        # the final row.
-        assert len(calls) == 12
-        assert calls[:2] == [0.0, 0.0]
+        # The start check, which is also stage 1's evaluation, then one
+        # anchor per idle stretch of 0.19 to 0.56 s, which the certificate
+        # carries across steps and through the final row.
+        assert len(calls) == 11
+        assert calls[:1] == [0.0] and calls.count(0.0) == 1
         assert not res.constraint_active.any()
 
     @pytest.mark.parametrize("name, x0", moving_starts())
@@ -429,6 +429,56 @@ class TestIdleCertificate:
         assert row[1] is row[0] and not row[2]
         refuse_always(monkeypatch)
         assert np.array_equal(step(x1, 0.01, s, 0.01)[0], x2)
+
+    def test_given_evaluation_replaces_stage_1_call(self, monkeypatch):
+        s = approaching_wall(speed=0.1)  # stage 1 is active
+        x0 = s.default_sim.x0
+        evaluation = smooth_barrier(s.environment, s.agent, x0, 0.0, s.cbf)
+        calls = count_barrier_calls(monkeypatch)
+        given = step(x0, 0.0, s, 0.01, evaluation=evaluation)
+        given_calls = calls.copy()
+        full = step(x0, 0.0, s, 0.01)
+        assert [0.0] + given_calls == calls[len(given_calls):]
+        assert np.array_equal(given[0], full[0])
+        for g, f in zip(given[1], full[1]):
+            assert np.array_equal(g, f)
+
+
+def count_time_bases(monkeypatch):
+    calls = []
+    time_basis = PolytopeEnvironment._time_basis
+
+    def counted(env, t):
+        calls.append(np.size(t))
+        return time_basis(env, t)
+
+    monkeypatch.setattr(PolytopeEnvironment, "_time_basis", counted)
+    return calls
+
+
+class TestStageTimeBlocks:
+    """`run` hands each block of steps' stage times to the kernel's memo at
+    once; the stages' barrier calls then hit it, with the bits of a miss."""
+
+    @pytest.mark.parametrize("name, x0", moving_starts())
+    def test_run_equals_run_without_blocks(self, name, x0, monkeypatch):
+        s = spun_pyramid() if name == "spun-pyramid" else builtin(name)
+        cfg = dataclasses.replace(s.default_sim, x0=x0)
+        blocked = run(s, cfg)
+        monkeypatch.setattr(polycbf.sim, "_hold_times", lambda *args: None)
+        assert_same_result(blocked, run(s, cfg))
+
+    @pytest.mark.parametrize("x0", builtin("revolving-door").all_starts(),
+                             ids=["0", "1"])
+    def test_door_time_bases_per_block(self, x0, monkeypatch):
+        # One batched time basis per block of steps and per block of rows,
+        # and one for the start check: every stage hits the memo.  At
+        # record_stride 1 each step start is one row.
+        s = builtin("revolving-door")
+        calls = count_time_bases(monkeypatch)
+        rows = run(s, dataclasses.replace(s.default_sim, x0=x0)).times.size
+        assert len(calls) <= (-(-rows // polycbf.sim._STEP_BLOCK)
+                              + -(-rows // polycbf.sim._ROW_BLOCK) + 1)
 
 
 def row_value_runs():
