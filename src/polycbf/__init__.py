@@ -9,7 +9,7 @@ from .geometry import (AgentShape, ConvexRegion, HalfSpace,
 from .safety_filter import (DegenerateGradientError, DesiredController,
                             FilterResult, safe_velocity)
 from .scenarios import (BUILTIN_NAMES, Scenario, ScenarioError, builtin, load,
-                        save, static_variant)
+                        save)
 from .sim import SimConfig, SimResult, Termination, UnsafeStartError, run, step
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "safe_velocity",
     "save",
     "smooth_barrier",
-    "static_variant",
     "step",
     "__version__",
 ]

@@ -39,16 +39,6 @@ def _as_point(value, dim: int | None = None, name: str = "point") -> np.ndarray:
     return arr
 
 
-def _skew3(v: np.ndarray) -> np.ndarray:
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
-
-
 def _unstack(stacked: np.ndarray, shapes) -> list[np.ndarray]:
     """Split the last axis of `stacked` into consecutive blocks, one per
     trailing shape in `shapes`; the leading axes carry through."""
@@ -59,10 +49,6 @@ def _unstack(stacked: np.ndarray, shapes) -> list[np.ndarray]:
         blocks.append(block.reshape(lead + shape) if len(shape) > 1 else block)
         start = stop
     return blocks
-
-
-_EYE2 = np.eye(2)
-_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 class RigidMotion:
@@ -86,8 +72,7 @@ class RigidMotion:
         Constant translational velocity, zero if omitted.
     """
 
-    __slots__ = ("center", "spin", "linear_velocity", "dimension", "_rate",
-                 "_axis")
+    __slots__ = ("center", "spin", "linear_velocity", "dimension", "_rate")
 
     def __init__(self, center, *, omega: float | None = None, axis_rate=None,
                  linear_velocity=None):
@@ -101,7 +86,7 @@ class RigidMotion:
             self.spin = float(omega)
             if not np.isfinite(self.spin):
                 raise ValueError(f"omega must be finite, got {omega}")
-            self._rate, self._axis = self.spin, None
+            self._rate = self.spin
         else:
             if self.dimension != 3:
                 raise ValueError("axis_rate is the 3D spin; use omega in 2D")
@@ -111,11 +96,6 @@ class RigidMotion:
             if not self._rate < np.inf:
                 raise ValueError(
                     f"axis_rate length must not overflow, got {self.spin}")
-            # Rodrigues: R = I + sin(a) K + (1 - cos a) K^2 at angle
-            # a = rate * t, with K the cross-product matrix of the unit axis.
-            k = _skew3(self.spin / self._rate) if self._rate > 0 \
-                else np.zeros((3, 3))
-            self._axis = (k, k @ k)
         if linear_velocity is None:
             self.linear_velocity = np.zeros(self.dimension)
         else:
@@ -124,35 +104,17 @@ class RigidMotion:
 
     def _expansion(self) -> np.ndarray:
         """(P, Q, S), shape (3, p, p), with R(t) = P + cos(a) Q + sin(a) S
-        at a = rate * t: 0, I, J in 2D and I + K^2, -K^2, K in 3D."""
-        if self._axis is None:
-            return np.stack((np.zeros((2, 2)), _EYE2, _QUARTER_TURN))
-        k, k2 = self._axis
+        at a = rate * t: 0, I, J in 2D and, by Rodrigues' formula with K
+        the cross-product matrix of the unit axis, I + K^2, -K^2, K in 3D."""
+        if self.dimension == 2:
+            return np.array([np.zeros((2, 2)), np.eye(2),
+                             [[0.0, -1.0], [1.0, 0.0]]])
+        k = np.zeros((3, 3))
+        if self._rate > 0:
+            x, y, z = self.spin / self._rate
+            k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        k2 = k @ k
         return np.stack((np.eye(3) + k2, -k2, k))
-
-    def _angle(self, t):
-        """Rotation angle at t, shaped (..., 1, 1) to scale matrices."""
-        return self._rate * np.asarray(t)[..., None, None]
-
-    def rotation(self, t) -> np.ndarray:
-        """Rotation matrix R(t); orthonormal for every t, identity at t = 0.
-
-        t is one time, giving shape (p, p), or an array of times, giving
-        one matrix per time, shape t.shape + (p, p)."""
-        a = self._angle(t)
-        if self._axis is None:
-            return np.cos(a) * _EYE2 + np.sin(a) * _QUARTER_TURN
-        k, k2 = self._axis
-        return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * k2
-
-    def rotation_rate(self, t) -> np.ndarray:
-        """Time derivative of the rotation matrix, dR/dt at t, shaped as
-        `rotation(t)`."""
-        a = self._angle(t)
-        if self._axis is None:
-            return self._rate * (np.cos(a) * _QUARTER_TURN - np.sin(a) * _EYE2)
-        k, k2 = self._axis
-        return self._rate * (np.cos(a) * k + np.sin(a) * k2)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RigidMotion):
@@ -178,7 +140,7 @@ class HalfSpace:
 
     Normals are kept exactly as given (not normalized); barrier magnitudes
     scale with ||n||, which also rescales the effective smoothing sharpness
-    downstream.  Use :meth:`normalized` when unit normals are wanted.
+    downstream.
     """
 
     __slots__ = ("normal", "anchor", "motion", "dimension")
@@ -201,11 +163,6 @@ class HalfSpace:
                 f"motion dimension {motion.dimension} != half-space dimension "
                 f"{self.dimension}")
         self.motion = motion
-
-    def normalized(self) -> "HalfSpace":
-        """Same half-space with a unit normal."""
-        n = self.normal / np.linalg.norm(self.normal)
-        return HalfSpace(n, self.anchor, self.motion)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, HalfSpace):
@@ -266,14 +223,10 @@ class PolytopeEnvironment:
     coefficients of one time basis b(t) at construction, and `frame(t)`
     evaluates them with one matrix-vector product.
 
-    The barrier kernel keeps its centre-independent terms (frame, agent
-    supports and face levels per region row) in `_memo`, one tuple keyed
-    by (agent shape identity, kappa) and replaced by a single assignment.
-    In a static world it holds the terms; in a moving one it maps each of
-    its times to the terms there (one time after a miss, a block of times
-    after `barrier._hold_times`) and also holds the agent shape's
-    coefficients over b(t).  A call with one time per centre in a moving
-    world leaves the entry as it is.
+    The barrier kernel keeps its centre-independent terms in `_memo`, one
+    entry that is only ever replaced whole by a single assignment, so
+    threads may share the environment; `barrier._face_terms` describes the
+    entry.
     """
 
     def __init__(self, half_spaces, regions):
@@ -504,11 +457,6 @@ class AgentShape:
             self._circumradius = float(
                 np.max(np.linalg.norm(self.offsets, axis=1)))
         return self._circumradius
-
-    def vertices(self, center) -> np.ndarray:
-        """Vertex positions center + offset_k, order preserved."""
-        center = _as_point(center, self.dimension, "center")
-        return center + self.offsets
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AgentShape):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .safety_filter import DesiredController
 from .sim import SimConfig
 
 __all__ = ["Scenario", "ScenarioError", "BUILTIN_NAMES", "builtin",
-           "load", "save", "static_variant"]
+           "load", "save"]
 
 
 class ScenarioError(ValueError):
@@ -84,17 +84,6 @@ class Scenario:
             and all(np.array_equal(a, b) for a, b in
                     zip(self.alternative_starts, other.alternative_starts))
         )
-
-
-def static_variant(scenario: Scenario) -> Scenario:
-    """Copy of the scenario with every rigid motion removed (frozen at its
-    t = 0 pose).  Used e.g. to compare the revolving door with a stationary
-    one."""
-    frozen = [HalfSpace(hs.normal, hs.anchor, None)
-              for hs in scenario.environment.half_spaces]
-    env = PolytopeEnvironment(frozen, [ConvexRegion(r.indices)
-                                       for r in scenario.environment.regions])
-    return replace(scenario, name=scenario.name + "-static", environment=env)
 
 
 # ---------------------------------------------------------------------------

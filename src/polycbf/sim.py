@@ -4,12 +4,12 @@ The one integrator is classical RK4, and the control law (smooth barrier ->
 desired velocity -> safety filter) is applied at each of its four stages,
 which is the closest discrete realization of the continuous closed loop.
 A stage whose filter the barrier's curvature bound in (p, t) proves
-inactive, from the last inactive full evaluation of the run, takes the
-desired velocity without evaluating the barrier, which is exactly what the
-filter would return; the bound covers static and moving worlds alike.  The
-goal is checked at each step start, before integrating, so the step that
-reaches it computes no stages.  Runs are fully deterministic: identical
-scenario and config give bit-identical results.
+inactive, from the run's start check or its last inactive full evaluation,
+takes the desired velocity without evaluating the barrier, which is exactly
+what the filter would return; the bound covers static and moving worlds
+alike.  The goal is checked at each step start, before integrating, so the
+step that reaches it computes no stages.  Runs are fully deterministic:
+identical scenario and config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -192,49 +192,50 @@ def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, t: float,
     return certified
 
 
-def _stage(scenario, x: np.ndarray, t: float, certificate,
-           evaluation: BarrierEvaluation | None = None):
+def _stage_times(t, dt):
+    """The RK4 stage times (t, t + dt/2, t + dt) of the step from t, for one
+    t or an array of step starts."""
+    return t, t + 0.5 * dt, t + dt
+
+
+def _stage(scenario, x: np.ndarray, t: float, certificate):
     """The control law at one stage: (u_des, u_safe, active, certificate).
     A certified stage takes u_des, which its filter would return unchanged,
     without a barrier call; otherwise an inactive filter anchors a new
-    certificate at the stage and an active one drops it.  `evaluation`, the
-    barrier at (x, t) if the caller has it, stands in for the call."""
+    certificate at the stage and an active one drops it."""
     u_des = scenario.controller.velocity(x)
     if certificate is not None and certificate(x, t, u_des):
         return u_des, u_des, False, certificate
-    if evaluation is None:
-        evaluation = smooth_barrier(scenario.environment, scenario.agent, x,
-                                    t, scenario.cbf)
+    evaluation = smooth_barrier(scenario.environment, scenario.agent, x, t,
+                                scenario.cbf)
     result = safe_velocity(evaluation, u_des, scenario.cbf)
     if result.constraint_active:
         return u_des, result.u_safe, True, None
     return u_des, u_des, False, _idle_certificate(evaluation, x, t, scenario)
 
 
-def step(state, t: float, scenario, dt: float, certificate=None,
-         evaluation: BarrierEvaluation | None = None) -> tuple:
+def step(state, t: float, scenario, dt: float, certificate=None) -> tuple:
     """Advance one RK4 step of dx/dt = k(x, t), the filtered controller k
     applied at all four stages.
 
     `certificate` is an idle test (`_idle_certificate`) anchored at an
     earlier stage, possibly of an earlier step, or None; every stage, the
-    first included, goes through `_stage` with it in turn.  `evaluation`,
-    `smooth_barrier` at (state, t) if the caller has it, saves stage 1 its
-    barrier call.  In static and moving worlds alike, the new state is bit
-    for bit the one that four full stages give.
+    first included, goes through `_stage` with it in turn.  In static and
+    moving worlds alike, the new state is bit for bit the one that four
+    full stages give.
 
     Returns the new state, the stage-1 row (u_des, u_safe, active) and the
     certificate for the next step.  A degenerate gradient at any stage
     raises DegenerateGradientError.
     """
     x = np.asarray(state, dtype=float)
-    u_des, k1, active, certificate = _stage(scenario, x, t, certificate,
-                                            evaluation)
-    _, k2, _, certificate = _stage(scenario, x + 0.5 * dt * k1, t + 0.5 * dt,
+    t1, t2, t4 = _stage_times(t, dt)
+    u_des, k1, active, certificate = _stage(scenario, x, t1, certificate)
+    _, k2, _, certificate = _stage(scenario, x + 0.5 * dt * k1, t2,
                                    certificate)
-    _, k3, _, certificate = _stage(scenario, x + 0.5 * dt * k2, t + 0.5 * dt,
+    _, k3, _, certificate = _stage(scenario, x + 0.5 * dt * k2, t2,
                                    certificate)
-    _, k4, _, certificate = _stage(scenario, x + dt * k3, t + dt, certificate)
+    _, k4, _, certificate = _stage(scenario, x + dt * k3, t4, certificate)
     return (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
             (u_des, k1, active), certificate)
 
@@ -242,8 +243,10 @@ def step(state, t: float, scenario, dt: float, certificate=None,
 def run(scenario, config: SimConfig | None = None) -> SimResult:
     """Simulate until the goal, the horizon, or a filter failure.
 
-    Refuses to start when h(x0, 0) <= 0, and the first stage reuses that
-    evaluation.  Each step start first checks the goal on the state alone:
+    Refuses to start when h(x0, 0) <= 0; otherwise that evaluation anchors
+    the run's first idle certificate, whatever its filter says, so a start
+    whose filter is inactive by the certificate's margin takes no second
+    barrier call.  Each step start first checks the goal on the state alone:
     at the goal or the horizon the control law is applied once for the last
     row, otherwise one RK4 `step` is taken.  A degenerate-gradient error
     ends the run with termination "error" and a message naming the state
@@ -251,8 +254,8 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     possibly none.  The rows' h and psi come from `barrier_field` after the
     loop, bit for bit `smooth_barrier`'s.
 
-    Every _STEP_BLOCK steps, the stage times t, t + dt/2 and t + dt of the
-    next block go to the kernel's memo in one batched call (`_hold_times`),
+    Every _STEP_BLOCK steps, the stage times (`_stage_times`) of the next
+    block go to the kernel's memo in one batched call (`_hold_times`),
     so in a moving world the stages' barrier calls hit it; the terms are
     bit for bit those of a miss, and a static world ignores them.
     """
@@ -268,29 +271,30 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     if not evaluation.value > 0.0:
         raise UnsafeStartError(
             f"h(x0, 0) = {evaluation.value:.6g} <= 0 at x0 = {x.tolist()}")
+    certificate = _idle_certificate(evaluation, x, 0.0, scenario)
 
     goal = scenario.controller.goal
     n_steps = int(round(config.t_end / config.dt))
     times, positions, rows = [], [], []
     termination = Termination.HORIZON
-    reached_at = certificate = error_msg = None
+    reached_at = error_msg = None
 
     for i in range(n_steps + 1):
         if i % _STEP_BLOCK == 0:
             starts = np.arange(i, min(i + _STEP_BLOCK, n_steps + 1)) \
                 * config.dt
-            _hold_times(env, agent, np.concatenate(
-                (starts, starts + 0.5 * config.dt, starts + config.dt)),
-                params.kappa)
+            _hold_times(env, agent,
+                        np.concatenate(_stage_times(starts, config.dt)),
+                        params.kappa)
         t = i * config.dt
         at_goal = float(np.linalg.norm(x - goal)) <= config.goal_tolerance
         done = at_goal or i == n_steps
         try:
             if done:
-                row = _stage(scenario, x, t, certificate, evaluation)[:3]
+                row = _stage(scenario, x, t, certificate)[:3]
             else:
                 x_next, row, certificate = step(x, t, scenario, config.dt,
-                                                certificate, evaluation)
+                                                certificate)
         except DegenerateGradientError as err:
             termination = Termination.ERROR
             error_msg = f"{err} at state {x.tolist()}, t={t:.6g}"
@@ -303,7 +307,7 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
             if at_goal:
                 termination, reached_at = Termination.GOAL, t
             break
-        x, evaluation = x_next, None
+        x = x_next
 
     dim = x.shape[0]
     h_arr, psi_arr = np.empty(len(rows)), np.empty(len(rows))

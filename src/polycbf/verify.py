@@ -1,7 +1,7 @@
 """Independent oracles and property audits.
 
 Everything here checks the fast closed-form code paths against slower,
-structurally different computations: a dense-grid QP solve, Dirichlet
+structurally different computations: KKT residuals of the filter, Dirichlet
 sampling of the agent hull, grid scans of the under-approximation property,
 and central finite differences for the analytic derivatives.  All sampling
 is seeded and deterministic.
@@ -21,8 +21,6 @@ from .safety_filter import safe_velocity
 
 __all__ = [
     "AuditReport",
-    "InfeasibleGridError",
-    "qp_bruteforce",
     "hull_containment_audit",
     "under_approximation_audit",
     "gradient_audit",
@@ -40,11 +38,6 @@ SUITES = ("gradients", "qp", "hull", "under", "sandwich")
 _QP_BLOCK = 4096  # filter problems drawn at once, bounding the audit's memory
 
 
-class InfeasibleGridError(RuntimeError):
-    """No grid point satisfied the constraint: the feasible half-space
-    missed the search ball entirely."""
-
-
 @dataclass
 class AuditReport:
     """One audit outcome, serializable for machine consumption."""
@@ -60,31 +53,6 @@ class AuditReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def qp_bruteforce(evaluation: BarrierEvaluation, u_desired, params: CbfParams,
-                  grid_radius: float, grid_n: int) -> np.ndarray:
-    """Dense-grid reference for the closed-form filter.
-
-    Minimizes ||u - u_des||^2 over the feasible points of a regular grid of
-    grid_n points per axis spanning u_des +/- grid_radius.  Test-only: the
-    answer is exact up to the grid spacing.
-    """
-    if grid_n < 100:
-        raise ValueError(f"grid_n must be at least 100, got {grid_n}")
-    u_desired = np.asarray(u_desired, dtype=float)
-    candidates = grid_points(u_desired - grid_radius,
-                             u_desired + grid_radius, grid_n)
-    grad = np.asarray(evaluation.gradient, dtype=float)
-    residual = (candidates @ grad + evaluation.time_partial
-                + params.alpha_gain * evaluation.value)
-    feasible = candidates[residual >= 0.0]
-    if feasible.shape[0] == 0:
-        raise InfeasibleGridError(
-            f"no feasible grid point within radius {grid_radius} "
-            f"({grid_n}^{u_desired.shape[0]} points)")
-    dist_sq = np.sum((feasible - u_desired) ** 2, axis=1)
-    return feasible[np.argmin(dist_sq)]
 
 
 def _draw_states(scenario, rng: np.random.Generator, n: int):

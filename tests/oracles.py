@@ -3,9 +3,11 @@
 The barrier oracles are plain nested loops over math.exp, with no
 stabilization and no shared code with the library, so agreement is
 meaningful.  They are only valid at moderate exponents (|kappa * psi| below
-~700).  `qp_audit_loop`, `gradient_audit_loop` and `hull_audit_loop` are the
-loop forms of the batched audits: one filter call per problem, or one state
-per kernel call.
+~700).  The rotation oracles rebuild R(t) from a motion's public spin alone,
+and `qp_bruteforce` solves the filter's QP on a dense grid.
+`qp_audit_loop`, `gradient_audit_loop` and `hull_audit_loop` are the loop
+forms of the batched audits: one filter call per problem, or one state per
+kernel call.
 """
 
 import math
@@ -19,12 +21,80 @@ from polycbf.geometry import AgentShape
 from polycbf.safety_filter import safe_velocity
 
 
+def _generator(motion):
+    """A motion's angular rate and the unit generator K of its rotation,
+    from its public spin alone: the quarter turn in 2D, and in 3D the
+    cross-product matrix of the unit axis spin / |spin| (zero at rest)."""
+    if motion.dimension == 2:
+        return motion.spin, np.array([[0.0, -1.0], [1.0, 0.0]])
+    rate = float(np.linalg.norm(motion.spin))
+    if rate == 0.0:
+        return 0.0, np.zeros((3, 3))
+    x, y, z = motion.spin / rate
+    return rate, np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def rotation(motion, t):
+    """Rotation matrix R(t) of a rigid motion at angle a = rate * t: the
+    planar turn cos(a) I + sin(a) K in 2D, Rodrigues' formula I + sin(a) K
+    + (1 - cos a) K^2 in 3D.  t is one time, giving shape (p, p), or an
+    array of times, giving t.shape + (p, p)."""
+    rate, k = _generator(motion)
+    a = rate * np.asarray(t, dtype=float)[..., None, None]
+    if motion.dimension == 2:
+        return np.cos(a) * np.eye(2) + np.sin(a) * k
+    return np.eye(3) + np.sin(a) * k + (1.0 - np.cos(a)) * (k @ k)
+
+
+def rotation_rate(motion, t):
+    """dR/dt at t, the derivative of `rotation` in t, shaped as it."""
+    rate, k = _generator(motion)
+    a = rate * np.asarray(t, dtype=float)[..., None, None]
+    if motion.dimension == 2:
+        return rate * (np.cos(a) * k - np.sin(a) * np.eye(2))
+    return rate * (np.cos(a) * k + np.sin(a) * (k @ k))
+
+
+def vertices(shape, center):
+    """Vertex positions center + offset_k of an agent shape, order kept."""
+    return np.asarray(center, dtype=float) + shape.offsets
+
+
+class InfeasibleGridError(RuntimeError):
+    """No grid point satisfied the constraint: the feasible half-space
+    missed the search ball entirely."""
+
+
+def qp_bruteforce(evaluation, u_desired, params, grid_radius, grid_n):
+    """Dense-grid reference for the closed-form filter.
+
+    Minimizes ||u - u_des||^2 over the feasible points of a regular grid of
+    grid_n points per axis spanning u_des +/- grid_radius.  The answer is
+    exact up to the grid spacing.
+    """
+    if grid_n < 100:
+        raise ValueError(f"grid_n must be at least 100, got {grid_n}")
+    u_desired = np.asarray(u_desired, dtype=float)
+    candidates = verify.grid_points(u_desired - grid_radius,
+                                    u_desired + grid_radius, grid_n)
+    grad = np.asarray(evaluation.gradient, dtype=float)
+    residual = (candidates @ grad + evaluation.time_partial
+                + params.alpha_gain * evaluation.value)
+    feasible = candidates[residual >= 0.0]
+    if feasible.shape[0] == 0:
+        raise InfeasibleGridError(
+            f"no feasible grid point within radius {grid_radius} "
+            f"({grid_n}^{u_desired.shape[0]} points)")
+    dist_sq = np.sum((feasible - u_desired) ** 2, axis=1)
+    return feasible[np.argmin(dist_sq)]
+
+
 def halfspace_value(hs, p, t):
     """n(t) . (p - w(t)) from first principles."""
     p = np.asarray(p, dtype=float)
     if hs.motion is None:
         return float(np.dot(hs.normal, p - hs.anchor))
-    rot = hs.motion.rotation(t)
+    rot = rotation(hs.motion, t)
     n = rot @ hs.normal
     w = hs.motion.center + rot @ (hs.anchor - hs.motion.center) \
         + hs.motion.linear_velocity * t
@@ -37,7 +107,7 @@ def halfspace_frame(hs, t):
     if hs.motion is None:
         return hs.normal, float(hs.normal @ hs.anchor), 0.0 * hs.normal, 0.0
     m = hs.motion
-    rot, rot_rate = m.rotation(t), m.rotation_rate(t)
+    rot, rot_rate = rotation(m, t), rotation_rate(m, t)
     arm = hs.anchor - m.center
     n, n_rate = rot @ hs.normal, rot_rate @ hs.normal
     w = m.center + rot @ arm + m.linear_velocity * t
@@ -193,7 +263,7 @@ def hull_audit_loop(scenario, n_states=500, n_weights=20, seed=0):
     point = AgentShape.point(env.dimension)
     worst = math.inf
     for center, t, w in zip(centers, map(float, times), weights):
-        points = w @ shape.vertices(center)
+        points = w @ vertices(shape, center)
         gap = np.min(margin_field(env, point, points, t)) \
             - margin_field(env, shape, center[None], t)[0]
         worst = min(worst, gap)

@@ -11,11 +11,13 @@ import pytest
 from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
                              provable_buffer)
 from polycbf.safety_filter import safe_velocity
-from polycbf.scenarios import BUILTIN_NAMES, builtin, static_variant
+from polycbf.scenarios import BUILTIN_NAMES, builtin
 from polycbf.sim import Termination, run
 from polycbf.verify import (grid_points, gradient_audit,
-                            hull_containment_audit, qp_bruteforce,
-                            scenario_bounds)
+                            hull_containment_audit, scenario_bounds)
+
+from oracles import qp_bruteforce
+from worlds import static_variant
 
 H_TOL = 1e-3  # discretization allowance on the forward-invariance bound
 

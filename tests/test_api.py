@@ -1,0 +1,48 @@
+"""The public names of the package: the library exports what its pipeline,
+CLI and audits call, and the test-only helpers live in `oracles` and
+`worlds`, so a removed name cannot come back unnoticed."""
+
+import polycbf
+import polycbf.scenarios
+import polycbf.verify
+from polycbf.geometry import AgentShape, HalfSpace, RigidMotion
+
+
+def test_package_exports():
+    assert sorted(polycbf.__all__) == sorted([
+        "AgentShape", "BarrierEvaluation", "BUILTIN_NAMES", "CbfParams",
+        "ConvexRegion", "DegenerateGradientError", "DesiredController",
+        "FilterResult", "HalfSpace", "PolytopeEnvironment", "RigidMotion",
+        "Scenario", "ScenarioError", "SimConfig", "SimResult", "Termination",
+        "UnsafeStartError", "barrier_field", "builtin", "load",
+        "margin_agent", "margin_field", "provable_buffer", "run",
+        "safe_velocity", "save", "smooth_barrier", "step", "__version__",
+    ])
+    for name in polycbf.__all__:
+        assert hasattr(polycbf, name), name
+
+
+def test_verify_exports():
+    assert sorted(polycbf.verify.__all__) == sorted([
+        "AuditReport", "hull_containment_audit", "under_approximation_audit",
+        "gradient_audit", "qp_closed_form_audit", "smoothing_sandwich_audit",
+        "SUITES", "run_suite", "scenario_bounds", "grid_points",
+    ])
+    for name in ("qp_bruteforce", "InfeasibleGridError"):
+        assert not hasattr(polycbf.verify, name), name
+
+
+def test_scenarios_exports():
+    assert sorted(polycbf.scenarios.__all__) == sorted([
+        "Scenario", "ScenarioError", "BUILTIN_NAMES", "builtin", "load",
+        "save",
+    ])
+    assert not hasattr(polycbf.scenarios, "static_variant")
+    assert not hasattr(polycbf, "static_variant")
+
+
+def test_removed_methods_stay_removed():
+    for name in ("rotation", "rotation_rate", "_angle", "_axis"):
+        assert not hasattr(RigidMotion, name), name
+    assert not hasattr(HalfSpace, "normalized")
+    assert not hasattr(AgentShape, "vertices")

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from polycbf.barrier import provable_buffer, smooth_barrier
 from polycbf.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError,
-                               _scenario_to_dict, builtin, load, save,
-                               static_variant)
+                               _scenario_to_dict, builtin, load, save)
 from polycbf.sim import UnsafeStartError, run
+
+from worlds import static_variant
 
 
 class TestBuiltinFixtures:

@@ -359,9 +359,9 @@ class TestIdleCertificate:
         calls = count_barrier_calls(monkeypatch)
         res = run(builtin("convex-corner"))
         assert res.times.shape[0] - 1 == 514
-        # The start check, which is also stage 1's evaluation, then one
-        # anchor per idle stretch of 0.19 to 0.56 s, which the certificate
-        # carries across steps and through the final row.
+        # The start check, whose evaluation anchors the first certificate,
+        # then one anchor per idle stretch of 0.19 to 0.56 s, which the
+        # certificate carries across steps and through the final row.
         assert len(calls) == 11
         assert calls[:1] == [0.0] and calls.count(0.0) == 1
         assert not res.constraint_active.any()
@@ -430,18 +430,24 @@ class TestIdleCertificate:
         refuse_always(monkeypatch)
         assert np.array_equal(step(x1, 0.01, s, 0.01)[0], x2)
 
-    def test_given_evaluation_replaces_stage_1_call(self, monkeypatch):
-        s = approaching_wall(speed=0.1)  # stage 1 is active
-        x0 = s.default_sim.x0
-        evaluation = smooth_barrier(s.environment, s.agent, x0, 0.0, s.cbf)
+    @pytest.mark.parametrize("speed, start_calls", [
+        pytest.param(0.1, 2, id="active"),
+        pytest.param(0.06 - 1e-10, 2, id="idle-below-margin"),
+        pytest.param(0.0599, 1, id="idle-above-margin"),
+    ])
+    def test_start_check_anchors_first_certificate(self, speed, start_calls,
+                                                   monkeypatch):
+        # The start check's evaluation anchors the run's first certificate
+        # whatever its filter says.  Stage 1 refuses that anchor when the
+        # start's filter is active (residual -0.04) or idle by less than the
+        # certificate's margin (residual 1e-10), and calls the barrier again;
+        # at residual 1e-4 it takes the anchor and stage 2 refuses it.
+        s = approaching_wall(speed)
         calls = count_barrier_calls(monkeypatch)
-        given = step(x0, 0.0, s, 0.01, evaluation=evaluation)
-        given_calls = calls.copy()
-        full = step(x0, 0.0, s, 0.01)
-        assert [0.0] + given_calls == calls[len(given_calls):]
-        assert np.array_equal(given[0], full[0])
-        for g, f in zip(given[1], full[1]):
-            assert np.array_equal(g, f)
+        certified = run(s)
+        assert calls.count(0.0) == start_calls
+        refuse_always(monkeypatch)
+        assert_same_result(certified, run(s))
 
 
 def count_time_bases(monkeypatch):

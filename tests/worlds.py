@@ -1,5 +1,7 @@
-"""Moving variants of the builtin worlds, for the tests of the barrier's
-curvature bound in (p, t) and of the certified-idle RK4 stages."""
+"""Variants of the builtin worlds with changed motions: moving ones, for the
+tests of the barrier's curvature bound in (p, t) and of the certified-idle
+RK4 stages, and frozen ones, for the tests that compare a moving world with
+its pose at t = 0."""
 
 import dataclasses
 
@@ -8,29 +10,35 @@ from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
 from polycbf.scenarios import builtin
 
 
-def with_motions(name, motions, new_name):
-    """The builtin `name` with half-space i carried by motions[i] (None or
+def with_motions(scenario, motions, new_name):
+    """The scenario with half-space i carried by motions[i] (None or
     absent: static)."""
-    s = builtin(name)
-    env = s.environment
+    env = scenario.environment
     half_spaces = [HalfSpace(hs.normal, hs.anchor, motions.get(i))
                    for i, hs in enumerate(env.half_spaces)]
     return dataclasses.replace(
-        s, name=new_name,
+        scenario, name=new_name,
         environment=PolytopeEnvironment(half_spaces, env.regions))
+
+
+def static_variant(scenario):
+    """Copy of the scenario with every rigid motion removed (frozen at its
+    t = 0 pose), named `<name>-static`.  Used e.g. to compare the revolving
+    door with a stationary one."""
+    return with_motions(scenario, {}, scenario.name + "-static")
 
 
 def spun_pyramid():
     """The pyramid spun about a tilted axis through an off-centre pivot."""
     spin = RigidMotion((0.4, -0.3, 0.2), axis_rate=(0.1, -0.15, 0.25))
-    return with_motions("pyramid", dict.fromkeys(range(6), spin),
+    return with_motions(builtin("pyramid"), dict.fromkeys(range(6), spin),
                         "spun-pyramid")
 
 
 def sliding_l_shape():
     """The L-shape translating without turning (omega = 0)."""
     slide = RigidMotion((0.0, 0.0), omega=0.0, linear_velocity=(0.3, -0.2))
-    return with_motions("l-shape", dict.fromkeys(range(6), slide),
+    return with_motions(builtin("l-shape"), dict.fromkeys(range(6), slide),
                         "sliding-l-shape")
 
 
