@@ -6,15 +6,21 @@ so the minimum-deviation safe input is the Euclidean projection of the
 desired input onto it; no numeric QP solver is involved.
 
 Both the controller and the filter take one row (p,) or a batch of rows
-(M, p) through the same code, and every row of a batch equals the one-row
-call bit for bit.  Row dot products go through np.vecdot, which rounds like
-the one-row `a @ b` (broadcast products summed with .sum(-1) or einsum do
-not).  On one row every intermediate is a numpy scalar, whose arithmetic is
-cheap; the few reductions over rows go through `_count`.
+(M, p), and every row of a batch equals the one-row call bit for bit.  One
+row, as a rollout or a control tick passes it, takes a branch that works
+in Python floats: its dot products are `a.dot(b)` and its tests plain float
+comparisons, which cost less than numpy calls on a 2- or 3-vector.  A
+batch reduces over rows with numpy (`_count`, np.where), and its row dot
+products go through np.vecdot, which calls the same BLAS dot as the one-row
+`a.dot(b)` and so rounds like it (broadcast products summed with .sum(-1)
+or einsum do not).  A row the one-row filter cannot project at once (a
+non-finite residual, a degenerate gradient or one that needs rescaling)
+goes through the batch code, which raises or rescales.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +32,8 @@ __all__ = ["DesiredController", "FilterResult", "DegenerateGradientError",
            "safe_velocity"]
 
 _DEGENERATE_NORM = 1e-10
+# A row whose entries are all below this in magnitude has a finite square.
+_HUGE = 1e150
 
 
 class DegenerateGradientError(RuntimeError):
@@ -34,17 +42,14 @@ class DegenerateGradientError(RuntimeError):
     small for the geometry or the state is deep outside the safe set."""
 
 
-def _squared_norms(grad):
-    """np.vecdot(grad, grad) without an overflow warning: a row whose square
-    sum leaves the float range gets inf, which `safe_velocity` rescales.
-    Entries below 1e150 cannot overflow, and one row is checked in Python,
-    which costs less than switching numpy's error state."""
-    top = (max(map(abs, grad.tolist())) if grad.ndim == 1
-           else np.max(np.abs(grad)))
-    if top < 1e150:  # False for NaN, which takes the guarded path
-        return np.vecdot(grad, grad)
+def _squared_norms(rows):
+    """np.vecdot(rows, rows) without an overflow warning: a row whose square
+    sum leaves the float range gets inf, which `safe_velocity` rescales and
+    `DesiredController.velocity` scales to zero."""
+    if np.max(np.abs(rows)) < _HUGE:  # False for NaN: the guarded path
+        return np.vecdot(rows, rows)
     with np.errstate(over="ignore"):
-        return np.vecdot(grad, grad)
+        return np.vecdot(rows, rows)
 
 
 def _count(mask) -> int:
@@ -79,7 +84,16 @@ class DesiredController:
             raise ValueError(
                 f"p must have shape ({dim},) or (M, {dim}), got {p.shape}")
         u = self.gain * (self.goal - p)
-        speed = np.sqrt(np.vecdot(u, u))
+        if p.ndim == 1:
+            # One row in Python floats; small entries cannot overflow.
+            square = (u.dot(u) if max(map(abs, u.tolist())) < _HUGE
+                      else _squared_norms(u))
+            speed = math.sqrt(square)
+            if not speed < math.inf and not np.isfinite(p).all():
+                raise ValueError(f"p must be finite, got {p}")
+            u *= self.u_max / max(speed, self.u_max)
+            return u
+        speed = np.sqrt(_squared_norms(u))
         # A finite speed needs a finite p, so p itself is only scanned when
         # some speed is not finite (a non-finite p, or an overflow).
         if _count(speed < np.inf) < speed.size and not np.isfinite(p).all():
@@ -145,12 +159,26 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     """
     grad = np.asarray(evaluation.gradient, dtype=float)
     u_desired = np.asarray(u_desired, dtype=float)
-    a = (np.vecdot(grad, u_desired) + evaluation.time_partial
-         + params.alpha_gain * evaluation.value)
+    value, time_partial = evaluation.value, evaluation.time_partial
+    if (grad.ndim == 1 and grad.shape == u_desired.shape
+            and type(value) is float and type(time_partial) is float):
+        # One row, as `smooth_barrier` returns it: Python float arithmetic
+        # and comparisons, in the batch code's order.  A row it cannot
+        # project here falls through, to raise or rescale.
+        a = (float(grad.dot(u_desired)) + time_partial
+             + params.alpha_gain * value)
+        if a >= 0.0:
+            return FilterResult(u_desired, u_desired, value, np.False_)
+        if a > -math.inf and max(map(abs, grad.tolist())) < _HUGE:
+            grad_sq = float(grad.dot(grad))
+            if _DEGENERATE_NORM ** 2 < grad_sq < math.inf:
+                return FilterResult(u_desired - grad * (a / grad_sq),
+                                    u_desired, value, np.True_)
+    a = np.vecdot(grad, u_desired) + time_partial + params.alpha_gain * value
     active = (a < 0.0) | (a != a)  # a NaN residual counts as violated
     n_active = _count(active)
     if not n_active:
-        return FilterResult(u_desired, u_desired, evaluation.value, active)
+        return FilterResult(u_desired, u_desired, value, active)
     grad_sq = _squared_norms(grad)
     if n_active < active.size:
         # Rows that already meet the constraint take the step
@@ -175,4 +203,4 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
         if _count(usable) < usable.size:
             _raise_unusable(usable, a, grad_sq, grad.ndim > 1)
     u_safe = u_desired - (grad.T * (a / grad_sq)).T
-    return FilterResult(u_safe, u_desired, evaluation.value, active)
+    return FilterResult(u_safe, u_desired, value, active)

@@ -287,7 +287,8 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
                         np.concatenate(_stage_times(starts, config.dt)),
                         params.kappa)
         t = i * config.dt
-        at_goal = float(np.linalg.norm(x - goal)) <= config.goal_tolerance
+        gap = x - goal
+        at_goal = math.sqrt(gap.dot(gap)) <= config.goal_tolerance
         done = at_goal or i == n_steps
         try:
             if done:

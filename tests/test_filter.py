@@ -186,27 +186,79 @@ def mixed_batch(rng, dim, m):
     return values, grads, partials, u_des
 
 
+def same_bits(a, b):
+    """Equal type, shape and bytes, so -0.0 differs from +0.0 and a numpy
+    bool from a Python one."""
+    return (type(a) is type(b) and np.shape(a) == np.shape(b)
+            and np.asarray(a).tobytes() == np.asarray(b).tobytes())
+
+
+# Filter rows at the edges of the one-row code: (value, gradient, time
+# partial, desired input), in 2-D and padded with zeros to 3-D.
+FILTER_EDGES = {
+    "zero residual": (0.0, (1.0, 0.0), 0.0, (0.0, 1.0)),
+    # Every term is -0.0; the BLAS dot sums them to a residual of +0.0.
+    "negative-zero terms": (-0.0, (1.0, -1.0), -0.0, (-0.0, -0.0)),
+    "nan residual": (np.nan, (1.0, 0.0), 0.0, (1.0, 1.0)),
+    "gradient norm 1e-10": (-1.0, (1e-10, 0.0), 0.0, (1.0, 0.0)),
+    "gradient norm 1e-11": (-1.0, (0.0, -1e-11), 0.0, (1.0, 0.0)),
+    "gradient entry 1e150": (0.5, (1e150, 0.0), 0.0, (-1.0, 1.0)),
+    "gradient square overflows": (0.5, (3e180, -4e180), 0.0, (-1.0, 1.0)),
+}
+
+
 class TestBatchedLaw:
     """Row i of a batch call equals the one-row call bit for bit."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 7, 4096])
     def test_safe_velocity_rows_match_one_row_calls(self, dim, m):
+        # The random mix, then the mix with each edge row as row m // 2.
+        for edge in (None, *FILTER_EDGES):
+            self.check_safe_velocity_rows(dim, m, edge)
+
+    @staticmethod
+    def check_safe_velocity_rows(dim, m, edge):
         rng = np.random.default_rng(1000 * dim + m)
         values, grads, partials, u_des = mixed_batch(rng, dim, m)
+        at = m // 2  # the edge row, if any
+        if edge is not None:
+            values[at], grad, partials[at], u = FILTER_EDGES[edge]
+            grads[at], u_des[at] = 0.0, 0.0
+            grads[at, :2], u_des[at, :2] = grad, u
         params = CbfParams(kappa=5.0, alpha_gain=1.7)
-        batch = safe_velocity(
-            BarrierEvaluation(values, grads, partials, values), u_des, params)
+        evaluation = BarrierEvaluation(values, grads, partials, values)
+
+        def one_row(i, scalar=float):
+            return safe_velocity(make_eval(grads[i], scalar(values[i]),
+                                           scalar(partials[i])),
+                                 u_des[i], params)
+
+        try:
+            one_row(at)
+        except DegenerateGradientError as err:
+            with pytest.raises(DegenerateGradientError) as info:
+                safe_velocity(evaluation, u_des, params)
+            assert str(info.value) == (
+                str(err).replace("violated (", f"violated in row {at} (")
+                .replace("constraint:", f"constraint in row {at}:"))
+            return
+        batch = safe_velocity(evaluation, u_des, params)
         assert batch.u_safe.shape == (m, dim)
         assert batch.constraint_active.shape == (m,)
         for i in range(m):
-            one = safe_velocity(
-                make_eval(grads[i], float(values[i]), float(partials[i])),
-                u_des[i], params)
-            assert np.array_equal(batch.u_safe[i], one.u_safe)
-            assert batch.constraint_active[i] == one.constraint_active
-            assert np.array_equal(batch.h[i], one.h)
-        if m >= 7:  # the mix is really mixed
+            one = one_row(i)
+            assert same_bits(batch.u_safe[i], one.u_safe)
+            assert same_bits(batch.constraint_active[i], one.constraint_active)
+            assert same_bits(batch.h[i], np.float64(one.h))
+            if not one.constraint_active:
+                assert one.u_safe.base is u_des  # the desired input itself
+        # Numpy scalars and 0-d arrays take the batch code, to the same bits.
+        for scalar in (np.float64, np.array):
+            res, one = one_row(at, scalar), one_row(at)
+            assert same_bits(res.u_safe, one.u_safe)
+            assert same_bits(res.constraint_active, one.constraint_active)
+        if m >= 7 and edge is None:  # the mix is really mixed
             assert 0 < np.count_nonzero(batch.constraint_active) < m
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -225,6 +277,31 @@ class TestBatchedLaw:
         assert batch.shape == (m, dim)
         for i in range(m):
             assert np.array_equal(batch[i], ctrl.velocity(points[i]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("p, scale", [
+        ((-3.0, -4.0), 1.0),  # speed exactly u_max
+        ((1e200, -1e200), 0.0),  # speed overflows: scaled to signed zeros
+        ((np.nan, 0.0), None),
+        ((0.0, np.inf), None),
+    ])
+    def test_velocity_edge_rows(self, dim, p, scale):
+        # The row alone (M = 1) and as row 3 of seven (M = 7), padded with
+        # zeros to 3-D, around a goal at the origin that keeps u exact.
+        ctrl = DesiredController(goal=np.zeros(dim), gain=1.0, u_max=5.0)
+        p = np.pad(p, (0, dim - 2))
+        seven = np.random.default_rng(dim).normal(size=(7, dim))
+        seven[3] = p
+        if scale is None:
+            for points in (p, p[None], seven):
+                with pytest.raises(ValueError) as info:
+                    ctrl.velocity(points)
+                assert str(info.value) == f"p must be finite, got {points}"
+            return
+        one = ctrl.velocity(p)
+        assert same_bits(one, (0.0 - p) * scale)
+        for points, i in ((p[None], 0), (seven, 3)):
+            assert same_bits(ctrl.velocity(points)[i], one)
 
     def test_velocity_validates_rows(self):
         ctrl = DesiredController(goal=(1.0, 2.0))
