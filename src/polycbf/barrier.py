@@ -418,6 +418,14 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     return h, gradient, time_partial, psi
 
 
+def _as_center(env: PolytopeEnvironment, center) -> np.ndarray:
+    center = np.asarray(center, dtype=float)
+    if center.shape != (env.dimension,):
+        raise ValueError(f"center must have shape ({env.dimension},), got "
+                         f"shape {center.shape}")
+    return center
+
+
 def _as_centers(env: PolytopeEnvironment, centers) -> np.ndarray:
     centers = np.asarray(centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != env.dimension:
@@ -467,7 +475,7 @@ def margin_agent(env: PolytopeEnvironment, shape: AgentShape, center,
     environment.  The max-of-mins order is essential: all vertices must sit
     in a common convex region.
     """
-    return float(_evaluate(env, shape, np.asarray(center, dtype=float), t)[3])
+    return float(_evaluate(env, shape, _as_center(env, center), t)[3])
 
 
 def margin_field(env: PolytopeEnvironment, shape: AgentShape, centers,
@@ -496,8 +504,7 @@ def smooth_barrier(env: PolytopeEnvironment, shape: AgentShape, center,
         margin for diagnostics.
     """
     h, gradient, time_partial, psi = _evaluate(
-        env, shape, np.asarray(center, dtype=float), t, params,
-        derivatives=True)
+        env, shape, _as_center(env, center), t, params, derivatives=True)
     return BarrierEvaluation(float(h), gradient, float(time_partial),
                              float(psi))
 

@@ -9,13 +9,15 @@ Both the controller and the filter take one row (p,) or a batch of rows
 (M, p), and every row of a batch equals the one-row call bit for bit.  One
 row, as a rollout or a control tick passes it, takes a branch that works
 in Python floats: its dot products are `a.dot(b)` and its tests plain float
-comparisons, which cost less than numpy calls on a 2- or 3-vector.  A
-batch reduces over rows with numpy (`_count`, np.where), and its row dot
-products go through np.vecdot, which calls the same BLAS dot as the one-row
-`a.dot(b)` and so rounds like it (broadcast products summed with .sum(-1)
-or einsum do not).  A row the one-row filter cannot project at once (a
-non-finite residual, a degenerate gradient or one that needs rescaling)
-goes through the batch code, which raises or rescales.
+comparisons, which cost less than numpy calls on a 2- or 3-vector.  The
+controller's one-row branch is `DesiredController._law` on lists of
+floats, which a rollout's stages call directly.  A batch reduces over rows
+with numpy (`_count`, np.where), and its row dot products go through
+np.vecdot, which calls the same BLAS dot as the one-row `a.dot(b)` and so
+rounds like it (broadcast products summed with .sum(-1) or einsum do
+not).  A row the one-row filter cannot project at once (a non-finite
+residual, a degenerate gradient or one that needs rescaling) goes through
+the batch code, which raises or rescales.
 """
 
 from __future__ import annotations
@@ -83,16 +85,9 @@ class DesiredController:
         if p.ndim not in (1, 2) or p.shape[-1] != dim:
             raise ValueError(
                 f"p must have shape ({dim},) or (M, {dim}), got {p.shape}")
-        u = self.gain * (self.goal - p)
         if p.ndim == 1:
-            # One row in Python floats; small entries cannot overflow.
-            square = (u.dot(u) if max(map(abs, u.tolist())) < _HUGE
-                      else _squared_norms(u))
-            speed = math.sqrt(square)
-            if not speed < math.inf and not np.isfinite(p).all():
-                raise ValueError(f"p must be finite, got {p}")
-            u *= self.u_max / max(speed, self.u_max)
-            return u
+            return np.array(self._law(p.tolist()))
+        u = self.gain * (self.goal - p)
         speed = np.sqrt(_squared_norms(u))
         # A finite speed needs a finite p, so p itself is only scanned when
         # some speed is not finite (a non-finite p, or an overflow).
@@ -103,6 +98,23 @@ class DesiredController:
         rows = u.T
         rows *= self.u_max / np.maximum(speed, self.u_max)
         return u
+
+    def _law(self, p: list) -> list:
+        """The desired input at one position, both lists of floats, bit for
+        bit a batch row: each entry is rounded as numpy rounds it, and the
+        speed comes from the BLAS dot that np.vecdot calls.  A row at or
+        below u_max keeps u, which the batch scales by exactly 1.0."""
+        u = [self.gain * (g - q) for g, q in zip(self.goal.tolist(), p)]
+        row = np.array(u)
+        # Small entries cannot overflow, and ndarray.dot warns if they do.
+        speed = math.sqrt(row.dot(row) if max(map(abs, u)) < _HUGE
+                          else _squared_norms(row))
+        if speed <= self.u_max:
+            return u
+        if not speed < math.inf and not all(map(math.isfinite, p)):
+            raise ValueError(f"p must be finite, got {np.array(p)}")
+        scale = self.u_max / speed
+        return [scale * v for v in u]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DesiredController):

@@ -145,15 +145,16 @@ class SimResult:
                                 + [int(self.constraint_active[i])])
 
 
-def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, t: float,
+def _idle_certificate(evaluation: BarrierEvaluation, x: list, t: float,
                       scenario):
     """A test that the filter is inactive at any later stage, however many
     steps on, from the barrier evaluation at an anchor (x, t) alone.
 
     The test takes a stage point p, its time t_s and its desired input k,
-    and returns True only when the filter at (p, t_s, k) would return k
-    unchanged.  With the lower bounds (h_low, rate_low) of
-    `curvature_bounds` at delta = p - x and tau = t_s - t,
+    which like the anchor x are sequences of floats, and returns True only
+    when the filter at (p, t_s, k) would return k unchanged.  With the
+    lower bounds (h_low, rate_low) of `curvature_bounds` at delta = p - x
+    and tau = t_s - t,
 
         B = rate_low + gamma h_low
 
@@ -165,9 +166,8 @@ def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, t: float,
     env, params = scenario.environment, scenario.cbf
     nu = gradient_bounds(env, params.kappa)[0]
     gamma = params.alpha_gain
-    x0 = x.tolist()
     lower = curvature_bounds(env, scenario.agent, params.kappa, evaluation,
-                             x0, t)
+                             x, t)
     # The filter tests the residual as computed, not the exact one.  The
     # kernel's h carries a few ulps of its face values n_i . p + o_i, its
     # gradient, a convex combination of normals, a few ulps of nu per
@@ -183,9 +183,8 @@ def _idle_certificate(evaluation: BarrierEvaluation, x: np.ndarray, t: float,
     scale = (1.0 + gamma * abs(evaluation.value)
              + abs(evaluation.time_partial))
 
-    def certified(point: np.ndarray, t_stage: float, u: np.ndarray) -> bool:
-        k = u.tolist()
-        h_low, rate_low = lower([a - b for a, b in zip(point.tolist(), x0)],
+    def certified(point: list, t_stage: float, k: list) -> bool:
+        h_low, rate_low = lower([a - b for a, b in zip(point, x)],
                                 t_stage - t, k)
         return rate_low + gamma * h_low > 1e-9 * (scale + nu * math.hypot(*k))
 
@@ -198,20 +197,31 @@ def _stage_times(t, dt):
     return t, t + 0.5 * dt, t + dt
 
 
-def _stage(scenario, x: np.ndarray, t: float, certificate):
-    """The control law at one stage: (u_des, u_safe, active, certificate).
-    A certified stage takes u_des, which its filter would return unchanged,
-    without a barrier call; otherwise an inactive filter anchors a new
-    certificate at the stage and an active one drops it."""
-    u_des = scenario.controller.velocity(x)
-    if certificate is not None and certificate(x, t, u_des):
+def _stage(scenario, point: list, t: float, certificate):
+    """The control law at one stage point: (u_des, u_safe, active,
+    certificate), the point and inputs lists of floats.  A certified stage
+    takes u_des, which its filter would return unchanged, without a barrier
+    call; otherwise an inactive filter anchors a new certificate at the
+    stage and an active one drops it.  Only this barrier call and its
+    filter see arrays."""
+    u_des = scenario.controller._law(point)
+    if certificate is not None and certificate(point, t, u_des):
         return u_des, u_des, False, certificate
-    evaluation = smooth_barrier(scenario.environment, scenario.agent, x, t,
-                                scenario.cbf)
-    result = safe_velocity(evaluation, u_des, scenario.cbf)
+    evaluation = smooth_barrier(scenario.environment, scenario.agent,
+                                np.array(point), t, scenario.cbf)
+    result = safe_velocity(evaluation, np.array(u_des), scenario.cbf)
     if result.constraint_active:
-        return u_des, result.u_safe, True, None
-    return u_des, u_des, False, _idle_certificate(evaluation, x, t, scenario)
+        return u_des, result.u_safe.tolist(), True, None
+    return (u_des, u_des, False,
+            _idle_certificate(evaluation, point, t, scenario))
+
+
+def _row(u_des: list, u_safe: list, active: bool) -> tuple:
+    """A stage's (u_des, u_safe, active) with its inputs as arrays; an
+    unfiltered stage's two inputs are one array."""
+    u_des_row = np.array(u_des)
+    u_safe_row = u_des_row if u_safe is u_des else np.array(u_safe)
+    return u_des_row, u_safe_row, active
 
 
 def step(state, t: float, scenario, dt: float, certificate=None) -> tuple:
@@ -224,20 +234,34 @@ def step(state, t: float, scenario, dt: float, certificate=None) -> tuple:
     moving worlds alike, the new state is bit for bit the one that four
     full stages give.
 
-    Returns the new state, the stage-1 row (u_des, u_safe, active) and the
-    certificate for the next step.  A degenerate gradient at any stage
-    raises DegenerateGradientError.
+    The stage points and the combination are Python float arithmetic, each
+    entry in the order of the array expressions x + (0.5 dt) k1, x + dt k3
+    and x + (dt/6) (k1 + 2 k2 + 2 k3 + k4); element-wise float64
+    arithmetic rounds the same in numpy and in Python, so the bits are
+    those of the array code.
+
+    Returns the new state and the stage-1 row (u_des, u_safe, active), the
+    state and inputs as arrays, and the certificate for the next step.  A
+    degenerate gradient at any stage raises DegenerateGradientError.
     """
     x = np.asarray(state, dtype=float)
+    if x.shape != scenario.controller.goal.shape:
+        raise ValueError(f"state must have shape "
+                         f"{scenario.controller.goal.shape}, got {x.shape}")
+    x = x.tolist()
     t1, t2, t4 = _stage_times(t, dt)
+    half = 0.5 * dt
     u_des, k1, active, certificate = _stage(scenario, x, t1, certificate)
-    _, k2, _, certificate = _stage(scenario, x + 0.5 * dt * k1, t2,
-                                   certificate)
-    _, k3, _, certificate = _stage(scenario, x + 0.5 * dt * k2, t2,
-                                   certificate)
-    _, k4, _, certificate = _stage(scenario, x + dt * k3, t4, certificate)
-    return (x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-            (u_des, k1, active), certificate)
+    _, k2, _, certificate = _stage(
+        scenario, [a + half * b for a, b in zip(x, k1)], t2, certificate)
+    _, k3, _, certificate = _stage(
+        scenario, [a + half * b for a, b in zip(x, k2)], t2, certificate)
+    _, k4, _, certificate = _stage(
+        scenario, [a + dt * b for a, b in zip(x, k3)], t4, certificate)
+    sixth = dt / 6.0
+    x_next = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+              for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    return np.array(x_next), _row(u_des, k1, active), certificate
 
 
 def run(scenario, config: SimConfig | None = None) -> SimResult:
@@ -271,7 +295,7 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     if not evaluation.value > 0.0:
         raise UnsafeStartError(
             f"h(x0, 0) = {evaluation.value:.6g} <= 0 at x0 = {x.tolist()}")
-    certificate = _idle_certificate(evaluation, x, 0.0, scenario)
+    certificate = _idle_certificate(evaluation, x.tolist(), 0.0, scenario)
 
     goal = scenario.controller.goal
     n_steps = int(round(config.t_end / config.dt))
@@ -292,7 +316,8 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
         done = at_goal or i == n_steps
         try:
             if done:
-                row = _stage(scenario, x, t, certificate)[:3]
+                row = _row(*_stage(scenario, x.tolist(), t,
+                                   certificate)[:3])
             else:
                 x_next, row, certificate = step(x, t, scenario, config.dt,
                                                 certificate)

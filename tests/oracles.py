@@ -7,7 +7,8 @@ meaningful.  They are only valid at moderate exponents (|kappa * psi| below
 and `qp_bruteforce` solves the filter's QP on a dense grid.
 `qp_audit_loop`, `gradient_audit_loop` and `hull_audit_loop` are the loop
 forms of the batched audits: one filter call per problem, or one state per
-kernel call.
+kernel call.  `rk4_reference` is the closed loop as plain numpy RK4 with
+four full stages and no idle certificate.
 """
 
 import math
@@ -268,3 +269,37 @@ def hull_audit_loop(scenario, n_states=500, n_weights=20, seed=0):
             - margin_field(env, shape, center[None], t)[0]
         worst = min(worst, gap)
     return float(worst)
+
+
+def rk4_reference(scenario, x0, t_end):
+    """`sim.run`'s rows by plain numpy RK4: the control law at each of the
+    four stages is the public one-row `velocity`, `smooth_barrier` and
+    `safe_velocity`, with no idle certificate, and the stage points and the
+    combination are array expressions.  Steps at the scenario's dt from x0
+    at t = 0 until the goal tolerance or t_end, checking the goal at each
+    step start.  Returns the rows' (positions, u_desired, u_safe, active)
+    as arrays, one row per step start."""
+    env, shape, params = scenario.environment, scenario.agent, scenario.cbf
+    controller = scenario.controller
+    dt = scenario.default_sim.dt
+
+    def law(x, t):
+        u_des = controller.velocity(x)
+        result = safe_velocity(smooth_barrier(env, shape, x, t, params),
+                               u_des, params)
+        return u_des, result.u_safe, bool(result.constraint_active)
+
+    x, rows = np.asarray(x0, dtype=float), []
+    n_steps = int(round(t_end / dt))
+    for i in range(n_steps + 1):
+        t = i * dt
+        u_des, k1, active = law(x, t)
+        rows.append((x, u_des, k1, active))
+        if (np.linalg.norm(x - controller.goal)
+                <= scenario.default_sim.goal_tolerance or i == n_steps):
+            break
+        k2 = law(x + 0.5 * dt * k1, t + 0.5 * dt)[1]
+        k3 = law(x + 0.5 * dt * k2, t + 0.5 * dt)[1]
+        k4 = law(x + dt * k3, t + dt)[1]
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return tuple(np.array(column) for column in zip(*rows))

@@ -136,6 +136,16 @@ class TestSmoothBarrier:
             assert ev.time_partial == 0.0
             assert ev.nonsmooth_value == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("center", [np.zeros(3), np.zeros((1, 2))],
+                             ids=["3-vector", "row-matrix"])
+    def test_rejects_center_of_wrong_shape(self, center):
+        s = builtin("l-shape")
+        message = r"center must have shape \(2,\), got shape "
+        with pytest.raises(ValueError, match=message):
+            smooth_barrier(s.environment, s.agent, center, 0.0, s.cbf)
+        with pytest.raises(ValueError, match=message):
+            margin_agent(s.environment, s.agent, center)
+
     def test_two_ties_at_kappa_five(self):
         # psi1 = psi2 = 0 gives the canonical softmin value -ln(2)/5
         walls = [HalfSpace((1.0, 0.0), (0.0, 0.0)),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,14 @@ FILTER_EDGES = {
 }
 
 
+# Desired inputs (3, 4 + 2^-50) and (3, 4 - 3 * 2^-51) around a goal at the
+# origin: their squares sum to 25 + 2^-47 and 25 - 3 * 2^-48 up to 2^-100,
+# whether the BLAS dot fuses its multiply-adds or not, so their speeds are
+# one ulp above and one ulp below 5.
+ULP_ABOVE = (-3.0, -np.nextafter(4.0, 5.0))
+ULP_BELOW = (-3.0, 3 * 2.0 ** -51 - 4.0)
+
+
 class TestBatchedLaw:
     """Row i of a batch call equals the one-row call bit for bit."""
 
@@ -284,24 +294,39 @@ class TestBatchedLaw:
         ((1e200, -1e200), 0.0),  # speed overflows: scaled to signed zeros
         ((np.nan, 0.0), None),
         ((0.0, np.inf), None),
+        (ULP_ABOVE, 5.0 / np.nextafter(5.0, 6.0)),
+        (ULP_BELOW, 1.0),
+        ((0.0, -0.0), 1.0),  # signed zeros through an unscaled row
+        ((-0.0, 6.0), 5.0 / 6.0),  # and through a scaled one
     ])
     def test_velocity_edge_rows(self, dim, p, scale):
         # The row alone (M = 1) and as row 3 of seven (M = 7), padded with
-        # zeros to 3-D, around a goal at the origin that keeps u exact.
-        ctrl = DesiredController(goal=np.zeros(dim), gain=1.0, u_max=5.0)
+        # zeros to 3-D, around a goal at the origin, +0.0 or -0.0, that
+        # keeps u exact.
         p = np.pad(p, (0, dim - 2))
         seven = np.random.default_rng(dim).normal(size=(7, dim))
         seven[3] = p
-        if scale is None:
-            for points in (p, p[None], seven):
-                with pytest.raises(ValueError) as info:
-                    ctrl.velocity(points)
-                assert str(info.value) == f"p must be finite, got {points}"
-            return
-        one = ctrl.velocity(p)
-        assert same_bits(one, (0.0 - p) * scale)
-        for points, i in ((p[None], 0), (seven, 3)):
-            assert same_bits(ctrl.velocity(points)[i], one)
+        for zero in (0.0, -0.0):
+            ctrl = DesiredController(goal=np.full(dim, zero), gain=1.0,
+                                     u_max=5.0)
+            if scale is None:
+                for points in (p, p[None], seven):
+                    with pytest.raises(ValueError) as info:
+                        ctrl.velocity(points)
+                    assert str(info.value) == (
+                        f"p must be finite, got {points}")
+                continue
+            one = ctrl.velocity(p)
+            assert same_bits(one, (zero - p) * scale)
+            for points, i in ((p[None], 0), (seven, 3)):
+                assert same_bits(ctrl.velocity(points)[i], one)
+
+    def test_edge_rows_one_ulp_from_u_max(self):
+        # The speeds of two rows above, from the dot the law takes.
+        for p, speed in ((ULP_ABOVE, np.nextafter(5.0, 6.0)),
+                         (ULP_BELOW, np.nextafter(5.0, 4.0))):
+            u = 0.0 - np.array(p)
+            assert math.sqrt(u.dot(u)) == speed
 
     def test_velocity_validates_rows(self):
         ctrl = DesiredController(goal=(1.0, 2.0))

@@ -17,7 +17,8 @@ from polycbf.scenarios import BUILTIN_NAMES, Scenario, builtin
 from polycbf.sim import SimConfig, Termination, UnsafeStartError, run, step
 from polycbf.verify import scenario_bounds
 
-from worlds import spun_pyramid
+import oracles
+from worlds import MOVING_WORLDS, spun_pyramid
 
 
 def free_space_scenario(goal, x0, width=1000.0):
@@ -89,6 +90,16 @@ class TestRun:
         cfg = dataclasses.replace(s.default_sim, x0=np.array([1.0, 0.5]))
         with pytest.raises(UnsafeStartError):
             run(s, cfg)
+
+    def test_wrong_size_start_refused(self):
+        # The start check rejects it before the float stages, whose zips
+        # would truncate it.
+        s = builtin("l-shape")
+        cfg = dataclasses.replace(s.default_sim, x0=np.array([0.5, 0.5, 0.0]))
+        with pytest.raises(ValueError, match=r"center must .* \(2,\)"):
+            run(s, cfg)
+        with pytest.raises(ValueError, match=r"state must .* \(2,\)"):
+            step(cfg.x0, 0.0, s, 0.01)
 
     def test_reaches_goal_and_reports_time(self):
         s = free_space_scenario(goal=(0.5, 0.0), x0=(0.0, 0.0))
@@ -524,6 +535,41 @@ class TestPsi:
         assert res.h_values.tobytes() == h.tobytes()
         assert res.psi_values.tobytes() == psi.tobytes()
         assert res.min_psi == res.psi_values.min()
+
+
+# Covers the first active row of every builtin start that has one (at most
+# 2.2 s in) and keeps the full-stage reference quick.
+REFERENCE_T_END = 5.0
+
+
+class TestRk4Reference:
+    """run() against `oracles.rk4_reference`, plain numpy RK4 with four full
+    stages and no idle certificate: every row's position, inputs and active
+    flag bit for bit.  The comparisons with run() under `refuse_always`
+    share run()'s float stage arithmetic; this one does not."""
+
+    @staticmethod
+    def assert_matches_reference(s, x0):
+        t_end = min(s.default_sim.t_end, REFERENCE_T_END)
+        res = run(s, dataclasses.replace(s.default_sim, x0=x0, t_end=t_end))
+        want = oracles.rk4_reference(s, x0, t_end)
+        got = (res.positions, res.u_desired, res.u_safe,
+               res.constraint_active)
+        for name, a, b in zip(("positions", "u_desired", "u_safe",
+                               "active"), got, want):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("name, x0", [
+        pytest.param(name, x0, id=f"{name}-{i}") for name in BUILTIN_NAMES
+        for i, x0 in enumerate(builtin(name).all_starts())])
+    def test_builtin_starts(self, name, x0):
+        self.assert_matches_reference(builtin(name), x0)
+
+    @pytest.mark.parametrize("name", sorted(MOVING_WORLDS))
+    def test_moving_worlds(self, name):
+        s = MOVING_WORLDS[name]()
+        self.assert_matches_reference(s, s.default_sim.x0)
 
 
 class TestSimConfig:
