@@ -339,11 +339,26 @@ def _hold_times(env: PolytopeEnvironment, shape: AgentShape, times,
     env._memo = (shape, law, kappa, dict(zip(keys, zip(*columns))))
 
 
-def _row_max(values):
-    """Max over the last axis of (N,) or (M, N) values.  A max is exact in
-    any order, so it runs down a contiguous copy of the transpose, where
-    numpy vectorises across rows instead of looping over them."""
-    return np.maximum.reduce(np.ascontiguousarray(values.T), axis=0)
+def _row_max(values, screen: bool = True):
+    """Max over the last axis of (N,) or (M, N) values, keeping the last of
+    tied entries (+0.0 and -0.0 tie) and NaN if any entry is NaN.
+
+    A batch runs down a contiguous copy of the transpose, where numpy
+    vectorises across rows; that column maximum keeps the last tied entry.
+    One row, cheaper as a list, takes Python's max of the reversed list,
+    which skips a NaN after its first entry, so the row's float sum screens
+    for NaN unless screen is False.  (Numpy reduces a batch of one row,
+    shape (1, N), as a 1-D array, which may keep the other zero of a tie.)
+    """
+    if values.ndim > 1:
+        return np.maximum.reduce(np.ascontiguousarray(values.T), axis=0)
+    row = values.tolist()
+    top = max(reversed(row))
+    if screen:
+        total = sum(row)
+        if total != total:  # a NaN entry, or both infinities
+            return next((v for v in row if v != v), top)
+    return top
 
 
 def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
@@ -385,9 +400,10 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     # Per region row, shape (R,) or (M, R); regions are segments of it.
     spatial = np.matvec(normals, centers)
     mins = np.minimum.reduceat(spatial + hard_offsets, segments, axis=-1)
-    psi = _row_max(mins)
     if params is None:
-        return None, None, None, psi
+        return None, None, None, _row_max(mins)
+    # A NaN minimum makes h NaN, so one row's psi is screened only then.
+    psi = _row_max(mins, screen=False)
 
     # Soft values sit at most ln(N_v)/kappa below the exact ones and the
     # argmin term is at least one, so shifting by the exact region minima
@@ -396,13 +412,22 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     shifted = np.exp((mins.take(row_region, axis=-1) - values) * kappa)
     region_sums = np.add.reduceat(shifted, segments, axis=-1)
     soft_mins = mins - np.log(region_sums) / kappa
-    top = _row_max(soft_mins)
+    # A NaN soft minimum makes outer_total NaN, and with it h and the
+    # derivatives, whatever top is, so top needs no NaN screen.
+    top = _row_max(soft_mins, screen=False)
     # A per-row scalar broadcasts over the transpose; laid out column-major
     # there, the difference is C-contiguous again once transposed back, so
     # outer_total sums each row pairwise, as for one centre.
     outer = np.exp(np.subtract(soft_mins.T, top, order="F").T * kappa)
     outer_total = np.add.reduce(outer, axis=-1)              # >= 1
-    h = top + (np.log(outer_total) - params.buffer) / kappa
+    if centers.ndim == 1:
+        # Float arithmetic rounds like numpy's, but math.log can differ
+        # from np.log in the last bit, so only the log stays in numpy.
+        h = top + (float(np.log(outer_total)) - params.buffer) / kappa
+        if h != h:  # perhaps from a NaN minimum, which psi must show
+            psi = _row_max(mins)
+    else:
+        h = top + (np.log(outer_total) - params.buffer) / kappa
     if not derivatives:
         return h, None, None, psi
 

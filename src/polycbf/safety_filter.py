@@ -10,14 +10,15 @@ Both the controller and the filter take one row (p,) or a batch of rows
 row, as a rollout or a control tick passes it, takes a branch that works
 in Python floats: its dot products are `a.dot(b)` and its tests plain float
 comparisons, which cost less than numpy calls on a 2- or 3-vector.  The
-controller's one-row branch is `DesiredController._law` on lists of
-floats, which a rollout's stages call directly.  A batch reduces over rows
-with numpy (`_count`, np.where), and its row dot products go through
-np.vecdot, which calls the same BLAS dot as the one-row `a.dot(b)` and so
-rounds like it (broadcast products summed with .sum(-1) or einsum do
-not).  A row the one-row filter cannot project at once (a non-finite
-residual, a degenerate gradient or one that needs rescaling) goes through
-the batch code, which raises or rescales.
+one-row branches are `DesiredController._law` for the controller and
+`_project` for the filter, on lists of floats, and a rollout's stages
+call both directly.  A batch reduces over rows with numpy (`_count`,
+np.where), and its row dot products go through np.vecdot, which calls the
+same BLAS dot as the one-row `a.dot(b)` and so rounds like it (broadcast
+products summed with .sum(-1) or einsum do not).  A row the one-row
+filter cannot project at once (a non-finite residual, a degenerate
+gradient or one that needs rescaling) goes through the batch code, which
+raises or rescales.
 """
 
 from __future__ import annotations
@@ -105,6 +106,13 @@ class DesiredController:
         speed comes from the BLAS dot that np.vecdot calls.  A row at or
         below u_max keeps u, which the batch scales by exactly 1.0."""
         u = [self.gain * (g - q) for g, q in zip(self.goal.tolist(), p)]
+        # math.hypot is within an ulp of the exact speed, and the BLAS dot,
+        # fused or not, within a few ulps of its square, so a hypot below
+        # u_max (1 - 1e-12) proves speed <= u_max.  The bounds on u_max
+        # keep the dot's square normal and finite; NaN fails the test.
+        if (math.hypot(*u) < self.u_max * (1.0 - 1e-12)
+                and 1e-140 < self.u_max < 1e150):
+            return u
         row = np.array(u)
         # Small entries cannot overflow, and ndarray.dot warns if they do.
         speed = math.sqrt(row.dot(row) if max(map(abs, u)) < _HUGE
@@ -148,6 +156,33 @@ def _raise_unusable(usable, a, grad_sq, batch: bool):
         f"gradient norm {norm:.3e}")
 
 
+def _project(grad: np.ndarray, u, time_partial: float, value: float,
+             params: CbfParams):
+    """The filter of one row in Python floats: a gradient of shape (p,) and
+    a desired input u, a list of floats or an array of shape (p,).
+
+    Returns u itself when the residual a = grad . u + dh/dt + gamma h is at
+    least zero, and otherwise the projection u - (a / ||grad||^2) grad as a
+    list of floats, or None for a row that `safe_velocity`'s batch code
+    must raise on or rescale: a non-finite residual, a gradient entry of
+    1e150 or more, or a squared gradient norm that is near zero or
+    overflows.  The dots are the BLAS dot that np.vecdot calls, and every
+    float operation is the batch code's, in its order, so the result is a
+    batch row bit for bit.
+    """
+    a = float(grad.dot(u)) + time_partial + params.alpha_gain * value
+    if a >= 0.0:
+        return u
+    g = grad.tolist()
+    if a > -math.inf and max(map(abs, g)) < _HUGE:
+        grad_sq = float(grad.dot(grad))
+        if _DEGENERATE_NORM ** 2 < grad_sq < math.inf:
+            step = a / grad_sq
+            entries = u if type(u) is list else u.tolist()
+            return [v - w * step for v, w in zip(entries, g)]
+    return None
+
+
 def safe_velocity(evaluation: BarrierEvaluation, u_desired,
                   params: CbfParams) -> FilterResult:
     """Minimally modify a desired velocity to satisfy the barrier constraint.
@@ -174,18 +209,13 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     value, time_partial = evaluation.value, evaluation.time_partial
     if (grad.ndim == 1 and grad.shape == u_desired.shape
             and type(value) is float and type(time_partial) is float):
-        # One row, as `smooth_barrier` returns it: Python float arithmetic
-        # and comparisons, in the batch code's order.  A row it cannot
-        # project here falls through, to raise or rescale.
-        a = (float(grad.dot(u_desired)) + time_partial
-             + params.alpha_gain * value)
-        if a >= 0.0:
+        # One row, as `smooth_barrier` returns it.  A row `_project`
+        # cannot project falls through, to raise or rescale.
+        u_safe = _project(grad, u_desired, time_partial, value, params)
+        if u_safe is u_desired:
             return FilterResult(u_desired, u_desired, value, np.False_)
-        if a > -math.inf and max(map(abs, grad.tolist())) < _HUGE:
-            grad_sq = float(grad.dot(grad))
-            if _DEGENERATE_NORM ** 2 < grad_sq < math.inf:
-                return FilterResult(u_desired - grad * (a / grad_sq),
-                                    u_desired, value, np.True_)
+        if u_safe is not None:
+            return FilterResult(np.array(u_safe), u_desired, value, np.True_)
     a = np.vecdot(grad, u_desired) + time_partial + params.alpha_gain * value
     active = (a < 0.0) | (a != a)  # a NaN residual counts as violated
     n_active = _count(active)

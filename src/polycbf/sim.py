@@ -24,7 +24,7 @@ import numpy as np
 from .barrier import (BarrierEvaluation, _hold_times, barrier_field,
                       curvature_bounds, gradient_bounds, smooth_barrier)
 from .geometry import _as_point
-from .safety_filter import DegenerateGradientError, safe_velocity
+from .safety_filter import DegenerateGradientError, _project, safe_velocity
 
 __all__ = ["SimConfig", "SimResult", "Termination", "UnsafeStartError",
            "step", "run"]
@@ -202,18 +202,23 @@ def _stage(scenario, point: list, t: float, certificate):
     certificate), the point and inputs lists of floats.  A certified stage
     takes u_des, which its filter would return unchanged, without a barrier
     call; otherwise an inactive filter anchors a new certificate at the
-    stage and an active one drops it.  Only this barrier call and its
-    filter see arrays."""
+    stage and an active one drops it.  The filter is the float projection
+    of `safe_velocity`'s one-row branch; only a row it cannot project goes
+    to `safe_velocity`, to raise or rescale."""
     u_des = scenario.controller._law(point)
     if certificate is not None and certificate(point, t, u_des):
         return u_des, u_des, False, certificate
     evaluation = smooth_barrier(scenario.environment, scenario.agent,
                                 np.array(point), t, scenario.cbf)
-    result = safe_velocity(evaluation, np.array(u_des), scenario.cbf)
-    if result.constraint_active:
-        return u_des, result.u_safe.tolist(), True, None
-    return (u_des, u_des, False,
-            _idle_certificate(evaluation, point, t, scenario))
+    u_safe = _project(evaluation.gradient, u_des, evaluation.time_partial,
+                      evaluation.value, scenario.cbf)
+    if u_safe is u_des:
+        return (u_des, u_des, False,
+                _idle_certificate(evaluation, point, t, scenario))
+    if u_safe is None:  # active, or raises
+        u_safe = safe_velocity(evaluation, np.array(u_des),
+                               scenario.cbf).u_safe.tolist()
+    return u_des, u_safe, True, None
 
 
 def _row(u_des: list, u_safe: list, active: bool) -> tuple:

@@ -758,6 +758,98 @@ SCALED_WORLD = {
             "goal_tolerance": 0.05},
 }
 
+def assert_bits_or_nan(got, want):
+    """Equal bytes entry by entry, -0.0 apart from +0.0, where NaN matches
+    NaN of any sign or payload."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def tied_regions_env():
+    """Two regions of one face each, x >= 0 and y >= 0: at a centre (a, a)
+    their minima, and their soft minima, tie at a."""
+    return PolytopeEnvironment(
+        [HalfSpace((1.0, 0.0), (0.0, 0.0)), HalfSpace((0.0, 1.0), (0.0, 0.0))],
+        [ConvexRegion([0]), ConvexRegion([1])])
+
+
+def one_row_edge_cases():
+    """(world, centre, psi or None) at the edges of the one-row kernel's
+    float maxima and tail: NaN centres, centres with an infinite entry, and
+    tied minima.  At (0.5, inf) in the tied world the minima are NaN
+    (0.5 + 0 * inf) and inf, so Python's max of the reversed list alone
+    would give inf."""
+    nan, inf = math.nan, math.inf
+    return [("convex-corner", (nan, 1.0), nan),
+            ("convex-corner", (inf, 1.0), None),
+            ("ellipse", (-inf, 0.5), None), ("l-shape", (0.5, nan), nan),
+            ("revolving-door", (nan, 0.5), nan),
+            ("revolving-door", (0.5, -inf), None),
+            ("pyramid", (0.1, inf, 0.2), None), ("tied", (0.5, inf), nan),
+            ("tied", (inf, 0.5), nan), ("tied", (0.7, 0.7), 0.7),
+            ("tied", (-0.3, -0.3), -0.3)]
+
+
+class TestOneRowEdges:
+    """The one-row kernel takes its two maxima and the tail of h in Python
+    floats; at the edges of that code it still equals a batch row bit for
+    bit, with NaN in the same places.  The edge centre is row 1 of three:
+    numpy reduces a batch of one row as a 1-D array."""
+
+    @staticmethod
+    def world(name):
+        if name == "tied":
+            return (tied_regions_env(), AgentShape.point(2),
+                    CbfParams(kappa=5.0, buffer=0.5))
+        s = builtin(name)
+        return s.environment, s.agent, s.cbf
+
+    @pytest.mark.parametrize("name, centre, psi", one_row_edge_cases(),
+                             ids=str)
+    def test_matches_batch_row(self, name, centre, psi):
+        env, shape, params = self.world(name)
+        centre = np.array(centre)
+        rows = np.array([np.full(env.dimension, 0.5), centre,
+                         np.full(env.dimension, -0.25)])
+        # An infinite centre entry meets a zero normal entry (inf * 0) and
+        # opposite infinities, which numpy warns about.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for p, derivatives in ((params, True), (params, False),
+                                   (None, False)):
+                one = polycbf.barrier._evaluate(env, shape, centre, 0.37, p,
+                                                derivatives)
+                batch = polycbf.barrier._evaluate(env, shape, rows, 0.37, p,
+                                                  derivatives)
+                for got, want in zip(one, batch):
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert_bits_or_nan(got, want[1])
+                if psi is not None:
+                    assert_bits_or_nan(one[3], psi)
+
+    def test_row_max_ties_and_nan(self):
+        # No centre gives a region minimum of -0.0, since the kernel's
+        # matvec sums from +0.0, so the signed-zero tie is checked on the
+        # maxima alone: of tied entries the last, NaN if any entry is NaN.
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 5, 8, 17, 32):
+            rows = rng.choice([0.0, -0.0, -1.0, np.nan], size=(64, n),
+                              p=[0.3, 0.3, 0.35, 0.05])
+            batch = polycbf.barrier._row_max(rows)
+            for i, row in enumerate(rows):
+                got = polycbf.barrier._row_max(row)
+                assert type(got) is float
+                assert_bits_or_nan(got, batch[i])
+                if not np.isnan(row).any():
+                    last = row[np.flatnonzero(row == row.max())[-1]]
+                    assert_bits_or_nan(got, last)
+            assert np.isnan(batch).any() and not np.isnan(batch).all()
+
+
 STATIC_NAMES = [name for name in BUILTIN_NAMES
                 if builtin(name).environment.is_static]
 

@@ -5,7 +5,7 @@ import pytest
 
 from polycbf.barrier import BarrierEvaluation, CbfParams
 from polycbf.safety_filter import (DegenerateGradientError, DesiredController,
-                                   safe_velocity)
+                                   _project, safe_velocity)
 
 
 def make_eval(grad, h, dht=0.0):
@@ -217,6 +217,13 @@ ULP_ABOVE = (-3.0, -np.nextafter(4.0, 5.0))
 ULP_BELOW = (-3.0, 3 * 2.0 ** -51 - 4.0)
 
 
+# The bound of `DesiredController._law`'s float test at u_max = 5, and the
+# floats one ulp either side of it.
+INSIDE = 5.0 * (1.0 - 1e-12)
+INSIDE_BELOW = np.nextafter(INSIDE, 0.0)
+INSIDE_ABOVE = np.nextafter(INSIDE, 6.0)
+
+
 class TestBatchedLaw:
     """Row i of a batch call equals the one-row call bit for bit."""
 
@@ -244,9 +251,18 @@ class TestBatchedLaw:
                                            scalar(partials[i])),
                                  u_des[i], params)
 
+        def projected(i):
+            """`_project` on row i as a rollout's stage calls it, and
+            whether it returned its input itself."""
+            u = u_des[i].tolist()
+            got = _project(grads[i], u, float(partials[i]), float(values[i]),
+                           params)
+            return got, got is u
+
         try:
             one_row(at)
         except DegenerateGradientError as err:
+            assert projected(at)[0] is None  # the batch code raises
             with pytest.raises(DegenerateGradientError) as info:
                 safe_velocity(evaluation, u_des, params)
             assert str(info.value) == (
@@ -263,6 +279,12 @@ class TestBatchedLaw:
             assert same_bits(batch.h[i], np.float64(one.h))
             if not one.constraint_active:
                 assert one.u_safe.base is u_des  # the desired input itself
+            got, unchanged = projected(i)
+            assert unchanged == (not one.constraint_active)
+            if got is None:  # projected, or rescaled, by the batch code
+                assert one.constraint_active
+            else:
+                assert same_bits(np.array(got), one.u_safe)
         # Numpy scalars and 0-d arrays take the batch code, to the same bits.
         for scalar in (np.float64, np.array):
             res, one = one_row(at, scalar), one_row(at)
@@ -320,6 +342,42 @@ class TestBatchedLaw:
             assert same_bits(one, (zero - p) * scale)
             for points, i in ((p[None], 0), (seven, 3)):
                 assert same_bits(ctrl.velocity(points)[i], one)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("u_max, p", [
+        # One ulp below, at and one ulp above the bound u_max (1 - 1e-12)
+        # of `_law`'s float test, which only the first row passes.
+        (5.0, (-INSIDE_BELOW, 0.0)),
+        (5.0, (-INSIDE, 0.0)),
+        (5.0, (-INSIDE_ABOVE, 0.0)),
+        (5.0, (0.6 * INSIDE_BELOW, -0.8 * INSIDE_BELOW)),
+        (1e200, (1e150, 0.0)),  # a huge row, below u_max
+        (1e200, (1e160, -1e160)),  # its square overflows: signed zeros
+        (1e-150, (1e-151, 0.0)),  # a subnormal square, below u_max
+        (1e-150, (3e-150, 0.0)),  # and above it
+        (5.0, (np.nan, 0.0)),
+    ])
+    def test_velocity_rows_at_the_inside_test(self, dim, u_max, p):
+        # The row alone (M = 1) and as row 3 of seven (M = 7), padded with
+        # zeros to 3-D, around a goal at the origin that keeps u = -p.
+        p = np.pad(p, (0, dim - 2))
+        seven = np.random.default_rng(dim).normal(size=(7, dim)) * u_max
+        seven[3] = p
+        ctrl = DesiredController(goal=np.zeros(dim), gain=1.0, u_max=u_max)
+        if np.isnan(p).any():
+            for points in (p, p[None], seven):
+                with pytest.raises(ValueError, match="p must be finite"):
+                    ctrl.velocity(points)
+            return
+        one = ctrl.velocity(p)
+        for points, i in ((p[None], 0), (seven, 3)):
+            assert same_bits(ctrl.velocity(points)[i], one)
+
+    def test_inside_rows_straddle_the_bound(self):
+        # The hypot of each row above at u_max = 5, as `_law` tests it.
+        assert math.hypot(INSIDE_BELOW, 0.0) < INSIDE
+        assert not math.hypot(INSIDE, 0.0) < INSIDE
+        assert math.hypot(0.6 * INSIDE_BELOW, 0.8 * INSIDE_BELOW) < INSIDE
 
     def test_edge_rows_one_ulp_from_u_max(self):
         # The speeds of two rows above, from the dot the law takes.
@@ -399,3 +457,27 @@ class TestBatchedLaw:
                            params)
         assert np.array_equal(ok.constraint_active, [True, False])
         assert np.array_equal(ok.u_safe, [[2.0, 1.0], [1.0, 1.0]])
+
+
+class TestProjection:
+    """`_project`, the float filter of one row; the rows of
+    `check_safe_velocity_rows` check it against the batch as well."""
+
+    def test_negative_zero_residual_is_inactive(self):
+        # In one dimension the dot keeps the sign of its one product, so
+        # every term of the residual, and the residual, is -0.0; in 2-D and
+        # 3-D the BLAS dot sums from +0.0 ("negative-zero terms").
+        grad, u = np.array([1.0]), np.array([-0.0])
+        params = CbfParams(kappa=5.0, alpha_gain=1.7)
+        a = float(grad.dot(u)) + -0.0 + params.alpha_gain * -0.0
+        assert same_bits(a, -0.0)
+        u_list = u.tolist()
+        assert _project(grad, u_list, -0.0, -0.0, params) is u_list
+        one = safe_velocity(make_eval(grad, -0.0, -0.0), u, params)
+        assert one.u_safe is u and not one.constraint_active
+        rows = safe_velocity(BarrierEvaluation(
+            np.array([-0.0, 1.0]), np.array([grad, grad]),
+            np.array([-0.0, 0.0]), np.array([-0.0, 1.0])),
+            np.array([u, u]), params)
+        assert same_bits(rows.u_safe[0], u)
+        assert same_bits(rows.constraint_active[0], np.False_)

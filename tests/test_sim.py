@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polycbf.sim
-from polycbf.barrier import CbfParams, margin_agent, smooth_barrier
+from polycbf.barrier import (BarrierEvaluation, CbfParams, margin_agent,
+                             smooth_barrier)
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
 from polycbf.safety_filter import DesiredController, safe_velocity
@@ -207,6 +208,32 @@ class TestRun:
         assert res.error.startswith("non-finite constraint: residual nan")
         assert res.times[-1] < 0.5
         assert np.isfinite(res.u_safe).all()
+
+    def test_overflowing_gradient_is_rescaled(self, monkeypatch):
+        # A barrier scaled by 2^600 has the same filter, but the squared
+        # norm of its gradient overflows: every active stage leaves the
+        # float projection for safe_velocity's rescaled one.  The idle
+        # certificate, which would see the scaled h, is off.
+        refuse_always(monkeypatch)
+        s = builtin("crossroad")
+        config = dataclasses.replace(s.default_sim, t_end=1.0)
+        want = run(s, config)
+
+        def scaled(env, shape, x, t, params):
+            ev = smooth_barrier(env, shape, x, t, params)
+            return BarrierEvaluation(ev.value * 2.0 ** 600,
+                                     ev.gradient * 2.0 ** 600,
+                                     ev.time_partial * 2.0 ** 600,
+                                     ev.nonsmooth_value)
+
+        monkeypatch.setattr(polycbf.sim, "smooth_barrier", scaled)
+        got = run(s, config)
+        assert got.termination is want.termination
+        assert np.count_nonzero(want.constraint_active) > 10
+        assert np.array_equal(got.constraint_active, want.constraint_active)
+        for name in ("positions", "u_desired", "u_safe"):
+            assert np.allclose(getattr(got, name), getattr(want, name),
+                               rtol=1e-9, atol=1e-12), name
 
     def test_deterministic(self):
         s = builtin("crossroad")
