@@ -5,20 +5,20 @@ grad(h) . u + dh/dt + gamma * h >= 0 is a single half-space in input space,
 so the minimum-deviation safe input is the Euclidean projection of the
 desired input onto it; no numeric QP solver is involved.
 
-Both the controller and the filter take one row (p,) or a batch of rows
-(M, p), and every row of a batch equals the one-row call bit for bit.  One
-row, as a rollout or a control tick passes it, takes a branch that works
-in Python floats: its dot products are `a.dot(b)` and its tests plain float
+The controller takes one row (p,); the filter takes one row or a batch
+of rows (M, p), and every row of a batch equals the one-row call bit for
+bit.  One row, as a rollout or a control tick passes it, works in Python
+floats: its dot products are `a.dot(b)` and its tests plain float
 comparisons, which cost less than numpy calls on a 2- or 3-vector.  The
-one-row branches are `DesiredController._law` for the controller and
+one-row laws are `DesiredController._law` for the controller and
 `_project` for the filter, on lists of floats, and a rollout's stages
-call both directly.  A batch reduces over rows with numpy (`_count`,
-np.where), and its row dot products go through np.vecdot, which calls the
-same BLAS dot as the one-row `a.dot(b)` and so rounds like it (broadcast
-products summed with .sum(-1) or einsum do not).  A row the one-row
-filter cannot project at once (a non-finite residual, a degenerate
-gradient or one that needs rescaling) goes through the batch code, which
-raises or rescales.
+call both directly.  The batch filter `_project_rows` reduces over rows
+with numpy (`_count`, np.where), and its row dot products go through
+np.vecdot, which calls the same BLAS dot as the one-row `a.dot(b)` and so
+rounds like it (broadcast products summed with .sum(-1) or einsum do
+not).  `_project` hands a row it cannot project at once (a non-finite
+residual, a degenerate gradient or one that needs rescaling) to
+`_project_rows`, which raises or rescales.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ class DegenerateGradientError(RuntimeError):
 
 def _squared_norms(rows):
     """np.vecdot(rows, rows) without an overflow warning: a row whose square
-    sum leaves the float range gets inf, which `safe_velocity` rescales and
-    `DesiredController.velocity` scales to zero."""
+    sum leaves the float range gets inf, which `_project_rows` rescales and
+    `DesiredController._law` scales to zero."""
     if np.max(np.abs(rows)) < _HUGE:  # False for NaN: the guarded path
         return np.vecdot(rows, rows)
     with np.errstate(over="ignore"):
@@ -80,31 +80,19 @@ class DesiredController:
                 f"u_max must be positive and finite, got {self.u_max}")
 
     def velocity(self, p) -> np.ndarray:
-        """Desired input at a position (p,) or at each row of (M, p)."""
+        """Desired input at a position of shape (p,)."""
         p = np.asarray(p, dtype=float)
         dim = self.goal.shape[0]
-        if p.ndim not in (1, 2) or p.shape[-1] != dim:
-            raise ValueError(
-                f"p must have shape ({dim},) or (M, {dim}), got {p.shape}")
-        if p.ndim == 1:
-            return np.array(self._law(p.tolist()))
-        u = self.gain * (self.goal - p)
-        speed = np.sqrt(_squared_norms(u))
-        # A finite speed needs a finite p, so p itself is only scanned when
-        # some speed is not finite (a non-finite p, or an overflow).
-        if _count(speed < np.inf) < speed.size and not np.isfinite(p).all():
-            raise ValueError(f"p must be finite, got {p}")
-        # Scale u in place through its transpose, which lines each row up
-        # with its scale; rows at or below u_max are scaled by exactly 1.0.
-        rows = u.T
-        rows *= self.u_max / np.maximum(speed, self.u_max)
-        return u
+        if p.shape != (dim,):
+            raise ValueError(f"p must have shape ({dim},), got {p.shape}")
+        return np.array(self._law(p.tolist()))
 
     def _law(self, p: list) -> list:
         """The desired input at one position, both lists of floats, bit for
-        bit a batch row: each entry is rounded as numpy rounds it, and the
-        speed comes from the BLAS dot that np.vecdot calls.  A row at or
-        below u_max keeps u, which the batch scales by exactly 1.0."""
+        bit the numpy law u = gain (goal - p) scaled by
+        u_max / max(||u||, u_max): each entry is rounded as numpy rounds it,
+        and the speed comes from the BLAS dot of ndarray.dot.  A row at or
+        below u_max keeps u, which that law scales by exactly 1.0."""
         u = [self.gain * (g - q) for g, q in zip(self.goal.tolist(), p)]
         # math.hypot is within an ulp of the exact speed, and the BLAS dot,
         # fused or not, within a few ulps of its square, so a hypot below
@@ -163,12 +151,12 @@ def _project(grad: np.ndarray, u, time_partial: float, value: float,
 
     Returns u itself when the residual a = grad . u + dh/dt + gamma h is at
     least zero, and otherwise the projection u - (a / ||grad||^2) grad as a
-    list of floats, or None for a row that `safe_velocity`'s batch code
-    must raise on or rescale: a non-finite residual, a gradient entry of
-    1e150 or more, or a squared gradient norm that is near zero or
-    overflows.  The dots are the BLAS dot that np.vecdot calls, and every
-    float operation is the batch code's, in its order, so the result is a
-    batch row bit for bit.
+    list of floats.  The dots are the BLAS dot that np.vecdot calls, and
+    every float operation is `_project_rows`', in its order, so the result
+    is a batch row bit for bit.  A row with a non-finite residual, a
+    gradient entry of 1e150 or more, or a squared gradient norm that is
+    near zero or overflows goes to `_project_rows`, which raises
+    DegenerateGradientError or projects the rescaled row.
     """
     a = float(grad.dot(u)) + time_partial + params.alpha_gain * value
     if a >= 0.0:
@@ -180,7 +168,45 @@ def _project(grad: np.ndarray, u, time_partial: float, value: float,
             step = a / grad_sq
             entries = u if type(u) is list else u.tolist()
             return [v - w * step for v, w in zip(entries, g)]
-    return None
+    return _project_rows(grad, np.asarray(u, dtype=float), time_partial,
+                         value, params)[0].tolist()
+
+
+def _project_rows(grad: np.ndarray, u: np.ndarray, time_partial, value,
+                  params: CbfParams):
+    """The filter of one row (p,) or of a batch (M, p) in numpy, with value
+    and time partial broadcasting against (M,): (u_safe, active).  u_safe
+    is u itself when no row is active; an inactive row of a batch keeps its
+    input bit for bit."""
+    a = np.vecdot(grad, u) + time_partial + params.alpha_gain * value
+    active = (a < 0.0) | (a != a)  # a NaN residual counts as violated
+    n_active = _count(active)
+    if not n_active:
+        return u, active
+    grad_sq = _squared_norms(grad)
+    if n_active < active.size:
+        # Rows that already meet the constraint take the step
+        # (0 / 1) * 0 = +0.0, which leaves their input bit for bit.
+        a = np.where(active, a, 0.0)
+        grad_sq = np.where(active, grad_sq, 1.0)
+        grad = np.where(active[..., None], grad, 0.0)
+    # An active row needs a finite residual (active means a < 0 or NaN) and
+    # a finite gradient that is not near zero; NaN fails every comparison.
+    usable = ((a > -np.inf) & (grad_sq > _DEGENERATE_NORM ** 2)
+              & (grad_sq < np.inf))
+    if _count(usable) < usable.size:
+        # A finite gradient whose square overflows: dividing its row and
+        # the residual by the largest entry leaves the step unchanged.
+        huge = ((grad_sq == np.inf) & (a > -np.inf)
+                & np.isfinite(grad).all(axis=-1))
+        if _count(huge):
+            scale = np.where(huge, np.max(np.abs(grad), axis=-1), 1.0)
+            grad, a = (grad.T / scale).T, a / scale
+            grad_sq = np.where(huge, np.vecdot(grad, grad), grad_sq)
+            usable = usable | huge
+        if _count(usable) < usable.size:
+            _raise_unusable(usable, a, grad_sq, grad.ndim > 1)
+    return u - (grad.T * (a / grad_sq)).T, active
 
 
 def safe_velocity(evaluation: BarrierEvaluation, u_desired,
@@ -209,40 +235,11 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     value, time_partial = evaluation.value, evaluation.time_partial
     if (grad.ndim == 1 and grad.shape == u_desired.shape
             and type(value) is float and type(time_partial) is float):
-        # One row, as `smooth_barrier` returns it.  A row `_project`
-        # cannot project falls through, to raise or rescale.
+        # One row, as `smooth_barrier` returns it.
         u_safe = _project(grad, u_desired, time_partial, value, params)
         if u_safe is u_desired:
             return FilterResult(u_desired, u_desired, value, np.False_)
-        if u_safe is not None:
-            return FilterResult(np.array(u_safe), u_desired, value, np.True_)
-    a = np.vecdot(grad, u_desired) + time_partial + params.alpha_gain * value
-    active = (a < 0.0) | (a != a)  # a NaN residual counts as violated
-    n_active = _count(active)
-    if not n_active:
-        return FilterResult(u_desired, u_desired, value, active)
-    grad_sq = _squared_norms(grad)
-    if n_active < active.size:
-        # Rows that already meet the constraint take the step
-        # (0 / 1) * 0 = +0.0, which leaves their input bit for bit.
-        a = np.where(active, a, 0.0)
-        grad_sq = np.where(active, grad_sq, 1.0)
-        grad = np.where(active[..., None], grad, 0.0)
-    # An active row needs a finite residual (active means a < 0 or NaN) and
-    # a finite gradient that is not near zero; NaN fails every comparison.
-    usable = ((a > -np.inf) & (grad_sq > _DEGENERATE_NORM ** 2)
-              & (grad_sq < np.inf))
-    if _count(usable) < usable.size:
-        # A finite gradient whose square overflows: dividing its row and
-        # the residual by the largest entry leaves the step unchanged.
-        huge = ((grad_sq == np.inf) & (a > -np.inf)
-                & np.isfinite(grad).all(axis=-1))
-        if _count(huge):
-            scale = np.where(huge, np.max(np.abs(grad), axis=-1), 1.0)
-            grad, a = (grad.T / scale).T, a / scale
-            grad_sq = np.where(huge, np.vecdot(grad, grad), grad_sq)
-            usable = usable | huge
-        if _count(usable) < usable.size:
-            _raise_unusable(usable, a, grad_sq, grad.ndim > 1)
-    u_safe = u_desired - (grad.T * (a / grad_sq)).T
+        return FilterResult(np.array(u_safe), u_desired, value, np.True_)
+    u_safe, active = _project_rows(grad, u_desired, time_partial, value,
+                                   params)
     return FilterResult(u_safe, u_desired, value, active)

@@ -60,7 +60,9 @@ class Scenario:
                     f"shape ({dim},), got {s.tolist()}")
 
     def all_starts(self) -> list[np.ndarray]:
-        return [self.default_sim.x0, *self.alternative_starts]
+        """The default start, if set, then the alternative starts."""
+        return [s for s in (self.default_sim.x0, *self.alternative_starts)
+                if s is not None]
 
     @property
     def certified(self) -> bool:
@@ -489,7 +491,10 @@ def load(path) -> Scenario:
 
 def save(scenario: Scenario, path) -> None:
     """Write a scenario config; load(save(s)) reproduces s exactly (floats
-    round-trip through JSON via repr)."""
+    round-trip through JSON via repr).  A scenario without sim.x0 raises
+    ScenarioError before the path is opened, since `load` requires it."""
+    if scenario.default_sim.x0 is None:
+        raise ScenarioError("sim.x0 must be set to save a scenario")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_scenario_to_dict(scenario), fh, indent=2)
         fh.write("\n")

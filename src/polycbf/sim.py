@@ -24,7 +24,7 @@ import numpy as np
 from .barrier import (BarrierEvaluation, _hold_times, barrier_field,
                       curvature_bounds, gradient_bounds, smooth_barrier)
 from .geometry import _as_point
-from .safety_filter import DegenerateGradientError, _project, safe_velocity
+from .safety_filter import DegenerateGradientError, _project
 
 __all__ = ["SimConfig", "SimResult", "Termination", "UnsafeStartError",
            "step", "run"]
@@ -202,9 +202,8 @@ def _stage(scenario, point: list, t: float, certificate):
     certificate), the point and inputs lists of floats.  A certified stage
     takes u_des, which its filter would return unchanged, without a barrier
     call; otherwise an inactive filter anchors a new certificate at the
-    stage and an active one drops it.  The filter is the float projection
-    of `safe_velocity`'s one-row branch; only a row it cannot project goes
-    to `safe_velocity`, to raise or rescale."""
+    stage and an active one drops it.  The filter is `_project`, the
+    one-row branch of `safe_velocity`."""
     u_des = scenario.controller._law(point)
     if certificate is not None and certificate(point, t, u_des):
         return u_des, u_des, False, certificate
@@ -215,9 +214,6 @@ def _stage(scenario, point: list, t: float, certificate):
     if u_safe is u_des:
         return (u_des, u_des, False,
                 _idle_certificate(evaluation, point, t, scenario))
-    if u_safe is None:  # active, or raises
-        u_safe = safe_velocity(evaluation, np.array(u_des),
-                               scenario.cbf).u_safe.tolist()
     return u_des, u_safe, True, None
 
 

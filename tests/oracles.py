@@ -5,6 +5,7 @@ stabilization and no shared code with the library, so agreement is
 meaningful.  They are only valid at moderate exponents (|kappa * psi| below
 ~700).  The rotation oracles rebuild R(t) from a motion's public spin alone,
 and `qp_bruteforce` solves the filter's QP on a dense grid.
+`desired_velocity` is the desired controller as plain numpy.
 `qp_audit_loop`, `gradient_audit_loop` and `hull_audit_loop` are the loop
 forms of the batched audits: one filter call per problem, or one state per
 kernel call.  `rk4_reference` is the closed loop as plain numpy RK4 with
@@ -59,6 +60,16 @@ def rotation_rate(motion, t):
 def vertices(shape, center):
     """Vertex positions center + offset_k of an agent shape, order kept."""
     return np.asarray(center, dtype=float) + shape.offsets
+
+
+def desired_velocity(controller, p):
+    """The saturated proportional law at one position as numpy arrays:
+    u = gain (goal - p) scaled by u_max / max(||u||, u_max), the speed from
+    u.dot(u); a square that overflows gives inf, which scales u to zeros."""
+    u = controller.gain * (controller.goal - np.asarray(p, dtype=float))
+    with np.errstate(over="ignore"):
+        speed = np.sqrt(u.dot(u))
+    return u * (controller.u_max / np.maximum(speed, controller.u_max))
 
 
 class InfeasibleGridError(RuntimeError):

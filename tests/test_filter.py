@@ -7,6 +7,8 @@ from polycbf.barrier import BarrierEvaluation, CbfParams
 from polycbf.safety_filter import (DegenerateGradientError, DesiredController,
                                    _project, safe_velocity)
 
+from oracles import desired_velocity
+
 
 def make_eval(grad, h, dht=0.0):
     return BarrierEvaluation(value=h, gradient=np.asarray(grad, dtype=float),
@@ -225,7 +227,9 @@ INSIDE_ABOVE = np.nextafter(INSIDE, 6.0)
 
 
 class TestBatchedLaw:
-    """Row i of a batch call equals the one-row call bit for bit."""
+    """Row i of a batch filter call equals the one-row call, and the
+    one-row controller the numpy law of `oracles.desired_velocity`, bit for
+    bit."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 7, 4096])
@@ -262,7 +266,9 @@ class TestBatchedLaw:
         try:
             one_row(at)
         except DegenerateGradientError as err:
-            assert projected(at)[0] is None  # the batch code raises
+            with pytest.raises(DegenerateGradientError) as info:
+                projected(at)
+            assert str(info.value) == str(err)
             with pytest.raises(DegenerateGradientError) as info:
                 safe_velocity(evaluation, u_des, params)
             assert str(info.value) == (
@@ -281,10 +287,7 @@ class TestBatchedLaw:
                 assert one.u_safe.base is u_des  # the desired input itself
             got, unchanged = projected(i)
             assert unchanged == (not one.constraint_active)
-            if got is None:  # projected, or rescaled, by the batch code
-                assert one.constraint_active
-            else:
-                assert same_bits(np.array(got), one.u_safe)
+            assert same_bits(np.array(got), batch.u_safe[i])
         # Numpy scalars and 0-d arrays take the batch code, to the same bits.
         for scalar in (np.float64, np.array):
             res, one = one_row(at, scalar), one_row(at)
@@ -305,10 +308,8 @@ class TestBatchedLaw:
         radius = rng.choice([0.1, 0.8 / 1.5, 3.0], size=(m, 1))
         points = goal + radius * offsets
         points[0] = goal
-        batch = ctrl.velocity(points)
-        assert batch.shape == (m, dim)
-        for i in range(m):
-            assert np.array_equal(batch[i], ctrl.velocity(points[i]))
+        for p in points:
+            assert same_bits(ctrl.velocity(p), desired_velocity(ctrl, p))
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("p, scale", [
@@ -322,9 +323,9 @@ class TestBatchedLaw:
         ((-0.0, 6.0), 5.0 / 6.0),  # and through a scaled one
     ])
     def test_velocity_edge_rows(self, dim, p, scale):
-        # The row alone (M = 1) and as row 3 of seven (M = 7), padded with
-        # zeros to 3-D, around a goal at the origin, +0.0 or -0.0, that
-        # keeps u exact.
+        # The row, padded with zeros to 3-D, around a goal at the origin,
+        # +0.0 or -0.0, that keeps u exact; then it and six random rows
+        # against the numpy law.
         p = np.pad(p, (0, dim - 2))
         seven = np.random.default_rng(dim).normal(size=(7, dim))
         seven[3] = p
@@ -332,16 +333,14 @@ class TestBatchedLaw:
             ctrl = DesiredController(goal=np.full(dim, zero), gain=1.0,
                                      u_max=5.0)
             if scale is None:
-                for points in (p, p[None], seven):
-                    with pytest.raises(ValueError) as info:
-                        ctrl.velocity(points)
-                    assert str(info.value) == (
-                        f"p must be finite, got {points}")
+                with pytest.raises(ValueError) as info:
+                    ctrl.velocity(p)
+                assert str(info.value) == f"p must be finite, got {p}"
                 continue
-            one = ctrl.velocity(p)
-            assert same_bits(one, (zero - p) * scale)
-            for points, i in ((p[None], 0), (seven, 3)):
-                assert same_bits(ctrl.velocity(points)[i], one)
+            assert same_bits(ctrl.velocity(p), (zero - p) * scale)
+            for row in seven:
+                assert same_bits(ctrl.velocity(row),
+                                 desired_velocity(ctrl, row))
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("u_max, p", [
@@ -358,20 +357,18 @@ class TestBatchedLaw:
         (5.0, (np.nan, 0.0)),
     ])
     def test_velocity_rows_at_the_inside_test(self, dim, u_max, p):
-        # The row alone (M = 1) and as row 3 of seven (M = 7), padded with
-        # zeros to 3-D, around a goal at the origin that keeps u = -p.
+        # The row, padded with zeros to 3-D, and six random rows against
+        # the numpy law, around a goal at the origin that keeps u = -p.
         p = np.pad(p, (0, dim - 2))
         seven = np.random.default_rng(dim).normal(size=(7, dim)) * u_max
         seven[3] = p
         ctrl = DesiredController(goal=np.zeros(dim), gain=1.0, u_max=u_max)
         if np.isnan(p).any():
-            for points in (p, p[None], seven):
-                with pytest.raises(ValueError, match="p must be finite"):
-                    ctrl.velocity(points)
+            with pytest.raises(ValueError, match="p must be finite"):
+                ctrl.velocity(p)
             return
-        one = ctrl.velocity(p)
-        for points, i in ((p[None], 0), (seven, 3)):
-            assert same_bits(ctrl.velocity(points)[i], one)
+        for row in seven:
+            assert same_bits(ctrl.velocity(row), desired_velocity(ctrl, row))
 
     def test_inside_rows_straddle_the_bound(self):
         # The hypot of each row above at u_max = 5, as `_law` tests it.
@@ -380,20 +377,28 @@ class TestBatchedLaw:
         assert math.hypot(0.6 * INSIDE_BELOW, 0.8 * INSIDE_BELOW) < INSIDE
 
     def test_edge_rows_one_ulp_from_u_max(self):
-        # The speeds of two rows above, from the dot the law takes.
+        # The speeds of two rows above, from the dot the law takes, and the
+        # law at both rows.
+        ctrl = DesiredController(goal=(0.0, 0.0), gain=1.0, u_max=5.0)
         for p, speed in ((ULP_ABOVE, np.nextafter(5.0, 6.0)),
                          (ULP_BELOW, np.nextafter(5.0, 4.0))):
             u = 0.0 - np.array(p)
             assert math.sqrt(u.dot(u)) == speed
+            assert same_bits(ctrl.velocity(p), desired_velocity(ctrl, p))
 
     def test_velocity_validates_rows(self):
         ctrl = DesiredController(goal=(1.0, 2.0))
         for bad in ([1.0, 2.0, 3.0], [[[1.0, 2.0]]], [[1.0, 2.0, 3.0]]):
             with pytest.raises(ValueError, match="shape"):
                 ctrl.velocity(bad)
+        # One row only: a batch (M, p) is refused, finite or not.
+        for value in (0.0, np.nan, np.inf):
+            for rows in ([[value, 0.0]], [[0.0, 0.0], [value, 0.0]]):
+                with pytest.raises(ValueError) as info:
+                    ctrl.velocity(rows)
+                assert str(info.value) == (
+                    f"p must have shape (2,), got {np.shape(rows)}")
         for value in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
-                ctrl.velocity([[0.0, 0.0], [value, 0.0]])
             with pytest.raises(ValueError, match="finite"):
                 ctrl.velocity([0.0, value])
 

@@ -11,6 +11,7 @@ from polycbf.barrier import provable_buffer, smooth_barrier
 from polycbf.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError,
                                _scenario_to_dict, builtin, load, save)
 from polycbf.sim import UnsafeStartError, run
+from polycbf.verify import run_suite, scenario_bounds
 
 from worlds import static_variant
 
@@ -147,6 +148,34 @@ class TestRoundTrip:
         loaded = load(path)
         motions = {id(hs.motion) for hs in loaded.environment.half_spaces}
         assert len(motions) == 1
+
+
+def without_start(name):
+    """A builtin with no sim.x0, which `Scenario` and `run` accept."""
+    s = builtin(name)
+    return dataclasses.replace(
+        s, default_sim=dataclasses.replace(s.default_sim, x0=None))
+
+
+class TestWithoutStart:
+    def test_all_starts_are_the_alternatives(self):
+        s, full = without_start("l-shape"), builtin("l-shape")
+        assert len(s.alternative_starts) == 4
+        assert all(a is b for a, b in zip(s.all_starts(),
+                                         s.alternative_starts, strict=True))
+        assert full.all_starts()[0] is full.default_sim.x0
+        assert len(full.all_starts()) == 5
+        # The box and the audits use every start that is set.
+        low, high = scenario_bounds(s)
+        assert np.all(low < np.min(s.alternative_starts, axis=0))
+        assert np.all(np.max(s.alternative_starts, axis=0) < high)
+        assert run_suite("hull", [s], seed=0, n=10)[0].passed
+
+    def test_save_refuses_before_writing(self, tmp_path):
+        path = tmp_path / "l-shape.json"
+        with pytest.raises(ScenarioError, match=r"^sim\.x0 "):
+            save(without_start("l-shape"), path)
+        assert not path.exists()
 
 
 class TestConfigValidation:

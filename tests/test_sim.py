@@ -212,7 +212,7 @@ class TestRun:
     def test_overflowing_gradient_is_rescaled(self, monkeypatch):
         # A barrier scaled by 2^600 has the same filter, but the squared
         # norm of its gradient overflows: every active stage leaves the
-        # float projection for safe_velocity's rescaled one.  The idle
+        # float projection for the rescaled one of `_project_rows`.  The idle
         # certificate, which would see the scaled h, is off.
         refuse_always(monkeypatch)
         s = builtin("crossroad")
