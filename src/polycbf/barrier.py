@@ -61,15 +61,14 @@ class CbfParams:
 
 @dataclass
 class BarrierEvaluation:
-    """Smooth barrier value with its spatial gradient, time partial, and the
-    exact nonsmooth margin kept alongside for diagnostics.  `safe_velocity`
-    also takes a batch: a gradient of shape (M, p), with the scalars given
-    per row, shape (M,), or once for all rows."""
+    """Smooth barrier value with its spatial gradient, shape (p,), time
+    partial, and the exact nonsmooth margin kept alongside for diagnostics,
+    at one state and time."""
 
-    value: float | np.ndarray
+    value: float
     gradient: np.ndarray
-    time_partial: float | np.ndarray
-    nonsmooth_value: float | np.ndarray
+    time_partial: float
+    nonsmooth_value: float
 
 
 def provable_buffer(env: PolytopeEnvironment) -> float:
@@ -347,11 +346,13 @@ def _row_max(values, screen: bool = True):
     vectorises across rows; that column maximum keeps the last tied entry.
     One row, cheaper as a list, takes Python's max of the reversed list,
     which skips a NaN after its first entry, so the row's float sum screens
-    for NaN unless screen is False.  (Numpy reduces a batch of one row,
-    shape (1, N), as a 1-D array, which may keep the other zero of a tie.)
+    for NaN unless screen is False.  Numpy reduces a batch of one row,
+    shape (1, N), as a 1-D array, which may keep the other zero of a tie,
+    so that batch takes the one-row branch, screened, and returns (1,).
     """
     if values.ndim > 1:
-        return np.maximum.reduce(np.ascontiguousarray(values.T), axis=0)
+        return (np.maximum.reduce(np.ascontiguousarray(values.T), axis=0)
+                if len(values) != 1 else np.array([_row_max(values[0])]))
     row = values.tolist()
     top = max(reversed(row))
     if screen:

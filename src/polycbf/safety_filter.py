@@ -5,20 +5,21 @@ grad(h) . u + dh/dt + gamma * h >= 0 is a single half-space in input space,
 so the minimum-deviation safe input is the Euclidean projection of the
 desired input onto it; no numeric QP solver is involved.
 
-The controller takes one row (p,); the filter takes one row or a batch
-of rows (M, p), and every row of a batch equals the one-row call bit for
-bit.  One row, as a rollout or a control tick passes it, works in Python
-floats: its dot products are `a.dot(b)` and its tests plain float
-comparisons, which cost less than numpy calls on a 2- or 3-vector.  The
-one-row laws are `DesiredController._law` for the controller and
-`_project` for the filter, on lists of floats, and a rollout's stages
-call both directly.  The batch filter `_project_rows` reduces over rows
-with numpy (`_count`, np.where), and its row dot products go through
+The controller and the filter take one row (p,), as a rollout or a
+control tick passes it, and work in Python floats: their dot products are
+`a.dot(b)` and their tests plain float comparisons, which cost less than
+numpy calls on a 2- or 3-vector.  The one-row laws are
+`DesiredController._law` for the controller and `_project` for the
+filter, on lists of floats, and a rollout's stages call both directly.
+The batch filter `_project_rows` of rows (M, p) reduces over rows with
+numpy (`_count`, np.where), and its row dot products go through
 np.vecdot, which calls the same BLAS dot as the one-row `a.dot(b)` and so
 rounds like it (broadcast products summed with .sum(-1) or einsum do
-not).  `_project` hands a row it cannot project at once (a non-finite
-residual, a degenerate gradient or one that needs rescaling) to
-`_project_rows`, which raises or rescales.
+not); every row equals the one-row filter bit for bit.  `_project` hands
+a row it cannot project at once (a non-finite residual, a degenerate
+gradient or one that needs rescaling) to `_project_rows`, which raises or
+rescales, and the qp audit of `verify` filters its random problems
+through it.
 """
 
 from __future__ import annotations
@@ -122,12 +123,12 @@ class DesiredController:
 @dataclass
 class FilterResult:
     """Filtered input together with the desired input, the barrier value
-    and whether the projection acted: one row, or one entry per row."""
+    and whether the projection acted, for one row."""
 
     u_safe: np.ndarray
     u_desired: np.ndarray
-    h: float | np.ndarray
-    constraint_active: bool | np.ndarray
+    h: float
+    constraint_active: bool
 
 
 def _raise_unusable(usable, a, grad_sq, batch: bool):
@@ -144,10 +145,10 @@ def _raise_unusable(usable, a, grad_sq, batch: bool):
         f"gradient norm {norm:.3e}")
 
 
-def _project(grad: np.ndarray, u, time_partial: float, value: float,
+def _project(grad: np.ndarray, u: list, time_partial: float, value: float,
              params: CbfParams):
     """The filter of one row in Python floats: a gradient of shape (p,) and
-    a desired input u, a list of floats or an array of shape (p,).
+    a desired input u, a list of floats.
 
     Returns u itself when the residual a = grad . u + dh/dt + gamma h is at
     least zero, and otherwise the projection u - (a / ||grad||^2) grad as a
@@ -166,10 +167,9 @@ def _project(grad: np.ndarray, u, time_partial: float, value: float,
         grad_sq = float(grad.dot(grad))
         if _DEGENERATE_NORM ** 2 < grad_sq < math.inf:
             step = a / grad_sq
-            entries = u if type(u) is list else u.tolist()
-            return [v - w * step for v, w in zip(entries, g)]
-    return _project_rows(grad, np.asarray(u, dtype=float), time_partial,
-                         value, params)[0].tolist()
+            return [v - w * step for v, w in zip(u, g)]
+    return _project_rows(grad, np.array(u), time_partial, value,
+                         params)[0].tolist()
 
 
 def _project_rows(grad: np.ndarray, u: np.ndarray, time_partial, value,
@@ -219,27 +219,26 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     constraint boundary.  No saturation is applied to the corrected input:
     only the desired controller saturates.
 
-    One problem has a gradient and input of shape (p,); a batch has both of
-    shape (M, p), with value and time partial broadcasting against (M,).
+    The gradient and the desired input have one shape (p,); any other
+    shape raises ValueError.  The value and time partial are taken as
+    floats.  An inactive filter returns the desired input array itself as
+    u_safe.
 
     Raises
     ------
     DegenerateGradientError
-        If a < 0 while ||grad(h)|| <= 1e-10 on some row, or if an active
-        row's a or grad(h) is not finite; there is deliberately no silent
+        If a < 0 while ||grad(h)|| <= 1e-10, or if the filter is active and
+        a or grad(h) is not finite; there is deliberately no silent
         fallback for either case.  A finite gradient whose squared norm
         overflows is projected from its rescaled row instead.
     """
     grad = np.asarray(evaluation.gradient, dtype=float)
     u_desired = np.asarray(u_desired, dtype=float)
-    value, time_partial = evaluation.value, evaluation.time_partial
-    if (grad.ndim == 1 and grad.shape == u_desired.shape
-            and type(value) is float and type(time_partial) is float):
-        # One row, as `smooth_barrier` returns it.
-        u_safe = _project(grad, u_desired, time_partial, value, params)
-        if u_safe is u_desired:
-            return FilterResult(u_desired, u_desired, value, np.False_)
-        return FilterResult(np.array(u_safe), u_desired, value, np.True_)
-    u_safe, active = _project_rows(grad, u_desired, time_partial, value,
-                                   params)
-    return FilterResult(u_safe, u_desired, value, active)
+    if grad.ndim != 1 or u_desired.shape != grad.shape:
+        raise ValueError(f"gradient and u_desired must have one shape (p,), "
+                         f"got {grad.shape} and {u_desired.shape}")
+    value, u = float(evaluation.value), u_desired.tolist()
+    u_safe = _project(grad, u, float(evaluation.time_partial), value, params)
+    if u_safe is u:
+        return FilterResult(u_desired, u_desired, value, np.False_)
+    return FilterResult(np.array(u_safe), u_desired, value, np.True_)

@@ -202,8 +202,8 @@ def _stage(scenario, point: list, t: float, certificate):
     certificate), the point and inputs lists of floats.  A certified stage
     takes u_des, which its filter would return unchanged, without a barrier
     call; otherwise an inactive filter anchors a new certificate at the
-    stage and an active one drops it.  The filter is `_project`, the
-    one-row branch of `safe_velocity`."""
+    stage and an active one drops it.  The filter is `_project`, which
+    `safe_velocity` wraps, on the list u_des."""
     u_des = scenario.controller._law(point)
     if certificate is not None and certificate(point, t, u_des):
         return u_des, u_des, False, certificate
@@ -298,7 +298,12 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
             f"h(x0, 0) = {evaluation.value:.6g} <= 0 at x0 = {x.tolist()}")
     certificate = _idle_certificate(evaluation, x.tolist(), 0.0, scenario)
 
-    goal = scenario.controller.goal
+    goal, tol = scenario.controller.goal, config.goal_tolerance
+    # `DesiredController._law`'s inside test the other way round: a hypot
+    # above tol (1 + 1e-12) proves the dot's root above tol, so only a
+    # state that passes this screen takes the dot, whose square cannot
+    # overflow there.
+    screen = tol * (1.0 + 1e-12) if 1e-140 < tol < 1e150 else math.inf
     n_steps = int(round(config.t_end / config.dt))
     times, positions, rows = [], [], []
     termination = Termination.HORIZON
@@ -313,7 +318,8 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
                         params.kappa)
         t = i * config.dt
         gap = x - goal
-        at_goal = math.sqrt(gap.dot(gap)) <= config.goal_tolerance
+        at_goal = (math.hypot(*gap.tolist()) <= screen
+                   and math.sqrt(gap.dot(gap)) <= tol)
         done = at_goal or i == n_steps
         try:
             if done:

@@ -14,10 +14,10 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .barrier import (BarrierEvaluation, CbfParams, _fields, barrier_field,
-                      margin_field, provable_buffer)
+from .barrier import (CbfParams, _fields, barrier_field, margin_field,
+                      provable_buffer)
 from .geometry import AgentShape
-from .safety_filter import safe_velocity
+from .safety_filter import _project_rows
 
 __all__ = [
     "AuditReport",
@@ -205,10 +205,9 @@ def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
         params = CbfParams(kappa=5.0, alpha_gain=1.0)
         for dim in (2, 3):
             rows = dims == dim
-            ev = BarrierEvaluation(gains[rows] * values[rows],
-                                   grads[rows, :dim], partials[rows], 0.0)
-            u_safe[rows, :dim] = safe_velocity(ev, u_des[rows, :dim],
-                                               params).u_safe
+            u_safe[rows, :dim] = _project_rows(
+                grads[rows, :dim], u_des[rows, :dim], partials[rows],
+                gains[rows] * values[rows], params)[0]
         terms = np.column_stack((grads * u_safe, partials, gains * values))
         r, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
         changed = np.any(u_safe != u_des, axis=1)

@@ -796,8 +796,8 @@ def one_row_edge_cases():
 class TestOneRowEdges:
     """The one-row kernel takes its two maxima and the tail of h in Python
     floats; at the edges of that code it still equals a batch row bit for
-    bit, with NaN in the same places.  The edge centre is row 1 of three:
-    numpy reduces a batch of one row as a 1-D array."""
+    bit, with NaN in the same places.  The edge centre is row 1 of three,
+    so the batch takes numpy's column maximum."""
 
     @staticmethod
     def world(name):
@@ -835,8 +835,11 @@ class TestOneRowEdges:
         # No centre gives a region minimum of -0.0, since the kernel's
         # matvec sums from +0.0, so the signed-zero tie is checked on the
         # maxima alone: of tied entries the last, NaN if any entry is NaN.
+        # A batch of one row, which numpy would reduce as a 1-D array and
+        # at n = 9, 17 or 41 keep the other zero of a tie, is the one-row
+        # call, NaN kept whether screened or not.
         rng = np.random.default_rng(7)
-        for n in (1, 2, 3, 5, 8, 17, 32):
+        for n in (1, 2, 3, 5, 8, 9, 17, 32, 41):
             rows = rng.choice([0.0, -0.0, -1.0, np.nan], size=(64, n),
                               p=[0.3, 0.3, 0.35, 0.05])
             batch = polycbf.barrier._row_max(rows)
@@ -844,6 +847,10 @@ class TestOneRowEdges:
                 got = polycbf.barrier._row_max(row)
                 assert type(got) is float
                 assert_bits_or_nan(got, batch[i])
+                for screen in (True, False):
+                    one = polycbf.barrier._row_max(row[None], screen)
+                    assert one.shape == (1,) and one.dtype == float
+                    assert_bits_or_nan(one, [got])
                 if not np.isnan(row).any():
                     last = row[np.flatnonzero(row == row.max())[-1]]
                     assert_bits_or_nan(got, last)

@@ -5,7 +5,7 @@ import pytest
 
 from polycbf.barrier import BarrierEvaluation, CbfParams
 from polycbf.safety_filter import (DegenerateGradientError, DesiredController,
-                                   _project, safe_velocity)
+                                   _project, _project_rows, safe_velocity)
 
 from oracles import desired_velocity
 
@@ -130,6 +130,23 @@ class TestSafeVelocity:
         assert np.array_equal(res.u_safe, [0.0, 0.0])
         assert residual(ev, res.u_safe, params) >= 0.0
 
+    def test_takes_one_row(self):
+        # A batch gradient or input, or two shapes, is refused; batches go
+        # to `_project_rows`.
+        params = CbfParams(kappa=5.0, alpha_gain=2.0)
+        for grad, u in [((1.0, 0.0), ((1.0, 0.0),)),
+                        (((1.0, 0.0),), (1.0, 0.0)),
+                        (((1.0, 0.0), (0.0, 1.0)), ((1.0, 0.0), (0.0, 1.0))),
+                        ((1.0, 0.0), (1.0, 0.0, 0.0)),
+                        ((1.0, 0.0, 0.0), (1.0, 0.0)),
+                        (1.0, 1.0)]:
+            ev = make_eval(grad, h=np.ones(np.shape(grad)[:-1]))
+            with pytest.raises(ValueError) as info:
+                safe_velocity(ev, u, params)
+            assert str(info.value) == (
+                f"gradient and u_desired must have one shape (p,), got "
+                f"{np.shape(grad)} and {np.shape(u)}")
+
     def test_no_post_saturation(self):
         # the corrected input may exceed any desired-controller bound
         ev = make_eval((1.0, 0.0), h=-10.0)
@@ -227,9 +244,9 @@ INSIDE_ABOVE = np.nextafter(INSIDE, 6.0)
 
 
 class TestBatchedLaw:
-    """Row i of a batch filter call equals the one-row call, and the
-    one-row controller the numpy law of `oracles.desired_velocity`, bit for
-    bit."""
+    """Row i of the batch filter `_project_rows` equals the one-row
+    `safe_velocity` call, and the one-row controller the numpy law of
+    `oracles.desired_velocity`, bit for bit."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 7, 4096])
@@ -248,7 +265,6 @@ class TestBatchedLaw:
             grads[at], u_des[at] = 0.0, 0.0
             grads[at, :2], u_des[at, :2] = grad, u
         params = CbfParams(kappa=5.0, alpha_gain=1.7)
-        evaluation = BarrierEvaluation(values, grads, partials, values)
 
         def one_row(i, scalar=float):
             return safe_velocity(make_eval(grads[i], scalar(values[i]),
@@ -270,31 +286,31 @@ class TestBatchedLaw:
                 projected(at)
             assert str(info.value) == str(err)
             with pytest.raises(DegenerateGradientError) as info:
-                safe_velocity(evaluation, u_des, params)
+                _project_rows(grads, u_des, partials, values, params)
             assert str(info.value) == (
                 str(err).replace("violated (", f"violated in row {at} (")
                 .replace("constraint:", f"constraint in row {at}:"))
             return
-        batch = safe_velocity(evaluation, u_des, params)
-        assert batch.u_safe.shape == (m, dim)
-        assert batch.constraint_active.shape == (m,)
+        u_safe, active = _project_rows(grads, u_des, partials, values, params)
+        assert u_safe.shape == (m, dim)
+        assert active.shape == (m,)
         for i in range(m):
             one = one_row(i)
-            assert same_bits(batch.u_safe[i], one.u_safe)
-            assert same_bits(batch.constraint_active[i], one.constraint_active)
-            assert same_bits(batch.h[i], np.float64(one.h))
+            assert same_bits(u_safe[i], one.u_safe)
+            assert same_bits(active[i], one.constraint_active)
             if not one.constraint_active:
                 assert one.u_safe.base is u_des  # the desired input itself
             got, unchanged = projected(i)
             assert unchanged == (not one.constraint_active)
-            assert same_bits(np.array(got), batch.u_safe[i])
-        # Numpy scalars and 0-d arrays take the batch code, to the same bits.
+            assert same_bits(np.array(got), u_safe[i])
+        # Numpy scalars and 0-d arrays are taken as floats, to the same
+        # bits.
         for scalar in (np.float64, np.array):
             res, one = one_row(at, scalar), one_row(at)
             assert same_bits(res.u_safe, one.u_safe)
             assert same_bits(res.constraint_active, one.constraint_active)
         if m >= 7 and edge is None:  # the mix is really mixed
-            assert 0 < np.count_nonzero(batch.constraint_active) < m
+            assert 0 < np.count_nonzero(active) < m
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 7, 4096])
@@ -407,14 +423,13 @@ class TestBatchedLaw:
         # but holds the constraint, so it alone would not raise.
         grads = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         values = np.array([1.0, 1.0, -1.0, 1.0])
-        ev = BarrierEvaluation(values, grads, 0.0, values)
         u_des = np.ones((4, 2))
         params = CbfParams(kappa=5.0, alpha_gain=2.0)
         with pytest.raises(DegenerateGradientError, match="in row 2 "):
-            safe_velocity(ev, u_des, params)
-        ok = safe_velocity(BarrierEvaluation(values[:2], grads[:2], 0.0,
-                                             values[:2]), u_des[:2], params)
-        assert not np.any(ok.constraint_active)
+            _project_rows(grads, u_des, 0.0, values, params)
+        _, active = _project_rows(grads[:2], u_des[:2], 0.0, values[:2],
+                                  params)
+        assert not np.any(active)
 
     def test_degenerate_one_row_message(self):
         with pytest.raises(DegenerateGradientError) as info:
@@ -431,16 +446,15 @@ class TestBatchedLaw:
         values = np.array([0.1, 0.5, -0.2])
         u_des = np.array([[-1.0, 0.5], [-1.0, 1.0], [0.3, -0.9]])
         params = CbfParams(kappa=5.0, alpha_gain=2.0)
-        res = safe_velocity(BarrierEvaluation(values, grads, 0.0, values),
-                            u_des, params)
-        assert np.all(res.constraint_active)
+        u_safe, active = _project_rows(grads, u_des, 0.0, values, params)
+        assert np.all(active)
         for i in (0, 2):
             one = safe_velocity(make_eval(grads[i], values[i]), u_des[i],
                                 params)
-            assert np.array_equal(res.u_safe[i], one.u_safe)
+            assert np.array_equal(u_safe[i], one.u_safe)
         huge = make_eval(grads[1], values[1])
-        assert residual(huge, res.u_safe[1], params) >= -1e-12 * 5e180
-        assert np.allclose(res.u_safe[1], u_des[1] - (-7.0 / 25.0)
+        assert residual(huge, u_safe[1], params) >= -1e-12 * 5e180
+        assert np.allclose(u_safe[1], u_des[1] - (-7.0 / 25.0)
                            * np.array([0.6, -0.8]) * 5.0, atol=1e-15)
 
     def test_non_finite_active_row_named(self):
@@ -452,21 +466,19 @@ class TestBatchedLaw:
         u_des = np.ones((3, 2))
         params = CbfParams(kappa=5.0, alpha_gain=2.0)
         with pytest.raises(DegenerateGradientError) as info:
-            safe_velocity(BarrierEvaluation(values, grads, 0.0, values),
-                          u_des, params)
+            _project_rows(grads, u_des, 0.0, values, params)
         assert str(info.value) == ("non-finite constraint in row 1: residual "
                                    "nan, barrier gradient norm 1.000e+00")
         keep = [0, 2]
-        ok = safe_velocity(BarrierEvaluation(values[keep], grads[keep], 0.0,
-                                             values[keep]), u_des[keep],
-                           params)
-        assert np.array_equal(ok.constraint_active, [True, False])
-        assert np.array_equal(ok.u_safe, [[2.0, 1.0], [1.0, 1.0]])
+        u_safe, active = _project_rows(grads[keep], u_des[keep], 0.0,
+                                       values[keep], params)
+        assert np.array_equal(active, [True, False])
+        assert np.array_equal(u_safe, [[2.0, 1.0], [1.0, 1.0]])
 
 
 class TestProjection:
     """`_project`, the float filter of one row; the rows of
-    `check_safe_velocity_rows` check it against the batch as well."""
+    `check_safe_velocity_rows` check it against `_project_rows` as well."""
 
     def test_negative_zero_residual_is_inactive(self):
         # In one dimension the dot keeps the sign of its one product, so
@@ -480,9 +492,8 @@ class TestProjection:
         assert _project(grad, u_list, -0.0, -0.0, params) is u_list
         one = safe_velocity(make_eval(grad, -0.0, -0.0), u, params)
         assert one.u_safe is u and not one.constraint_active
-        rows = safe_velocity(BarrierEvaluation(
-            np.array([-0.0, 1.0]), np.array([grad, grad]),
-            np.array([-0.0, 0.0]), np.array([-0.0, 1.0])),
-            np.array([u, u]), params)
-        assert same_bits(rows.u_safe[0], u)
-        assert same_bits(rows.constraint_active[0], np.False_)
+        u_safe, active = _project_rows(
+            np.array([grad, grad]), np.array([u, u]), np.array([-0.0, 0.0]),
+            np.array([-0.0, 1.0]), params)
+        assert same_bits(u_safe[0], u)
+        assert same_bits(active[0], np.False_)

@@ -111,6 +111,34 @@ class TestRun:
         assert res.reached_goal_at is not None
         assert np.linalg.norm(res.positions[-1] - [0.5, 0.0]) <= 0.05
 
+    def test_goal_check_one_ulp_from_tolerance(self):
+        # Gaps (3, 4 - 3 * 2^-51) and (3, 4 + 2^-50) from the goal have
+        # norms one ulp below and one ulp above 5; both pass the goal
+        # check's hypot screen, and its dot decides: the goal at t = 0, or
+        # after one step toward it.
+        for y, reached in ((3 * 2.0 ** -51 - 4.0, 0.0),
+                           (-np.nextafter(4.0, 5.0), 0.01)):
+            s = free_space_scenario(goal=(0.0, 0.0), x0=(-3.0, y))
+            res = run(s, dataclasses.replace(s.default_sim,
+                                             goal_tolerance=5.0))
+            assert res.termination is Termination.GOAL
+            assert res.reached_goal_at == reached
+
+    def test_stiff_gain_diverges_without_warning(self):
+        # gamma = 1e6 at dt = 0.01 drives the state toward 1e303 until the
+        # filter's residual overflows.  The goal check screens such a state
+        # with math.hypot, so its dot does not warn of an overflow; the
+        # run ends in error with the rows before the failing step.
+        s = builtin("crossroad")
+        s = dataclasses.replace(s, cbf=dataclasses.replace(s.cbf,
+                                                           alpha_gain=1e6))
+        res = run(s, dataclasses.replace(s.default_sim, t_end=3.0))
+        assert res.termination is Termination.ERROR
+        assert res.error.startswith("non-finite constraint: residual -inf")
+        assert res.error.endswith(", t=1.28")
+        assert res.times.shape == (128,)
+        assert 1e300 < np.abs(res.positions[-1]).max() < np.inf
+
     def test_horizon_termination(self):
         s = free_space_scenario(goal=(10.0, 0.0), x0=(0.0, 0.0))
         res = run(s)  # t_end = 1 s, goal unreachable at u_max = 1

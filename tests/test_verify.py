@@ -8,7 +8,7 @@ import polycbf.verify
 from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
                              margin_agent, provable_buffer)
 from polycbf.geometry import AgentShape, PolytopeEnvironment
-from polycbf.safety_filter import FilterResult, safe_velocity
+from polycbf.safety_filter import safe_velocity
 from polycbf.scenarios import BUILTIN_NAMES, builtin
 from polycbf.verify import (AuditReport, grid_points, gradient_audit,
                             hull_containment_audit, qp_closed_form_audit,
@@ -240,18 +240,19 @@ class TestRandomizedAudits:
                                                      u_safe):
         # A filter that claims to have projected every input onto the
         # boundary while it did not.
-        def fake(evaluation, u_desired, params):
-            return FilterResult(u_safe(u_desired), u_desired,
-                                evaluation.value, constraint_active=True)
+        def fake(grad, u, time_partial, value, params):
+            return u_safe(u), np.ones(u.shape[0], dtype=bool)
 
-        monkeypatch.setattr(polycbf.verify, "safe_velocity", fake)
+        monkeypatch.setattr(polycbf.verify, "_project_rows", fake)
         report = qp_closed_form_audit(500, seed=3)
         assert report.passed is False
         assert not report.worst <= 1e-3
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_qp_closed_form_matches_loop_oracle(self, seed):
-        # Two batched filter calls per block against one call per problem.
+        # Two `_project_rows` calls per block, np.vecdot on the rows,
+        # against one one-row `safe_velocity` call, ndarray.dot, per
+        # problem.
         assert qp_closed_form_audit(5000, seed).worst == \
             oracles.qp_audit_loop(5000, seed)
 
