@@ -5,8 +5,10 @@ min over faces and agent vertices) and their differentiable log-sum-exp
 counterpart with analytic gradient and time partial.  Both come from one
 kernel, `_evaluate`, which is stabilized so that exponents of magnitude up
 to ~1e4 cannot overflow.  It takes one centre or a batch, at one time or at
-one time per centre, and a row's bits depend on neither the batch nor the
-BLAS thread count.  In a moving world its centre-independent terms at t are
+one time per centre.  A batch reduces its regions down face-major arrays,
+one vectorised call per face position, in the order `reduceat` takes along
+one centre's row, so a row's bits depend on neither the batch nor the BLAS
+thread count.  In a moving world its centre-independent terms at t are
 the agent shape's fixed coefficients times the environment's time basis
 b(t), one matrix-vector product per new time.
 """
@@ -300,17 +302,25 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
         vertex_exp *= kappa
         np.exp(vertex_exp, out=vertex_exp)
         vertex_sums = np.add.reduce(vertex_exp, axis=-1)     # >= 1 each
-        soft_offsets = hard - np.log(vertex_sums) / kappa - levels
+        # Both offsets are built in place, in the order of the expressions
+        # hard - ln(sums)/kappa - levels and rates/sums - level_rates.
+        soft_offsets = np.log(vertex_sums)
+        soft_offsets /= kappa
+        np.subtract(hard, soft_offsets, out=soft_offsets)
+        soft_offsets -= levels
         if normal_rates is not None:
             # The support's rate is ndot_i . (softmin-weighted mean dp_k).
-            support_rates = np.vecdot(normal_rates, vertex_exp @ shape.offsets)
-            rate_offsets = support_rates / vertex_sums - level_rates
+            rate_offsets = np.vecdot(normal_rates, vertex_exp @ shape.offsets)
+            rate_offsets /= vertex_sums
+            rate_offsets -= level_rates
+        del vertex_sums
+    hard_offsets = np.subtract(hard, levels, out=hard)
     if not memo:
         # C-contiguous copies for a batch of times, which frees the product;
         # one time's terms are contiguous views of it already.
         normals = np.ascontiguousarray(normals)
         normal_rates = np.ascontiguousarray(normal_rates)
-    terms = (normals, hard - levels, soft_offsets, normal_rates, rate_offsets)
+    terms = (normals, hard_offsets, soft_offsets, normal_rates, rate_offsets)
     if memo:
         env._memo = (shape, law, kappa, terms if static else {t: terms})
     return terms
@@ -339,20 +349,13 @@ def _hold_times(env: PolytopeEnvironment, shape: AgentShape, times,
 
 
 def _row_max(values, screen: bool = True):
-    """Max over the last axis of (N,) or (M, N) values, keeping the last of
-    tied entries (+0.0 and -0.0 tie) and NaN if any entry is NaN.
+    """Max of one row of values, shape (N,), keeping the last of tied
+    entries (+0.0 and -0.0 tie) and NaN if any entry is NaN.
 
-    A batch runs down a contiguous copy of the transpose, where numpy
-    vectorises across rows; that column maximum keeps the last tied entry.
-    One row, cheaper as a list, takes Python's max of the reversed list,
+    Cheaper as a list, the row takes Python's max of the reversed list,
     which skips a NaN after its first entry, so the row's float sum screens
-    for NaN unless screen is False.  Numpy reduces a batch of one row,
-    shape (1, N), as a 1-D array, which may keep the other zero of a tie,
-    so that batch takes the one-row branch, screened, and returns (1,).
+    for NaN unless screen is False.
     """
-    if values.ndim > 1:
-        return (np.maximum.reduce(np.ascontiguousarray(values.T), axis=0)
-                if len(values) != 1 else np.array([_row_max(values[0])]))
     row = values.tolist()
     top = max(reversed(row))
     if screen:
@@ -360,6 +363,87 @@ def _row_max(values, screen: bool = True):
         if total != total:  # a NaN entry, or both infinities
             return next((v for v in row if v != v), top)
     return top
+
+
+def _column_max(values):
+    """Max down axis 0 of (N, M) values, shape (M,), with `_row_max`'s
+    ties and NaN.
+
+    Down a C-contiguous array numpy vectorises across the M columns, and
+    its column maximum keeps the last tied entry.  Numpy reduces a single
+    column, shape (N, 1), as a 1-D array, which may keep the other zero of
+    a tie, so that column takes `_row_max`, screened.
+    """
+    if values.shape[1] == 1:
+        return np.array([_row_max(values[:, 0])])
+    return np.maximum.reduce(values, axis=0)
+
+
+def _pairwise(ufunc, rows):
+    """ufunc folded over rows, a list of arrays of one shape, in numpy's
+    pairwise summation order; the rows themselves are left untouched.
+
+    Below 8 rows the fold runs in sequence.  Up to 128 it keeps eight
+    partial results, the j-th taking rows j, j + 8, ..., combines them as
+    ((0 1)(2 3))((4 5)(6 7)) and folds in the rows left over past the last
+    multiple of 8.  Above 128 it splits at half the rows, rounded down to a
+    multiple of 8, and combines the halves' folds.  Numpy's own loop starts
+    its sequential fold from -0.0, and -0.0 + x is x, bits and all.
+    """
+    n = len(rows)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return ufunc(_pairwise(ufunc, rows[:half]),
+                     _pairwise(ufunc, rows[half:]))
+    if n == 1:
+        return rows[0]
+    if n < 8:
+        total = ufunc(rows[0], rows[1])
+        for row in rows[2:]:
+            ufunc(total, row, out=total)
+        return total
+    body = n - n % 8
+    lanes = rows[:8]
+    if body > 8:
+        lanes = [ufunc(a, b) for a, b in zip(rows[:8], rows[8:16])]
+        for i in range(16, body, 8):
+            for lane, row in zip(lanes, rows[i:i + 8]):
+                ufunc(lane, row, out=lane)
+    total = ufunc(ufunc(ufunc(lanes[0], lanes[1]), ufunc(lanes[2], lanes[3])),
+                  ufunc(ufunc(lanes[4], lanes[5]), ufunc(lanes[6], lanes[7])))
+    for row in rows[body:]:
+        ufunc(total, row, out=total)
+    return total
+
+
+def _reduce_regions(ufunc, faces, groups, count: int):
+    """ufunc (np.minimum or np.add) over each region's faces of face-major
+    values, shape (R, M) with the regions' faces in region order, giving
+    (count, M): `ufunc.reduceat(faces.T, segments, axis=-1).T` bit for bit.
+
+    `reduceat` takes a region's first face and folds the rest into it in
+    numpy's pairwise order (`_pairwise`).  Here each group of `groups`
+    (`geometry._region_groups`) does the same with one vectorised ufunc
+    call per face position and operation, across its regions and all M
+    columns.  A world of single-face regions needs no reduction at all.
+    The one bit a minimum may not share is the sign of a zero that +0.0
+    and -0.0 entries tie at, which `reduceat` takes from the CPU's SIMD
+    lanes; the kernel's face values are never -0.0.
+    """
+    if len(groups) == 1 and len(groups[0][1]) == 1:
+        return faces
+    out = np.empty((count, faces.shape[1]))
+    for regions, rows in groups:
+        first, rest = faces[rows[0]], [faces[r] for r in rows[1:]]
+        out[regions] = ufunc(first, _pairwise(ufunc, rest)) if rest else first
+    return out
+
+
+def _face_major(spatial, offsets):
+    """spatial, shape (M, R), plus the per-row offsets, shape (R,) or
+    (M, R), laid out C-contiguous face-major, shape (R, M)."""
+    return np.add(spatial.T, offsets.T.reshape(len(spatial.T), -1),
+                  order="C")
 
 
 def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
@@ -372,11 +456,10 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     shifted by its group's exact minimum (or soft maximum), so no exponent
     exceeds ln N_v.
 
-    Each centre is one row with its terms along the row's last axis.  The
-    products are `np.matvec`/`np.vecmat` calls, one matrix-vector product
-    per row, and every sum runs along that axis of a C-contiguous array,
-    so row i of a batch equals the one-row call bit for bit, whatever M
-    and the BLAS thread count.
+    One centre's terms lie along one row, reduced by `reduceat` per region
+    and by Python's max (`_row_max`).  A batch goes to `_evaluate_batch`,
+    whose row i equals the one-row call bit for bit, whatever M and the
+    BLAS thread count.
 
     Parameters
     ----------
@@ -395,52 +478,116 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
         the quantities not asked for are None.
     """
     kappa = None if params is None else params.kappa
-    normals, hard_offsets, soft_offsets, normal_rates, rate_offsets = \
-        _face_terms(env, shape, t, kappa)
+    terms = _face_terms(env, shape, t, kappa)
+    if centers.ndim == 2:
+        return _evaluate_batch(env, centers, terms, params, derivatives)
+    normals, hard_offsets, soft_offsets, normal_rates, rate_offsets = terms
     segments, row_region = env._segments, env._row_region
-    # Per region row, shape (R,) or (M, R); regions are segments of it.
+    # Per region row, shape (R,); regions are segments of it.
     spatial = np.matvec(normals, centers)
-    mins = np.minimum.reduceat(spatial + hard_offsets, segments, axis=-1)
+    mins = np.minimum.reduceat(spatial + hard_offsets, segments)
     if params is None:
         return None, None, None, _row_max(mins)
-    # A NaN minimum makes h NaN, so one row's psi is screened only then.
+    # A NaN minimum makes h NaN, so psi is screened only then.
     psi = _row_max(mins, screen=False)
 
     # Soft values sit at most ln(N_v)/kappa below the exact ones and the
     # argmin term is at least one, so shifting by the exact region minima
     # keeps every sum in [1, R * N_v].
     values = spatial + soft_offsets
-    shifted = np.exp((mins.take(row_region, axis=-1) - values) * kappa)
-    region_sums = np.add.reduceat(shifted, segments, axis=-1)
+    shifted = np.exp((mins.take(row_region) - values) * kappa)
+    region_sums = np.add.reduceat(shifted, segments)
     soft_mins = mins - np.log(region_sums) / kappa
     # A NaN soft minimum makes outer_total NaN, and with it h and the
     # derivatives, whatever top is, so top needs no NaN screen.
     top = _row_max(soft_mins, screen=False)
-    # A per-row scalar broadcasts over the transpose; laid out column-major
-    # there, the difference is C-contiguous again once transposed back, so
-    # outer_total sums each row pairwise, as for one centre.
-    outer = np.exp(np.subtract(soft_mins.T, top, order="F").T * kappa)
-    outer_total = np.add.reduce(outer, axis=-1)              # >= 1
-    if centers.ndim == 1:
-        # Float arithmetic rounds like numpy's, but math.log can differ
-        # from np.log in the last bit, so only the log stays in numpy.
-        h = top + (float(np.log(outer_total)) - params.buffer) / kappa
-        if h != h:  # perhaps from a NaN minimum, which psi must show
-            psi = _row_max(mins)
-    else:
-        h = top + (np.log(outer_total) - params.buffer) / kappa
+    outer = np.exp((soft_mins - top) * kappa)
+    outer_total = np.add.reduce(outer)                       # >= 1
+    # Float arithmetic rounds like numpy's, but math.log can differ from
+    # np.log in the last bit, so only the log stays in numpy.
+    h = top + (float(np.log(outer_total)) - params.buffer) / kappa
+    if h != h:  # perhaps from a NaN minimum, which psi must show
+        psi = _row_max(mins)
     if not derivatives:
         return h, None, None, psi
 
     # Region weight times within-region softmin weight: they sum to one,
     # so the gradient is a convex combination of face normals.
-    region_weights = (outer.T / (outer_total * region_sums.T)).T
-    weights = shifted * region_weights.take(row_region, axis=-1)  # C order
+    region_weights = outer / (outer_total * region_sums)
+    weights = shifted * region_weights.take(row_region)
     gradient = np.vecmat(weights, normals)
     if normal_rates is None:                                 # dh/dt = 0
         return h, gradient, h * 0.0, psi
     rates = np.matvec(normal_rates, centers) + rate_offsets
-    time_partial = np.add.reduce(weights * rates, axis=-1)
+    time_partial = np.add.reduce(weights * rates)
+    return h, gradient, time_partial, psi
+
+
+def _evaluate_batch(env: PolytopeEnvironment, centers, terms,
+                    params: CbfParams | None, derivatives: bool):
+    """`_evaluate` over a batch of centres, shape (M, p), from the face
+    terms at their time or times.
+
+    The products are the one-row call's `np.matvec`/`np.vecmat`, one
+    matrix-vector product per centre, and every other operation is
+    elementwise or a reduction that keeps a row's order of operations.
+    The two region reductions and both maxima run down face-major (R, M)
+    and (N_p, M) arrays, one vectorised call per face or region position
+    across all M centres: `_reduce_regions` folds each region's faces in
+    `reduceat`'s order and `_column_max` keeps `_row_max`'s ties.  The sum
+    over regions runs along each centre's row of an (M, N_p) array, as
+    `np.add.reduce` does for one centre, and the gradient's weights are
+    laid out (M, R) for `np.vecmat`.  So row i equals the one-row call bit
+    for bit, whatever M and the BLAS thread count.
+    """
+    normals, hard_offsets, soft_offsets, normal_rates, rate_offsets = terms
+    groups, count, row_region = env._groups, env.num_regions, env._row_region
+    spatial = np.matvec(normals, centers)                    # (M, R)
+    mins = _reduce_regions(np.minimum, _face_major(spatial, hard_offsets),
+                           groups, count)                    # (N_p, M)
+    psi = _column_max(mins)
+    if params is None:
+        return None, None, None, psi
+
+    kappa = params.kappa
+    # Arrays are built in place where they can be and dropped once used,
+    # which keeps the batch's peak memory low.  The exponentials are
+    # shifted by the exact region minima, as for one centre.
+    shifted = _face_major(spatial, soft_offsets)             # (R, M)
+    del spatial
+    np.subtract(mins.take(row_region, axis=0), shifted, out=shifted)
+    shifted *= kappa
+    np.exp(shifted, out=shifted)
+    region_sums = _reduce_regions(np.add, shifted, groups, count)
+    soft_mins = np.log(region_sums)
+    soft_mins /= kappa
+    np.subtract(mins, soft_mins, out=soft_mins)
+    del mins
+    top = _column_max(soft_mins)
+    # Laid out column-major, the difference is C-contiguous (M, N_p) once
+    # transposed, so outer_total sums each centre's row pairwise.
+    outer = np.subtract(soft_mins, top, order="F").T
+    del soft_mins
+    outer *= kappa
+    np.exp(outer, out=outer)
+    outer_total = np.add.reduce(outer, axis=-1)              # >= 1
+    h = top + (np.log(outer_total) - params.buffer) / kappa
+    if not derivatives:
+        return h, None, None, psi
+
+    # Region weight times within-region softmin weight, laid out (M, R).
+    region_weights = np.divide(outer.T, outer_total * region_sums,
+                               out=outer.T)                  # (N_p, M)
+    weights = np.multiply(shifted.T, region_weights.take(row_region, axis=0).T,
+                          order="C")
+    del shifted, region_sums, region_weights, outer
+    gradient = np.vecmat(weights, normals)
+    if normal_rates is None:                                 # dh/dt = 0
+        return h, gradient, h * 0.0, psi
+    rates = np.matvec(normal_rates, centers)
+    rates += rate_offsets
+    time_partial = np.add.reduce(np.multiply(weights, rates, out=rates),
+                                 axis=-1)
     return h, gradient, time_partial, psi
 
 

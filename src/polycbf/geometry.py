@@ -214,6 +214,36 @@ class ConvexRegion:
         return f"ConvexRegion({self.indices.tolist()})"
 
 
+def _indexer(index: np.ndarray):
+    """A slice for ascending, evenly spaced indices, whose rows are a view;
+    otherwise the index array itself."""
+    start = int(index[0])
+    step = int(index[1] - index[0]) if len(index) > 1 else 1
+    if step > 0 and np.array_equal(index, np.arange(len(index)) * step + start):
+        return slice(start, int(index[-1]) + 1, step)
+    return index
+
+
+def _region_groups(counts) -> tuple:
+    """The regions grouped by face count, for reductions down a face-major
+    (R, M) array whose rows are the regions' faces in region order.
+
+    One (regions, rows) pair per count L, in ascending order: `regions`
+    picks the group's regions, and `rows` holds L row indexers, the k-th
+    picking the k-th face of each of those regions.  Each indexer is a
+    slice where it can be (`_indexer`).
+    """
+    counts = np.asarray(counts)
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    groups = []
+    for length in sorted(set(counts.tolist())):
+        regions = np.flatnonzero(counts == length)
+        groups.append((_indexer(regions),
+                       tuple(_indexer(starts[regions] + k)
+                             for k in range(length))))
+    return tuple(groups)
+
+
 class PolytopeEnvironment:
     """Union of convex regions over a shared list of half-spaces.
 
@@ -262,6 +292,7 @@ class PolytopeEnvironment:
         counts = np.array([len(r) for r in self.regions])
         self._segments = np.concatenate(([0], np.cumsum(counts)[:-1]))
         self._row_region = np.repeat(np.arange(len(self.regions)), counts)
+        self._groups = _region_groups(counts)
 
         self._normals0 = np.array([hs.normal for hs in self.half_spaces])
         anchors0 = np.array([hs.anchor for hs in self.half_spaces])

@@ -219,10 +219,10 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     constraint boundary.  No saturation is applied to the corrected input:
     only the desired controller saturates.
 
-    The gradient and the desired input have one shape (p,); any other
-    shape raises ValueError.  The value and time partial are taken as
-    floats.  An inactive filter returns the desired input array itself as
-    u_safe.
+    The gradient and the desired input have one shape (p,), and the value
+    and time partial are scalars, taken as floats; any other shape raises
+    ValueError.  An inactive filter returns the desired input array itself
+    as u_safe.
 
     Raises
     ------
@@ -237,8 +237,14 @@ def safe_velocity(evaluation: BarrierEvaluation, u_desired,
     if grad.ndim != 1 or u_desired.shape != grad.shape:
         raise ValueError(f"gradient and u_desired must have one shape (p,), "
                          f"got {grad.shape} and {u_desired.shape}")
-    value, u = float(evaluation.value), u_desired.tolist()
-    u_safe = _project(grad, u, float(evaluation.time_partial), value, params)
+    value, time_partial = evaluation.value, evaluation.time_partial
+    if (type(value) is not float and np.ndim(value)) or \
+            (type(time_partial) is not float and np.ndim(time_partial)):
+        raise ValueError(f"value and time_partial must be scalars, got "
+                         f"shapes {np.shape(value)} and "
+                         f"{np.shape(time_partial)}")
+    value, u = float(value), u_desired.tolist()
+    u_safe = _project(grad, u, float(time_partial), value, params)
     if u_safe is u:
         return FilterResult(u_desired, u_desired, value, np.False_)
     return FilterResult(np.array(u_safe), u_desired, value, np.True_)

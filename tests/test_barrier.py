@@ -19,7 +19,7 @@ from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
                              curvature_bounds, gradient_bounds, margin_agent,
                              margin_field, provable_buffer, smooth_barrier)
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
-                              PolytopeEnvironment, RigidMotion)
+                              PolytopeEnvironment, RigidMotion, _region_groups)
 from polycbf.scenarios import BUILTIN_NAMES, builtin, load
 from polycbf.verify import scenario_bounds
 
@@ -642,15 +642,43 @@ class TestFaceTermMemo:
 
 BATCH_SIZES = (1, 2, 7, 64, 300, 5000)
 
+# Face counts of `many_faced_env`'s regions, in region order.
+MANY_FACES = (3, 1, 9, 1, 17, 2, 130, 1, 9, 2)
+
+
+def many_faced_env():
+    """A static world whose ten regions have the face counts MANY_FACES:
+    regular polygons of 3, 9, 17 and 130 sides, wedges of two faces and
+    half-planes.  Its region sums take every branch of numpy's pairwise
+    order, and its groups of regions both slice and index-array indexers
+    (`geometry._region_groups`)."""
+    walls, regions = [], []
+    for k, sides in enumerate(MANY_FACES):
+        angles = 2.0 * np.pi * (np.arange(sides) + 0.5 * k) / sides
+        centre = 1.5 * np.array([np.cos(0.7 * k), np.sin(0.7 * k)])
+        radius = 1.0 + 0.1 * k
+        regions.append(list(range(len(walls), len(walls) + sides)))
+        for angle in angles:
+            outward = np.array([np.cos(angle), np.sin(angle)])
+            walls.append(HalfSpace(-outward, centre + radius * outward))
+    return PolytopeEnvironment(walls, regions)
+
 
 def invariance_cases():
     """(name, env, shape, params, bounds) for every builtin plus a 3D
-    moving world with two axis rates, which no builtin has."""
+    moving world with two axis rates, which no builtin has, and a static
+    world of regions with up to 130 faces, where no builtin has more than
+    two."""
     cases = []
     for name in BUILTIN_NAMES:
         s = builtin(name)
         cases.append((name, s.environment, s.agent, s.cbf,
                       scenario_bounds(s)))
+    rng = np.random.default_rng(89)
+    cases.append(("many-faced", many_faced_env(),
+                  AgentShape(rng.uniform(-0.2, 0.2, size=(4, 2))),
+                  CbfParams(kappa=4.0, buffer=math.log(len(MANY_FACES))),
+                  (np.full(2, -3.5), np.full(2, 3.5))))
     rng = np.random.default_rng(83)
     cases.append(("moving-3d", random_moving_env(rng, 3),
                   AgentShape(rng.uniform(-0.3, 0.3, size=(5, 3))),
@@ -758,6 +786,84 @@ SCALED_WORLD = {
             "goal_tolerance": 0.05},
 }
 
+def mixed_zero_minimum(values):
+    """Whether the minimum of values is 0.0, taken by +0.0 and -0.0
+    entries both, and no entry is NaN."""
+    if np.isnan(values).any() or values.min() != 0.0:
+        return False
+    signs = np.signbit(values[values == 0.0])
+    return bool(signs.any() and not signs.all())
+
+
+class TestRegionReductions:
+    """`_reduce_regions` over a face-major (R, M) array equals `reduceat`
+    along the rows of its (M, R) transpose bit for bit, for every region
+    length, with NaN, infinities and both zeros among the entries."""
+
+    LENGTHS = (*range(1, 41), 64, 127, 128, 129, 130, 300,
+               1, 1, 1, 2, 2, 3, 9, 17)
+
+    @staticmethod
+    def draws(rng, m, n):
+        """Entries of widely spread magnitude and sign, and entries drawn
+        from zeros of both signs, infinities, NaN and +/-1."""
+        wide = rng.standard_normal((m, n)) * np.exp(rng.uniform(-30, 30,
+                                                                (m, n)))
+        special = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0],
+                             size=(m, n),
+                             p=[0.25, 0.25, 0.05, 0.05, 0.02, 0.19, 0.19])
+        return wide, special
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 300])
+    def test_matches_reduceat(self, m):
+        rng = np.random.default_rng(41 + m)
+        counts = rng.permutation(self.LENGTHS)
+        segments = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        groups = _region_groups(counts)
+        # Repeated lengths at uneven places give index arrays, the rest
+        # slices, and the test covers both.
+        kinds = {type(index) for _, rows in groups for index in rows}
+        assert kinds == {slice, np.ndarray}
+        wide, special = self.draws(rng, m, counts.sum())
+        naive_differs = False
+        for rows in (wide, special):
+            faces = np.ascontiguousarray(rows.T)
+            # inf - inf and inf + -inf are NaN, which numpy warns about.
+            with np.errstate(invalid="ignore"):
+                for ufunc in (np.add, np.minimum):
+                    want = ufunc.reduceat(rows, segments, axis=-1)
+                    got = polycbf.barrier._reduce_regions(
+                        ufunc, faces, groups, len(counts)).T
+                    assert got.shape == want.shape
+                    if ufunc is np.add:
+                        assert_bits_or_nan(got, want)
+                        naive = [np.add.accumulate(rows[:, a:a + n], axis=-1)
+                                 [:, -1] for a, n in zip(segments, counts)]
+                        naive_differs |= not np.array_equal(
+                            np.array(naive).T, want, equal_nan=True)
+                        continue
+                    # Which zero a minimum keeps of +0.0 tied with -0.0
+                    # follows the SIMD lanes of numpy's reduceat, which vary
+                    # with the CPU, so only there the sign is not compared.
+                    # The kernel never meets such a tie: its matvec sums
+                    # from +0.0, so no face value is -0.0.
+                    tie = np.array([[mixed_zero_minimum(seg) for seg in
+                                     np.split(row, segments[1:])]
+                                    for row in rows])
+                    assert np.array_equal(got[tie], want[tie])
+                    assert_bits_or_nan(got[~tie], want[~tie])
+        # The wide entries round differently in a plain left-to-right sum,
+        # so an order other than numpy's would fail above.
+        assert naive_differs
+
+    def test_single_face_regions_reduce_to_nothing(self):
+        faces = np.arange(12.0).reshape(4, 3)
+        groups = _region_groups([1, 1, 1, 1])
+        for ufunc in (np.add, np.minimum):
+            assert polycbf.barrier._reduce_regions(ufunc, faces, groups,
+                                                   4) is faces
+
+
 def assert_bits_or_nan(got, want):
     """Equal bytes entry by entry, -0.0 apart from +0.0, where NaN matches
     NaN of any sign or payload."""
@@ -835,22 +941,22 @@ class TestOneRowEdges:
         # No centre gives a region minimum of -0.0, since the kernel's
         # matvec sums from +0.0, so the signed-zero tie is checked on the
         # maxima alone: of tied entries the last, NaN if any entry is NaN.
-        # A batch of one row, which numpy would reduce as a 1-D array and
+        # The batch takes the maxima down its face-major (n, M) array.  A
+        # batch of one column, which numpy would reduce as a 1-D array and
         # at n = 9, 17 or 41 keep the other zero of a tie, is the one-row
-        # call, NaN kept whether screened or not.
+        # call, NaN kept.
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 5, 8, 9, 17, 32, 41):
             rows = rng.choice([0.0, -0.0, -1.0, np.nan], size=(64, n),
                               p=[0.3, 0.3, 0.35, 0.05])
-            batch = polycbf.barrier._row_max(rows)
+            batch = polycbf.barrier._column_max(np.ascontiguousarray(rows.T))
             for i, row in enumerate(rows):
                 got = polycbf.barrier._row_max(row)
                 assert type(got) is float
                 assert_bits_or_nan(got, batch[i])
-                for screen in (True, False):
-                    one = polycbf.barrier._row_max(row[None], screen)
-                    assert one.shape == (1,) and one.dtype == float
-                    assert_bits_or_nan(one, [got])
+                one = polycbf.barrier._column_max(row[:, None].copy())
+                assert one.shape == (1,) and one.dtype == float
+                assert_bits_or_nan(one, [got])
                 if not np.isnan(row).any():
                     last = row[np.flatnonzero(row == row.max())[-1]]
                     assert_bits_or_nan(got, last)

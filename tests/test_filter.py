@@ -147,6 +147,25 @@ class TestSafeVelocity:
                 f"gradient and u_desired must have one shape (p,), got "
                 f"{np.shape(grad)} and {np.shape(u)}")
 
+    def test_takes_scalar_value_and_time_partial(self):
+        # A per-row value or time partial next to a one-row gradient is a
+        # shape error too, not a failed float conversion.
+        params = CbfParams(kappa=5.0, alpha_gain=2.0)
+        row = np.array([1.0, 2.0])
+        for value, time_partial in [(row, 0.0), (1.0, row), (row, row),
+                                    (np.array([1.0]), 0.0),
+                                    (1.0, [[0.0]])]:
+            ev = BarrierEvaluation(value, np.array([1.0, 0.0]), time_partial,
+                                   0.0)
+            with pytest.raises(ValueError) as info:
+                safe_velocity(ev, (1.0, 0.0), params)
+            assert str(info.value) == (
+                f"value and time_partial must be scalars, got shapes "
+                f"{np.shape(value)} and {np.shape(time_partial)}")
+        for value in (1.0, np.float64(1.0), np.array(1.0)):
+            ev = BarrierEvaluation(value, np.array([1.0, 0.0]), value, 0.0)
+            assert not safe_velocity(ev, (1.0, 0.0), params).constraint_active
+
     def test_no_post_saturation(self):
         # the corrected input may exceed any desired-controller bound
         ev = make_eval((1.0, 0.0), h=-10.0)
