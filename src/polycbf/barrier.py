@@ -36,7 +36,8 @@ __all__ = [
     "provable_buffer",
 ]
 
-# Centers per kernel call in `_fields`, bounding its peak memory.
+# Centres per kernel call in `_fields`, bounding its peak memory; a moving
+# world's batch with one time per centre takes fewer (see `_fields`).
 _CHUNK = 4096
 
 
@@ -266,12 +267,15 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     Returns
     -------
     (normals, hard_offsets, soft_offsets, normal_rates, rate_offsets)
-        One entry per region row (face i of region j), C-contiguous:
-        normals (R, p), hard - c_i and soft - c_i (R,), the normal rates
-        (R, p), and the soft support's rate less the level rate (R,), i.e.
-        the softmin-weighted mean of ndot_i . dp_k minus cdot_i.  Without
-        kappa the soft and rate-offset terms are None; in a static world
-        both rate terms are.
+        One entry per region row (face i of region j): normals (R, p),
+        hard - c_i and soft - c_i (R,), the normal rates (R, p), and the
+        soft support's rate less the level rate (R,), i.e. the
+        softmin-weighted mean of ndot_i . dp_k minus cdot_i.  Without kappa
+        the soft and rate-offset terms are None; in a static world both
+        rate terms are.  One time's terms are C-contiguous, and so is each
+        time's slice of a batch's terms, which `_hold_times` keeps; a
+        batch's normals and normal rates are views into its (M, X)
+        product and keep it alive.
     """
     static = env.is_static
     memo = static or not isinstance(t, np.ndarray)
@@ -295,31 +299,15 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     hard = np.minimum.reduce(vertex_dots, axis=-1)
     soft_offsets = rate_offsets = None
     if kappa is not None:
-        # Shifting by the hard support keeps every sum in [1, N_v].  The
-        # exponentials overwrite the dots, which keeps one (..., R, N_v)
-        # array fewer alive for a batch of times.
-        vertex_exp = np.subtract(hard[..., None], vertex_dots, out=vertex_dots)
-        vertex_exp *= kappa
-        np.exp(vertex_exp, out=vertex_exp)
+        # Shifting by the hard support keeps every sum in [1, N_v].
+        vertex_exp = np.exp((hard[..., None] - vertex_dots) * kappa)
         vertex_sums = np.add.reduce(vertex_exp, axis=-1)     # >= 1 each
-        # Both offsets are built in place, in the order of the expressions
-        # hard - ln(sums)/kappa - levels and rates/sums - level_rates.
-        soft_offsets = np.log(vertex_sums)
-        soft_offsets /= kappa
-        np.subtract(hard, soft_offsets, out=soft_offsets)
-        soft_offsets -= levels
+        soft_offsets = hard - np.log(vertex_sums) / kappa - levels
         if normal_rates is not None:
             # The support's rate is ndot_i . (softmin-weighted mean dp_k).
-            rate_offsets = np.vecdot(normal_rates, vertex_exp @ shape.offsets)
-            rate_offsets /= vertex_sums
-            rate_offsets -= level_rates
-        del vertex_sums
-    hard_offsets = np.subtract(hard, levels, out=hard)
-    if not memo:
-        # C-contiguous copies for a batch of times, which frees the product;
-        # one time's terms are contiguous views of it already.
-        normals = np.ascontiguousarray(normals)
-        normal_rates = np.ascontiguousarray(normal_rates)
+            rate_offsets = (np.vecdot(normal_rates, vertex_exp @ shape.offsets)
+                            / vertex_sums - level_rates)
+    hard_offsets = hard - levels
     terms = (normals, hard_offsets, soft_offsets, normal_rates, rate_offsets)
     if memo:
         env._memo = (shape, law, kappa, terms if static else {t: terms})
@@ -608,8 +596,15 @@ def _as_centers(env: PolytopeEnvironment, centers) -> np.ndarray:
 
 def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
             params: CbfParams | None = None, derivatives: bool = False):
-    """`_evaluate` over a batch of centers in blocks of _CHUNK rows, which
-    bounds peak memory; t is one time or one time per centre, shape (M,).
+    """`_evaluate` over a batch of centers in blocks, which bounds peak
+    memory; t is one time or one time per centre, shape (M,).
+
+    This is the one place that sizes kernel batches.  A block has _CHUNK
+    rows, except in a moving world at one time per centre: there each row
+    carries its own face terms, R (2p + 2 + N_v) floats (the row width of
+    `_shape_law`), so a block has _CHUNK // (2p + 2 + N_v) rows, at least
+    one, and its per-time terms hold no more floats than _CHUNK rows of
+    face values.  A row's bits depend on neither block size.
 
     Returns
     -------
@@ -625,12 +620,15 @@ def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
             raise ValueError(
                 f"t must be one time or one time per centre, shape ({m},), "
                 f"got shape {t.shape}")
+    size = _CHUNK
+    if per_row and not env.is_static:
+        size = max(1, _CHUNK // (2 * env.dimension + 2 + shape.num_vertices))
     out = [np.empty(m) if params is not None else None,
            np.empty((m, env.dimension)) if derivatives else None,
            np.empty(m) if derivatives else None,
            np.empty(m)]
-    for start in range(0, m, _CHUNK):
-        block = slice(start, start + _CHUNK)
+    for start in range(0, m, size):
+        block = slice(start, start + size)
         got = _evaluate(env, shape, centers[block], t[block] if per_row else t,
                         params, derivatives)
         for field, value in zip(out, got):
@@ -687,9 +685,9 @@ def barrier_field(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     """Smooth barrier and nonsmooth margin over a batch of agent centers.
 
     Vectorized value-only path for grid audits and field dumps; gradients
-    are not computed.  Centers go through the kernel in fixed-size blocks,
-    bounding peak memory.  A row's bits depend on neither the batch nor
-    the block size.
+    are not computed.  Centers go through the kernel in blocks that
+    `_fields` sizes, bounding peak memory.  A row's bits depend on neither
+    the batch nor the block size.
 
     Parameters
     ----------

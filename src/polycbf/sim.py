@@ -8,8 +8,10 @@ inactive, from the run's start check or its last inactive full evaluation,
 takes the desired velocity without evaluating the barrier, which is exactly
 what the filter would return; the bound covers static and moving worlds
 alike.  The goal is checked at each step start, before integrating, so the
-step that reaches it computes no stages.  Runs are fully deterministic:
-identical scenario and config give bit-identical results.
+step that reaches it computes no stages.  After the loop, one
+`barrier_field` call gives the recorded rows' h and psi, each at its own
+state and time.  Runs are fully deterministic: identical scenario and
+config give bit-identical results.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from .safety_filter import DegenerateGradientError, _project
 __all__ = ["SimConfig", "SimResult", "Termination", "UnsafeStartError",
            "step", "run"]
 
-# Recorded rows per `barrier_field` call, bounding its moving-world memory.
-_ROW_BLOCK = 256
 # Steps per block whose stage times `run` hands to the kernel's memo at once.
 _STEP_BLOCK = 64
 
@@ -99,7 +99,8 @@ class SimResult:
     the rows recorded before the failing step, possibly none; the arrays
     keep their row shape, e.g. positions (0, p), when empty.  h_values and
     psi_values hold the smooth barrier and the exact nonsmooth margin at
-    each row's state and time, from batched kernel calls after the run.
+    each row's state and time, from one `barrier_field` call after the
+    run.
     certified is the scenario's `Scenario.certified` (buffer >= ln N_p),
     under which h >= 0 implies psi >= 0; it says nothing about the idle
     certificate of `step`."""
@@ -276,8 +277,9 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     row, otherwise one RK4 `step` is taken.  A degenerate-gradient error
     ends the run with termination "error" and a message naming the state
     and t of the failing step; the rows recorded before it are kept,
-    possibly none.  The rows' h and psi come from `barrier_field` after the
-    loop, bit for bit `smooth_barrier`'s.
+    possibly none.  The rows' h and psi come from one `barrier_field` call
+    after the loop, whose blocks the kernel sizes, bit for bit
+    `smooth_barrier`'s.
 
     Every _STEP_BLOCK steps, the stage times (`_stage_times`) of the next
     block go to the kernel's memo in one batched call (`_hold_times`),
@@ -343,14 +345,12 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
         x = x_next
 
     dim = x.shape[0]
-    h_arr, psi_arr = np.empty(len(rows)), np.empty(len(rows))
-    for start in range(0, len(rows), _ROW_BLOCK):
-        block = slice(start, start + _ROW_BLOCK)
-        h_arr[block], psi_arr[block] = barrier_field(
-            env, agent, positions[block], times[block], params)
+    times = np.array(times)
+    positions = np.array(positions).reshape(-1, dim)
+    h_arr, psi_arr = barrier_field(env, agent, positions, times, params)
     return SimResult(
-        times=np.array(times),
-        positions=np.array(positions).reshape(-1, dim),
+        times=times,
+        positions=positions,
         h_values=h_arr,
         psi_values=psi_arr,
         u_desired=np.array([row[0] for row in rows]).reshape(-1, dim),

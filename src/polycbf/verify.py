@@ -129,11 +129,11 @@ def under_approximation_audit(scenario, params: CbfParams | None = None,
         worst=worst, passed=bool(worst <= 1e-12))
 
 
-def gradient_audit(scenario, n_states: int = 1000, seed: int = 0,
-                   step: float = 1e-5,
-                   kappa: float | None = None) -> AuditReport:
+def gradient_audit(scenario, n_states: int = 1000,
+                   seed: int = 0) -> AuditReport:
     """Worst relative mismatch between analytic and central finite
-    difference derivatives of the smooth barrier.
+    difference derivatives of the smooth barrier, at the scenario's
+    `CbfParams`, with steps of 1e-5 in each axis and in t.
 
     Covers the spatial gradient and, for time-varying environments, the
     time partial.  Errors are measured relative to the larger of the
@@ -141,10 +141,8 @@ def gradient_audit(scenario, n_states: int = 1000, seed: int = 0,
     Passes at worst <= 1e-5.
     """
     rng = np.random.default_rng(seed)
-    env, shape = scenario.environment, scenario.agent
-    params = scenario.cbf if kappa is None else replace(
-        scenario.cbf, kappa=kappa)
-    dim = env.dimension
+    env, shape, params = scenario.environment, scenario.agent, scenario.cbf
+    dim, step = env.dimension, 1e-5
     centers, times = _draw_states(scenario, rng, n_states)
 
     # Rows: the centres, one +/- probe pair per axis per state and, in a

@@ -9,14 +9,15 @@ and `qp_bruteforce` solves the filter's QP on a dense grid.
 `qp_audit_loop`, `gradient_audit_loop` and `hull_audit_loop` are the loop
 forms of the batched audits: one filter call per problem, or one state per
 kernel call.  `rk4_reference` is the closed loop as plain numpy RK4 with
-four full stages and no idle certificate.
+four full stages and no idle certificate.  `kernel_blocks` writes out the
+rule by which `barrier._fields` sizes its kernel calls.
 """
 
 import math
 
 import numpy as np
 
-from polycbf import verify
+from polycbf import barrier, verify
 from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
                              margin_field, smooth_barrier)
 from polycbf.geometry import AgentShape
@@ -206,6 +207,18 @@ def fd_gradient(func, x, step=1e-5):
 def fd_scalar(func, t, step=1e-5):
     """Central finite difference of a scalar function of one variable."""
     return (func(t + step) - func(t - step)) / (2.0 * step)
+
+
+def kernel_blocks(rows, env, shape, per_row=True):
+    """The row counts of the kernel calls that `barrier._fields` makes for
+    `rows` centres: blocks of `_CHUNK` rows, but in a moving world at one
+    time per centre of max(1, _CHUNK // (2p + 2 + N_v)) rows, whose own
+    face terms are R (2p + 2 + N_v) floats each; the last block may be
+    shorter."""
+    size = barrier._CHUNK
+    if per_row and not env.is_static:
+        size = max(1, size // (2 * env.dimension + 2 + shape.num_vertices))
+    return [min(size, rows - start) for start in range(0, rows, size)]
 
 
 def qp_audit_loop(n, seed, block=4096):

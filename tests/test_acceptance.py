@@ -162,12 +162,14 @@ def test_criterion_7_hull_containment():
 def test_criterion_8_gradient_audit():
     worst = 0.0
     for name in BUILTIN_NAMES:
-        err = gradient_audit(builtin(name), n_states=1000, seed=11,
-                             step=1e-5).worst
+        err = gradient_audit(builtin(name), n_states=1000, seed=11).worst
         assert err <= 1e-5, f"{name}: relative error {err}"
         worst = max(worst, err)
-    err20 = gradient_audit(builtin("l-shape"), n_states=1000, seed=11,
-                           kappa=20.0).worst
+    l_shape = builtin("l-shape")
+    err20 = gradient_audit(
+        dataclasses.replace(
+            l_shape, cbf=dataclasses.replace(l_shape.cbf, kappa=20.0)),
+        n_states=1000, seed=11).worst
     worst = max(worst, err20)
     report(8, worst <= 1e-5,
            f"10^3 states per builtin (kappa <= 20): worst relative "

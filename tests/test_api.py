@@ -2,6 +2,8 @@
 CLI and audits call, and the test-only helpers live in `oracles` and
 `worlds`, so a removed name cannot come back unnoticed."""
 
+import inspect
+
 import polycbf
 import polycbf.scenarios
 import polycbf.verify
@@ -30,6 +32,13 @@ def test_verify_exports():
     ])
     for name in ("qp_bruteforce", "InfeasibleGridError"):
         assert not hasattr(polycbf.verify, name), name
+
+
+def test_gradient_audit_signature():
+    # Another kappa is a scenario with replaced `CbfParams`, and the
+    # finite-difference step is fixed.
+    params = inspect.signature(polycbf.verify.gradient_audit).parameters
+    assert list(params) == ["scenario", "n_states", "seed"]
 
 
 def test_scenarios_exports():

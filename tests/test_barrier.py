@@ -584,6 +584,23 @@ class TestFaceTermMemo:
                                params))
             assert env._memo is entry
 
+    @pytest.mark.parametrize("name", [*MOVING_WORLDS, "moving-3d"])
+    def test_held_times_are_c_contiguous(self, name):
+        # The one-row kernel takes each held time's views as they are.
+        if name == "moving-3d":
+            _, env, shape, params, _ = invariance_cases()[-1]
+        else:
+            s = MOVING_WORLDS[name]()
+            env, shape, params = s.environment, s.agent, s.cbf
+        times = np.arange(0.0, 2.0, 0.005)
+        for kappa in (params.kappa, None):
+            polycbf.barrier._hold_times(env, shape, times, kappa)
+            held = env._memo[3]
+            assert list(held) == times.tolist()
+            for normals, *_, normal_rates, _ in held.values():
+                assert normals.flags.c_contiguous
+                assert normal_rates.flags.c_contiguous
+
     def test_blocks_leave_static_worlds_alone(self):
         s = builtin("l-shape")
         env = s.environment
@@ -706,6 +723,7 @@ class TestBatchInvariance:
     the batch size M and the BLAS thread count; a batch with one time per
     centre equals the one-row calls at those times."""
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("case", invariance_cases(),
                              ids=lambda case: case[0])
     def test_rows_match_one_row_calls(self, case):
@@ -765,6 +783,58 @@ class TestBatchInvariance:
             barrier_field(s.environment, s.agent, centers, times[:-1], s.cbf)
 
 
+class TestKernelBlocks:
+    """`_fields` is the one place that sizes kernel batches: _CHUNK rows,
+    but in a moving world at one time per centre max(1, _CHUNK // (2p + 2
+    + N_v)) rows, whose per-time terms then hold no more floats than
+    _CHUNK rows of face values."""
+
+    @staticmethod
+    def block_rows(monkeypatch):
+        rows = []
+        evaluate = polycbf.barrier._evaluate
+
+        def counted(env, shape, centers, *args, **kwargs):
+            rows.append(len(centers))
+            return evaluate(env, shape, centers, *args, **kwargs)
+
+        monkeypatch.setattr(polycbf.barrier, "_evaluate", counted)
+        return rows
+
+    @pytest.mark.parametrize("name", ["revolving-door", "l-shape"])
+    def test_blocks_follow_the_rule(self, name, monkeypatch):
+        s = builtin(name)
+        env, m = s.environment, 5000
+        rows = self.block_rows(monkeypatch)
+        centers = np.random.default_rng(3).uniform(*scenario_bounds(s),
+                                                   size=(m, 2))
+        per_row = np.linspace(0.0, 20.0, m)
+        for shape in (s.agent, AgentShape.point(2)):
+            size = polycbf.barrier._CHUNK
+            if not env.is_static:
+                size //= 2 * 2 + 2 + shape.num_vertices
+            for t, want in ((per_row, size), (1.5, polycbf.barrier._CHUNK)):
+                rows.clear()
+                barrier_field(env, shape, centers, t, s.cbf)
+                assert rows == [want] * (m // want) + [m % want]
+                assert rows == oracles.kernel_blocks(m, env, shape,
+                                                     np.ndim(t) == 1)
+        if not env.is_static:  # the door's agent has 6 vertices
+            assert oracles.kernel_blocks(m, env, s.agent)[0] == 341
+
+    def test_one_row_blocks_at_least(self, monkeypatch):
+        # A _CHUNK below one row's face terms still makes progress.
+        monkeypatch.setattr(polycbf.barrier, "_CHUNK", 7)
+        s = builtin("revolving-door")
+        rows = self.block_rows(monkeypatch)
+        centers = np.zeros((20, 2))
+        barrier_field(s.environment, s.agent, centers, np.zeros(20), s.cbf)
+        assert rows == [1] * 20
+        rows.clear()
+        barrier_field(s.environment, s.agent, centers, 0.0, s.cbf)
+        assert rows == [7, 7, 6]
+
+
 # A crossroad with normals of length 3, 0.5 and 2 and a pentagon agent: the
 # softmin across the strip of normals (0, -/+3) is where grad h turns
 # fastest, within 1 % of L = 9 kappa.
@@ -795,6 +865,7 @@ def mixed_zero_minimum(values):
     return bool(signs.any() and not signs.all())
 
 
+@pytest.mark.bits
 class TestRegionReductions:
     """`_reduce_regions` over a face-major (R, M) array equals `reduceat`
     along the rows of its (M, R) transpose bit for bit, for every region
@@ -899,6 +970,7 @@ def one_row_edge_cases():
             ("tied", (-0.3, -0.3), -0.3)]
 
 
+@pytest.mark.bits
 class TestOneRowEdges:
     """The one-row kernel takes its two maxima and the tail of h in Python
     floats; at the edges of that code it still equals a batch row bit for

@@ -9,6 +9,8 @@ from polycbf.safety_filter import (DegenerateGradientError, DesiredController,
 
 from oracles import desired_velocity
 
+pytestmark = pytest.mark.bits
+
 
 def make_eval(grad, h, dht=0.0):
     return BarrierEvaluation(value=h, gradient=np.asarray(grad, dtype=float),

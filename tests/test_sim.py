@@ -407,6 +407,7 @@ def approaching_wall(speed):
     )
 
 
+@pytest.mark.bits
 class TestIdleCertificate:
     """An inactive full stage anchors a certificate that the curvature
     bound carries over later stages, across steps, in static and moving
@@ -543,14 +544,18 @@ class TestStageTimeBlocks:
     @pytest.mark.parametrize("x0", builtin("revolving-door").all_starts(),
                              ids=["0", "1"])
     def test_door_time_bases_per_block(self, x0, monkeypatch):
-        # One batched time basis per block of steps and per block of rows,
-        # and one for the start check: every stage hits the memo.  At
-        # record_stride 1 each step start is one row.
+        # One time basis for the start check, one batched one per block of
+        # steps, and one per kernel block of the rows' h and psi, never one
+        # per state: every stage hits the memo.  At record_stride 1 each
+        # step start is one row.
         s = builtin("revolving-door")
         calls = count_time_bases(monkeypatch)
         rows = run(s, dataclasses.replace(s.default_sim, x0=x0)).times.size
-        assert len(calls) <= (-(-rows // polycbf.sim._STEP_BLOCK)
-                              + -(-rows // polycbf.sim._ROW_BLOCK) + 1)
+        blocks = oracles.kernel_blocks(rows, s.environment, s.agent)
+        assert len(blocks) < rows
+        assert len(calls) == (1 + -(-rows // polycbf.sim._STEP_BLOCK)
+                              + len(blocks))
+        assert calls[-len(blocks):] == blocks
 
 
 def row_value_runs():
@@ -576,8 +581,8 @@ class TestPsi:
     @pytest.mark.parametrize("s, config, termination", row_value_runs())
     def test_psi_is_the_exact_margin_at_each_row(self, s, config,
                                                  termination):
-        """Each row's h and psi come from blocked `barrier_field` calls at
-        the rows' own times, with the bits of the one-row calls."""
+        """Each row's h and psi come from one `barrier_field` call at the
+        rows' own times, with the bits of the one-row calls."""
         res = run(s, config)
         assert res.termination is termination
         assert res.times.size > 0
@@ -591,12 +596,26 @@ class TestPsi:
         assert res.psi_values.tobytes() == psi.tobytes()
         assert res.min_psi == res.psi_values.min()
 
+    @pytest.mark.parametrize("name", ["revolving-door", "l-shape"])
+    def test_one_barrier_field_call_per_run(self, name, monkeypatch):
+        # The kernel sizes that call's blocks, in a moving world too.
+        calls = []
+        field = polycbf.sim.barrier_field
+
+        def counted(env, shape, centers, t, params):
+            calls.append(len(centers))
+            return field(env, shape, centers, t, params)
+
+        monkeypatch.setattr(polycbf.sim, "barrier_field", counted)
+        assert calls == [run(builtin(name)).times.size]
+
 
 # Covers the first active row of every builtin start that has one (at most
 # 2.2 s in) and keeps the full-stage reference quick.
 REFERENCE_T_END = 5.0
 
 
+@pytest.mark.bits
 class TestRk4Reference:
     """run() against `oracles.rk4_reference`, plain numpy RK4 with four full
     stages and no idle certificate: every row's position, inputs and active

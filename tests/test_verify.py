@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -132,8 +133,8 @@ class TestHullContainment:
 
 @pytest.mark.parametrize("audit", [gradient_audit, hull_containment_audit])
 def test_door_frames_do_not_grow_with_states(monkeypatch, audit):
-    # Per-row times put every state of a kernel call into one time basis,
-    # so a few dozen states or a few hundred cost the same evaluations.
+    # Per-row times put every state of a kernel block into one time basis,
+    # so the audit evaluates one per kernel block, never one per state.
     calls = []
     time_basis = PolytopeEnvironment._time_basis
 
@@ -142,12 +143,18 @@ def test_door_frames_do_not_grow_with_states(monkeypatch, audit):
         return time_basis(env, t)
 
     monkeypatch.setattr(PolytopeEnvironment, "_time_basis", counted)
-    counts = []
+    s = builtin("revolving-door")
+    env, point = s.environment, AgentShape.point(2)
     for n_states in (20, 150):
         calls.clear()
-        audit(builtin("revolving-door"), n_states=n_states, seed=3)
-        counts.append(len(calls))
-    assert 1 <= counts[0] == counts[1] <= 2
+        audit(s, n_states=n_states, seed=3)
+        if audit is gradient_audit:  # centre, 4 probes, t +/- step
+            blocks = oracles.kernel_blocks(7 * n_states, env, s.agent)
+        else:  # 20 hull points per state, then the agent at each state
+            blocks = (oracles.kernel_blocks(20 * n_states, env, point)
+                      + oracles.kernel_blocks(n_states, env, s.agent))
+        assert calls == blocks
+        assert len(calls) < n_states
 
 
 class TestUnderApproximation:
@@ -194,9 +201,12 @@ class TestGradientAudit:
         assert a == b
 
     def test_kappa_override(self):
-        worst = gradient_audit(builtin("l-shape"), n_states=30, seed=5,
-                               kappa=20.0).worst
+        # Another kappa is a scenario with replaced `CbfParams`.
+        s = builtin("l-shape")
+        s = dataclasses.replace(s, cbf=dataclasses.replace(s.cbf, kappa=20.0))
+        worst = gradient_audit(s, n_states=30, seed=5).worst
         assert worst <= 1e-5
+        assert worst == oracles.gradient_audit_loop(s, n_states=30, seed=5)
 
 
 class TestHelpers:
@@ -248,6 +258,7 @@ class TestRandomizedAudits:
         assert report.passed is False
         assert not report.worst <= 1e-3
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_qp_closed_form_matches_loop_oracle(self, seed):
         # Two `_project_rows` calls per block, np.vecdot on the rows,
