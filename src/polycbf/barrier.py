@@ -22,7 +22,8 @@ from operator import mul
 
 import numpy as np
 
-from .geometry import AgentShape, PolytopeEnvironment, _unstack
+from .geometry import (AgentShape, PolytopeEnvironment, _eq_by,
+                       _require_positive, _unstack)
 
 __all__ = [
     "CbfParams",
@@ -51,15 +52,11 @@ class CbfParams:
     alpha_gain: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.kappa < np.inf:
-            raise ValueError(
-                f"kappa must be positive and finite, got {self.kappa}")
+        _require_positive("kappa", self.kappa)
         if not 0 <= self.buffer < np.inf:
             raise ValueError(
                 f"buffer must be nonnegative and finite, got {self.buffer}")
-        if not 0 < self.alpha_gain < np.inf:
-            raise ValueError(
-                f"alpha_gain must be positive and finite, got {self.alpha_gain}")
+        _require_positive("alpha_gain", self.alpha_gain)
 
 
 @dataclass
@@ -72,6 +69,8 @@ class BarrierEvaluation:
     gradient: np.ndarray
     time_partial: float
     nonsmooth_value: float
+
+    __eq__ = _eq_by()
 
 
 def provable_buffer(env: PolytopeEnvironment) -> float:
@@ -226,13 +225,21 @@ def _row_terms(env: PolytopeEnvironment, shape: AgentShape, frame):
 def _shape_law(env: PolytopeEnvironment, shape: AgentShape):
     """The row terms of a moving world as coefficients (X, B) of its time
     basis, with each term's trailing shape: `_row_terms` applied to the
-    frame's own coefficients."""
-    law = env._law.T                                         # (B, X_f)
-    terms = _row_terms(env, shape, _unstack(law, env._frame_shapes))
-    stacked = np.concatenate([term.reshape(len(law), -1) for term in terms],
-                             axis=1)
-    return (np.ascontiguousarray(stacked.T),
-            tuple(term.shape[1:] for term in terms))
+    frame's own coefficients.
+
+    The law is kept in a one-entry cache on env, `_law_memo`, keyed by the
+    shape's identity and replaced whole by a single assignment, like the
+    face-term memo."""
+    entry = env._law_memo
+    if entry is None or entry[0] is not shape:
+        law = env._law.T                                     # (B, X_f)
+        terms = _row_terms(env, shape, _unstack(law, env._frame_shapes))
+        stacked = np.concatenate(
+            [term.reshape(len(law), -1) for term in terms], axis=1)
+        entry = (shape, (np.ascontiguousarray(stacked.T),
+                         tuple(term.shape[1:] for term in terms)))
+        env._law_memo = entry
+    return entry[1]
 
 
 def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
@@ -260,8 +267,8 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     b(t) (see `PolytopeEnvironment._motion_law`), so a new t costs one
     `matvec` of the shape's coefficients with b(t) and the support
     log-sum-exp, and a batch of times costs one batched call of each.  The
-    coefficients ride in the memo entry and are rebuilt only when the shape
-    changes.  The terms at t[i] of a batch equal the scalar call's at t[i]
+    coefficients come from `_shape_law`, which builds them once per shape.
+    The terms at t[i] of a batch equal the scalar call's at t[i]
     bit for bit, so an entry's terms do not depend on how they were built.
 
     Returns
@@ -280,20 +287,18 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     static = env.is_static
     memo = static or not isinstance(t, np.ndarray)
     entry = env._memo
-    if memo and entry is not None and entry[0] is shape and entry[2] == kappa:
-        terms = entry[3] if static else entry[3].get(t)
+    if memo and entry is not None and entry[0] is shape and entry[1] == kappa:
+        terms = entry[2] if static else entry[2].get(t)
         if terms is not None:
             return terms
     if shape.dimension != env.dimension:
         raise ValueError(
             f"agent dimension {shape.dimension} != environment dimension "
             f"{env.dimension}")
-    law = None
     if static:
         row_terms = _row_terms(env, shape, env.frame(t))
     else:
-        law = entry[1] if entry is not None and entry[0] is shape \
-            else _shape_law(env, shape)
+        law = _shape_law(env, shape)
         row_terms = _unstack(np.matvec(law[0], env._time_basis(t)), law[1])
     normals, levels, vertex_dots, normal_rates, level_rates = row_terms
     hard = np.minimum.reduce(vertex_dots, axis=-1)
@@ -310,7 +315,7 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     hard_offsets = hard - levels
     terms = (normals, hard_offsets, soft_offsets, normal_rates, rate_offsets)
     if memo:
-        env._memo = (shape, law, kappa, terms if static else {t: terms})
+        env._memo = (shape, kappa, terms if static else {t: terms})
     return terms
 
 
@@ -327,13 +332,10 @@ def _hold_times(env: PolytopeEnvironment, shape: AgentShape, times,
     if env.is_static:
         return
     keys = list(dict.fromkeys(times.tolist()))  # each distinct time once
-    entry = env._memo
-    law = entry[1] if entry is not None and entry[0] is shape \
-        else _shape_law(env, shape)
     # One view per time into each batched term, C-contiguous like a miss's.
     columns = [repeat(None) if term is None else list(term)
                for term in _face_terms(env, shape, np.array(keys), kappa)]
-    env._memo = (shape, law, kappa, dict(zip(keys, zip(*columns))))
+    env._memo = (shape, kappa, dict(zip(keys, zip(*columns))))
 
 
 def _row_max(values, screen: bool = True):
@@ -355,15 +357,13 @@ def _row_max(values, screen: bool = True):
 
 def _column_max(values):
     """Max down axis 0 of (N, M) values, shape (M,), with `_row_max`'s
-    ties and NaN.
+    ties and NaN for M > 1.
 
     Down a C-contiguous array numpy vectorises across the M columns, and
     its column maximum keeps the last tied entry.  Numpy reduces a single
     column, shape (N, 1), as a 1-D array, which may keep the other zero of
-    a tie, so that column takes `_row_max`, screened.
+    a tie; a batch of one takes the one-row code instead (`_evaluate`).
     """
-    if values.shape[1] == 1:
-        return np.array([_row_max(values[:, 0])])
     return np.maximum.reduce(values, axis=0)
 
 
@@ -444,10 +444,11 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     shifted by its group's exact minimum (or soft maximum), so no exponent
     exceeds ln N_v.
 
-    One centre's terms lie along one row, reduced by `reduceat` per region
-    and by Python's max (`_row_max`).  A batch goes to `_evaluate_batch`,
-    whose row i equals the one-row call bit for bit, whatever M and the
-    BLAS thread count.
+    One centre goes to `_evaluate_row`, and so does a batch of one, which
+    costs less there; its per-row time stays an ndarray, so like any batch
+    of times it neither reads nor replaces the memo.  A larger batch goes
+    to `_evaluate_batch`, whose row i equals the one-row call bit for bit,
+    whatever M and the BLAS thread count.
 
     Parameters
     ----------
@@ -466,18 +467,33 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
         the quantities not asked for are None.
     """
     kappa = None if params is None else params.kappa
+    batch_of_one = centers.shape[:-1] == (1,)
+    if batch_of_one and isinstance(t, np.ndarray):
+        t = np.reshape(t, ())
     terms = _face_terms(env, shape, t, kappa)
-    if centers.ndim == 2:
+    if centers.ndim == 1:
+        return _evaluate_row(env, centers, terms, params, derivatives)
+    if not batch_of_one:
         return _evaluate_batch(env, centers, terms, params, derivatives)
+    row = _evaluate_row(env, centers[0], terms, params, derivatives)
+    return tuple(None if v is None else np.asarray(v)[None] for v in row)
+
+
+def _evaluate_row(env: PolytopeEnvironment, center, terms,
+                  params: CbfParams | None, derivatives: bool):
+    """`_evaluate` at one centre, shape (p,), from the face terms at its
+    time: its terms lie along one row, reduced by `reduceat` per region
+    and by Python's max (`_row_max`)."""
     normals, hard_offsets, soft_offsets, normal_rates, rate_offsets = terms
     segments, row_region = env._segments, env._row_region
     # Per region row, shape (R,); regions are segments of it.
-    spatial = np.matvec(normals, centers)
+    spatial = np.matvec(normals, center)
     mins = np.minimum.reduceat(spatial + hard_offsets, segments)
     if params is None:
         return None, None, None, _row_max(mins)
     # A NaN minimum makes h NaN, so psi is screened only then.
     psi = _row_max(mins, screen=False)
+    kappa = params.kappa
 
     # Soft values sit at most ln(N_v)/kappa below the exact ones and the
     # argmin term is at least one, so shifting by the exact region minima
@@ -506,7 +522,7 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     gradient = np.vecmat(weights, normals)
     if normal_rates is None:                                 # dh/dt = 0
         return h, gradient, h * 0.0, psi
-    rates = np.matvec(normal_rates, centers) + rate_offsets
+    rates = np.matvec(normal_rates, center) + rate_offsets
     time_partial = np.add.reduce(weights * rates)
     return h, gradient, time_partial, psi
 

@@ -2,14 +2,18 @@
 
 The environment is a union of convex regions, each region an intersection of
 half-spaces drawn from one shared list.  Every value here is immutable after
-construction and safe to share across threads.  The one exception is the
-barrier kernel's one-entry memo on each `PolytopeEnvironment`: it is only
-ever replaced whole, by a single attribute assignment, and read once per
-call, so a thread sees either the old entry or the new one.
+construction and safe to share across threads.  The exceptions are the
+barrier kernel's two one-entry memos on each `PolytopeEnvironment`: each
+is only ever replaced whole, by a single attribute assignment, and read
+once per call, so a thread sees either the old entry or the new one.
+
+Every value type compares by value (`_eq_by`): arrays by shape and
+entries, so NaN is unequal to itself, as for floats.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +41,35 @@ def _as_point(value, dim: int | None = None, name: str = "point") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {arr}")
     return arr
+
+
+def _require_positive(name: str, value) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _values_equal(a, b) -> bool:
+    """Arrays equal by shape and entries, tuples item by item, anything
+    else by ==; so NaN is unequal to itself, as for floats."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_values_equal, a, b))
+    return a == b
+
+
+def _eq_by(*names):
+    """The value equality of a public value type: an `__eq__` that compares
+    the named attributes, or all of a dataclass's fields when no names are
+    given, by `_values_equal`, and returns NotImplemented for an object
+    that is not an instance of the type."""
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        fields = names or [f.name for f in dataclasses.fields(self)]
+        return all(_values_equal(getattr(self, name), getattr(other, name))
+                   for name in fields)
+    return __eq__
 
 
 def _unstack(stacked: np.ndarray, shapes) -> list[np.ndarray]:
@@ -116,15 +149,7 @@ class RigidMotion:
         k2 = k @ k
         return np.stack((np.eye(3) + k2, -k2, k))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RigidMotion):
-            return NotImplemented
-        return (
-            self.dimension == other.dimension
-            and np.array_equal(self.center, other.center)
-            and np.array_equal(np.atleast_1d(self.spin), np.atleast_1d(other.spin))
-            and np.array_equal(self.linear_velocity, other.linear_velocity)
-        )
+    __eq__ = _eq_by("center", "spin", "linear_velocity")
 
     def __repr__(self) -> str:
         spin = self.spin if self.dimension == 2 else self.spin.tolist()
@@ -164,14 +189,7 @@ class HalfSpace:
                 f"{self.dimension}")
         self.motion = motion
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HalfSpace):
-            return NotImplemented
-        return (
-            np.array_equal(self.normal, other.normal)
-            and np.array_equal(self.anchor, other.anchor)
-            and self.motion == other.motion
-        )
+    __eq__ = _eq_by("normal", "anchor", "motion")
 
     def __repr__(self) -> str:
         return (f"HalfSpace(normal={self.normal.tolist()}, "
@@ -205,10 +223,7 @@ class ConvexRegion:
     def __len__(self) -> int:
         return int(self.indices.size)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConvexRegion):
-            return NotImplemented
-        return np.array_equal(self.indices, other.indices)
+    __eq__ = _eq_by("indices")
 
     def __repr__(self) -> str:
         return f"ConvexRegion({self.indices.tolist()})"
@@ -253,10 +268,11 @@ class PolytopeEnvironment:
     coefficients of one time basis b(t) at construction, and `frame(t)`
     evaluates them with one matrix-vector product.
 
-    The barrier kernel keeps its centre-independent terms in `_memo`, one
-    entry that is only ever replaced whole by a single assignment, so
-    threads may share the environment; `barrier._face_terms` describes the
-    entry.
+    The barrier kernel keeps its centre-independent terms in `_memo` and
+    a moving world's shape law in `_law_memo`, each one entry that is only
+    ever replaced whole by a single assignment, so threads may share the
+    environment; `barrier._face_terms` and `barrier._shape_law` describe
+    the entries.
     """
 
     def __init__(self, half_spaces, regions):
@@ -310,7 +326,7 @@ class PolytopeEnvironment:
         self._frequencies, self._law = self._motion_law(motions)
         self._frame_shapes = ((n_w, self.dimension), (n_w,),
                               (n_w, self.dimension), (n_w,))
-        self._memo = None
+        self._memo = self._law_memo = None
 
     def _motion_law(self, motions):
         """The frame as fixed coefficients of the time basis b(t).
@@ -427,13 +443,7 @@ class PolytopeEnvironment:
         return tuple(_unstack(np.matvec(self._law, basis),
                               self._frame_shapes))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PolytopeEnvironment):
-            return NotImplemented
-        return (
-            self.half_spaces == other.half_spaces
-            and self.regions == other.regions
-        )
+    __eq__ = _eq_by("half_spaces", "regions")
 
     def __repr__(self) -> str:
         return (f"PolytopeEnvironment({self.num_half_spaces} half-spaces, "
@@ -489,10 +499,7 @@ class AgentShape:
                 np.max(np.linalg.norm(self.offsets, axis=1)))
         return self._circumradius
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AgentShape):
-            return NotImplemented
-        return np.array_equal(self.offsets, other.offsets)
+    __eq__ = _eq_by("offsets")
 
     def __repr__(self) -> str:
         return f"AgentShape({self.num_vertices} vertices, dim={self.dimension})"

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import BarrierEvaluation, CbfParams
-from .geometry import _as_point
+from .geometry import _as_point, _eq_by, _require_positive
 
 __all__ = ["DesiredController", "FilterResult", "DegenerateGradientError",
            "safe_velocity"]
@@ -73,12 +73,8 @@ class DesiredController:
 
     def __post_init__(self):
         self.goal = _as_point(self.goal, name="goal")
-        if not 0 < self.gain < np.inf:
-            raise ValueError(
-                f"gain must be positive and finite, got {self.gain}")
-        if not 0 < self.u_max < np.inf:
-            raise ValueError(
-                f"u_max must be positive and finite, got {self.u_max}")
+        _require_positive("gain", self.gain)
+        _require_positive("u_max", self.u_max)
 
     def velocity(self, p) -> np.ndarray:
         """Desired input at a position of shape (p,)."""
@@ -113,11 +109,7 @@ class DesiredController:
         scale = self.u_max / speed
         return [scale * v for v in u]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DesiredController):
-            return NotImplemented
-        return (np.array_equal(self.goal, other.goal)
-                and self.gain == other.gain and self.u_max == other.u_max)
+    __eq__ = _eq_by()
 
 
 @dataclass
@@ -129,6 +121,8 @@ class FilterResult:
     u_desired: np.ndarray
     h: float
     constraint_active: bool
+
+    __eq__ = _eq_by()
 
 
 def _raise_unusable(usable, a, grad_sq, batch: bool):

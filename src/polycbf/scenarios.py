@@ -17,7 +17,7 @@ import numpy as np
 
 from .barrier import CbfParams, provable_buffer
 from .geometry import (AgentShape, ConvexRegion, HalfSpace,
-                       PolytopeEnvironment, RigidMotion)
+                       PolytopeEnvironment, RigidMotion, _eq_by)
 from .safety_filter import DesiredController
 from .sim import SimConfig
 
@@ -52,7 +52,8 @@ class Scenario:
                 raise ScenarioError(
                     f"{label} has dimension {d}, environment has {dim}")
         self.alternative_starts = tuple(
-            np.asarray(s, dtype=float) for s in self.alternative_starts)
+            _build(f"alternative_starts[{i}]", np.asarray, s, dtype=float)
+            for i, s in enumerate(self.alternative_starts))
         for i, s in enumerate(self.alternative_starts):
             if s.shape != (dim,) or not np.all(np.isfinite(s)):
                 raise ScenarioError(
@@ -72,20 +73,7 @@ class Scenario:
         idle certificate that `sim.run` carries across steps."""
         return self.cbf.buffer >= provable_buffer(self.environment)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scenario):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.environment == other.environment
-            and self.agent == other.agent
-            and self.controller == other.controller
-            and self.cbf == other.cbf
-            and self.default_sim == other.default_sim
-            and len(self.alternative_starts) == len(other.alternative_starts)
-            and all(np.array_equal(a, b) for a, b in
-                    zip(self.alternative_starts, other.alternative_starts))
-        )
+    __eq__ = _eq_by()
 
 
 # ---------------------------------------------------------------------------

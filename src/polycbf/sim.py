@@ -25,7 +25,7 @@ import numpy as np
 
 from .barrier import (BarrierEvaluation, _hold_times, barrier_field,
                       curvature_bounds, gradient_bounds, smooth_barrier)
-from .geometry import _as_point
+from .geometry import _as_point, _eq_by, _require_positive
 from .safety_filter import DegenerateGradientError, _project
 
 __all__ = ["SimConfig", "SimResult", "Termination", "UnsafeStartError",
@@ -57,8 +57,7 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        _require_positive("dt", self.dt)
         if not self.dt <= self.t_end < np.inf:
             raise ValueError(
                 f"t_end must be finite and at least dt, got {self.t_end}")
@@ -68,10 +67,7 @@ class SimConfig:
             raise ValueError(
                 f"t_end / dt must be finite, got t_end={self.t_end} and "
                 f"dt={self.dt}")
-        if not 0 < self.goal_tolerance < np.inf:
-            raise ValueError(
-                f"goal_tolerance must be positive and finite, got "
-                f"{self.goal_tolerance}")
+        _require_positive("goal_tolerance", self.goal_tolerance)
         if not (1 <= self.record_stride < np.inf
                 and self.record_stride % 1 == 0):
             raise ValueError(
@@ -81,15 +77,7 @@ class SimConfig:
         if self.x0 is not None:
             self.x0 = _as_point(self.x0, name="x0")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SimConfig):
-            return NotImplemented
-        x0_equal = (self.x0 is None and other.x0 is None) or (
-            self.x0 is not None and other.x0 is not None
-            and np.array_equal(self.x0, other.x0))
-        return (x0_equal and self.dt == other.dt and self.t_end == other.t_end
-                and self.goal_tolerance == other.goal_tolerance
-                and self.record_stride == other.record_stride)
+    __eq__ = _eq_by()
 
 
 @dataclass
@@ -118,6 +106,8 @@ class SimResult:
     termination: Termination
     certified: bool
     error: str | None = None
+
+    __eq__ = _eq_by()
 
     def write_csv(self, path) -> None:
         """Trajectory CSV: t, position, desired input, safe input, h, and

@@ -2,7 +2,9 @@
 CLI and audits call, and the test-only helpers live in `oracles` and
 `worlds`, so a removed name cannot come back unnoticed."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import polycbf
 import polycbf.scenarios
@@ -55,3 +57,17 @@ def test_removed_methods_stay_removed():
         assert not hasattr(RigidMotion, name), name
     assert not hasattr(HalfSpace, "normalized")
     assert not hasattr(AgentShape, "vertices")
+
+
+def test_value_equality_is_written_once():
+    # Every value type assigns `__eq__ = geometry._eq_by(...)`, whose
+    # returned function is the one `__eq__` left in the package.
+    package = Path(polycbf.__file__).parent
+    defined = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                defined += [f"{path.name}:{node.name}" for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and item.name == "__eq__"]
+    assert defined == []

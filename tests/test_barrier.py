@@ -21,7 +21,7 @@ from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion, _region_groups)
 from polycbf.scenarios import BUILTIN_NAMES, builtin, load
-from polycbf.verify import scenario_bounds
+from polycbf.verify import hull_containment_audit, scenario_bounds
 
 import oracles
 from worlds import MOVING_WORLDS
@@ -595,11 +595,27 @@ class TestFaceTermMemo:
         times = np.arange(0.0, 2.0, 0.005)
         for kappa in (params.kappa, None):
             polycbf.barrier._hold_times(env, shape, times, kappa)
-            held = env._memo[3]
+            held = env._memo[2]
             assert list(held) == times.tolist()
             for normals, *_, normal_rates, _ in held.values():
                 assert normals.flags.c_contiguous
                 assert normal_rates.flags.c_contiguous
+
+    def test_shape_law_built_once_per_shape(self, monkeypatch):
+        # In a moving world `_row_terms` runs only to build a shape law.
+        # The hull audit takes every point margin, then every agent margin,
+        # each in several kernel blocks.
+        built = []
+        row_terms = polycbf.barrier._row_terms
+
+        def counted(env, shape, frame):
+            built.append(shape.num_vertices)
+            return row_terms(env, shape, frame)
+
+        monkeypatch.setattr(polycbf.barrier, "_row_terms", counted)
+        s = builtin("revolving-door")
+        assert hull_containment_audit(s).passed
+        assert built == [1, s.agent.num_vertices]
 
     def test_blocks_leave_static_worlds_alone(self):
         s = builtin("l-shape")
@@ -1013,10 +1029,7 @@ class TestOneRowEdges:
         # No centre gives a region minimum of -0.0, since the kernel's
         # matvec sums from +0.0, so the signed-zero tie is checked on the
         # maxima alone: of tied entries the last, NaN if any entry is NaN.
-        # The batch takes the maxima down its face-major (n, M) array.  A
-        # batch of one column, which numpy would reduce as a 1-D array and
-        # at n = 9, 17 or 41 keep the other zero of a tie, is the one-row
-        # call, NaN kept.
+        # The batch takes the maxima down its face-major (n, M) array.
         rng = np.random.default_rng(7)
         for n in (1, 2, 3, 5, 8, 9, 17, 32, 41):
             rows = rng.choice([0.0, -0.0, -1.0, np.nan], size=(64, n),
@@ -1026,13 +1039,44 @@ class TestOneRowEdges:
                 got = polycbf.barrier._row_max(row)
                 assert type(got) is float
                 assert_bits_or_nan(got, batch[i])
-                one = polycbf.barrier._column_max(row[:, None].copy())
-                assert one.shape == (1,) and one.dtype == float
-                assert_bits_or_nan(one, [got])
                 if not np.isnan(row).any():
                     last = row[np.flatnonzero(row == row.max())[-1]]
                     assert_bits_or_nan(got, last)
             assert np.isnan(batch).any() and not np.isnan(batch).all()
+
+
+@pytest.mark.bits
+class TestBatchOfOne:
+    """A batch of one centre takes the one-row code, so every field equals
+    the one-row call bit for bit; a per-row time, like any batch of times,
+    neither reads nor replaces the memo."""
+
+    @pytest.mark.parametrize("name", dict.fromkeys([*BUILTIN_NAMES,
+                                                    *MOVING_WORLDS]))
+    def test_fields_equal_one_row_call(self, name, monkeypatch):
+        s = MOVING_WORLDS[name]() if name in MOVING_WORLDS else builtin(name)
+        env, shape, params = s.environment, s.agent, s.cbf
+        centers = s.default_sim.x0[None]
+
+        def no_batch(*args):
+            raise AssertionError("a batch of one took the batch code")
+
+        monkeypatch.setattr(polycbf.barrier, "_evaluate_batch", no_batch)
+        for t in (1.3, np.array([1.3])):
+            want = polycbf.barrier._evaluate(env, shape, centers[0], 1.3,
+                                             params, derivatives=True)
+            entry = env._memo
+            got = polycbf.barrier._fields(env, shape, centers, t, params,
+                                          derivatives=True)
+            for g, w in zip(got, want):
+                assert_bits_or_nan(g, np.reshape(w, (1, *np.shape(w))))
+            h, margin = barrier_field(env, shape, centers, t, params)
+            assert_bits_or_nan(h, [want[0]])
+            assert_bits_or_nan(margin, [want[3]])
+            assert_bits_or_nan(margin_field(env, shape, centers, t),
+                               [want[3]])
+            if np.ndim(t) and not env.is_static:
+                assert env._memo is entry
 
 
 STATIC_NAMES = [name for name in BUILTIN_NAMES

@@ -340,6 +340,11 @@ class TestConfigValidation:
             dataclasses.replace(builtin("l-shape"),
                                 alternative_starts=((math.nan, 0.0),))
 
+    @pytest.mark.parametrize("start", [[1.0, [2.0]], ("ab",)], ids=str)
+    def test_malformed_alternative_start_names_field(self, start):
+        with pytest.raises(ScenarioError, match=r"alternative_starts\[0\]"):
+            dataclasses.replace(builtin("l-shape"), alternative_starts=(start,))
+
     def test_scenario_dimension_cross_checks(self):
         s = builtin("l-shape")
         with pytest.raises(ScenarioError, match="agent"):
