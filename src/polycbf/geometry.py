@@ -30,8 +30,13 @@ _ZERO_NORMAL_TOL = 1e-12
 
 
 def _as_point(value, dim: int | None = None, name: str = "point") -> np.ndarray:
-    """Coerce to a float vector, optionally checking its dimension."""
-    arr = np.asarray(value, dtype=float)
+    """Coerce to a float vector, optionally checking its dimension.  Every
+    rejection, numpy's failed conversions included, is a ValueError that
+    names the field."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, TypeError, OverflowError) as err:
+        raise ValueError(f"{name}: {err}") from None
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     if arr.shape[0] not in (2, 3):

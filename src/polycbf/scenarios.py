@@ -17,7 +17,7 @@ import numpy as np
 
 from .barrier import CbfParams, provable_buffer
 from .geometry import (AgentShape, ConvexRegion, HalfSpace,
-                       PolytopeEnvironment, RigidMotion, _eq_by)
+                       PolytopeEnvironment, RigidMotion, _as_point, _eq_by)
 from .safety_filter import DesiredController
 from .sim import SimConfig
 
@@ -52,13 +52,8 @@ class Scenario:
                 raise ScenarioError(
                     f"{label} has dimension {d}, environment has {dim}")
         self.alternative_starts = tuple(
-            _build(f"alternative_starts[{i}]", np.asarray, s, dtype=float)
+            _build(f"alternative_starts[{i}]", _as_point, s, dim, "start")
             for i, s in enumerate(self.alternative_starts))
-        for i, s in enumerate(self.alternative_starts):
-            if s.shape != (dim,) or not np.all(np.isfinite(s)):
-                raise ScenarioError(
-                    f"alternative_starts[{i}] must be a finite vector of "
-                    f"shape ({dim},), got {s.tolist()}")
 
     def all_starts(self) -> list[np.ndarray]:
         """The default start, if set, then the alternative starts."""
@@ -412,8 +407,7 @@ def _scenario_from_dict(data) -> Scenario:
             dt=_number(sim, "dt", "sim"),
             t_end=_number(sim, "t_end", "sim"),
             x0=_vector(_get(sim, "x0", "sim"), dim, "sim.x0"),
-            goal_tolerance=_number(sim, "goal_tolerance", "sim"),
-            record_stride=_number(sim, "record_stride", "sim", 1)),
+            goal_tolerance=_number(sim, "goal_tolerance", "sim")),
         alternative_starts=tuple(
             _vector(s, dim, f"alternative_starts[{i}]")
             for i, s in enumerate(starts)),
@@ -453,7 +447,6 @@ def _scenario_to_dict(scenario: Scenario) -> dict:
             "t_end": scenario.default_sim.t_end,
             "x0": scenario.default_sim.x0.tolist(),
             "goal_tolerance": scenario.default_sim.goal_tolerance,
-            "record_stride": scenario.default_sim.record_stride,
         },
         "alternative_starts": [s.tolist() for s in scenario.alternative_starts],
     }

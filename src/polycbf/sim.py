@@ -48,13 +48,14 @@ class Termination(str, Enum):
 @dataclass
 class SimConfig:
     """Integration settings.  Defaults: RK4 at dt = 0.01 s over 20 s with a
-    5 cm arrival tolerance."""
+    5 cm arrival tolerance.  `run` takes at most round(t_end / dt) steps,
+    rounding half to even, and records one row per step start, so the last
+    row of a horizon run may sit up to dt/2 before or after t_end."""
 
     dt: float = 0.01
     t_end: float = 20.0
     x0: np.ndarray | None = None
     goal_tolerance: float = 0.05
-    record_stride: int = 1
 
     def __post_init__(self):
         _require_positive("dt", self.dt)
@@ -68,12 +69,6 @@ class SimConfig:
                 f"t_end / dt must be finite, got t_end={self.t_end} and "
                 f"dt={self.dt}")
         _require_positive("goal_tolerance", self.goal_tolerance)
-        if not (1 <= self.record_stride < np.inf
-                and self.record_stride % 1 == 0):
-            raise ValueError(
-                f"record_stride must be a positive integer, got "
-                f"{self.record_stride}")
-        self.record_stride = int(self.record_stride)
         if self.x0 is not None:
             self.x0 = _as_point(self.x0, name="x0")
 
@@ -82,13 +77,13 @@ class SimConfig:
 
 @dataclass
 class SimResult:
-    """Logged trajectory.  All sequences share one length; rows are sampled
-    every record_stride steps plus the final state.  An "error" run keeps
-    the rows recorded before the failing step, possibly none; the arrays
-    keep their row shape, e.g. positions (0, p), when empty.  h_values and
-    psi_values hold the smooth barrier and the exact nonsmooth margin at
-    each row's state and time, from one `barrier_field` call after the
-    run.
+    """Logged trajectory.  All sequences share one length, one row per step
+    start: row i is at times[i] = i * dt, the last at the goal or the
+    horizon.  An "error" run keeps the rows before the failing step,
+    possibly none; the arrays keep their row shape, e.g. positions (0, p),
+    when empty.  h_values and psi_values hold the smooth barrier and the
+    exact nonsmooth margin at each row's state and time, from one
+    `barrier_field` call after the run.
     certified is the scenario's `Scenario.certified` (buffer >= ln N_p),
     under which h >= 0 implies psi >= 0; it says nothing about the idle
     certificate of `step`."""
@@ -281,8 +276,8 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     x0 = config.x0 if config.x0 is not None else scenario.default_sim.x0
     if x0 is None:
         raise ValueError("no initial state: set SimConfig.x0")
-    x = np.asarray(x0, dtype=float)
     env, agent, params = scenario.environment, scenario.agent, scenario.cbf
+    x = _as_point(x0, env.dimension, "x0")
 
     evaluation = smooth_barrier(env, agent, x, 0.0, params)
     if not evaluation.value > 0.0:
@@ -297,7 +292,7 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     # overflow there.
     screen = tol * (1.0 + 1e-12) if 1e-140 < tol < 1e150 else math.inf
     n_steps = int(round(config.t_end / config.dt))
-    times, positions, rows = [], [], []
+    positions, rows = [], []
     termination = Termination.HORIZON
     reached_at = error_msg = None
 
@@ -324,10 +319,8 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
             termination = Termination.ERROR
             error_msg = f"{err} at state {x.tolist()}, t={t:.6g}"
             break
-        if done or i % config.record_stride == 0:
-            times.append(t)
-            positions.append(x)
-            rows.append(row)
+        positions.append(x)
+        rows.append(row)
         if done:
             if at_goal:
                 termination, reached_at = Termination.GOAL, t
@@ -335,7 +328,7 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
         x = x_next
 
     dim = x.shape[0]
-    times = np.array(times)
+    times = np.arange(len(rows)) * config.dt
     positions = np.array(positions).reshape(-1, dim)
     h_arr, psi_arr = barrier_field(env, agent, positions, times, params)
     return SimResult(

@@ -92,17 +92,6 @@ class TestSimulateCommand:
         assert argv[2].lstrip("-").replace("-", "_") in err["message"]
         assert not (tmp_path / "unused.csv").exists()
 
-    def test_fractional_record_stride_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "strided.json"
-        save(builtin("convex-corner"), path)
-        config = json.loads(path.read_text())
-        config["sim"]["record_stride"] = 2.5
-        path.write_text(json.dumps(config))
-        assert main(["simulate", str(path)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ScenarioError"
-        assert "record_stride" in err["message"]
-
     @pytest.mark.parametrize("path, value, field", [
         (("cbf", "kappa"), [], "cbf.kappa"),
         (("sim", "dt"), None, "sim.dt"),

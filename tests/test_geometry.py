@@ -6,6 +6,8 @@ import pytest
 
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
+from polycbf.safety_filter import DesiredController
+from polycbf.sim import SimConfig
 
 import oracles
 
@@ -221,6 +223,17 @@ class TestConstruction:
     def test_overflowing_half_space_rejected(self, normal, anchor, match):
         with pytest.raises(ValueError, match=match):
             HalfSpace(normal, anchor)
+
+    @pytest.mark.parametrize("make, field", [
+        (lambda: DesiredController(goal=[1.0, [2.0]]), "goal"),
+        (lambda: SimConfig(x0=("ab", "c")), "x0"),
+        (lambda: HalfSpace([1.0, "x"], [0, 0]), "normal"),
+        (lambda: RigidMotion([0, [1]], omega=1.0), "center"),
+    ], ids=["DesiredController", "SimConfig", "HalfSpace", "RigidMotion"])
+    def test_unconvertible_point_names_field(self, make, field):
+        # numpy's own conversion errors name no field.
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            make()
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):

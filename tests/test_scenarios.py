@@ -149,6 +149,17 @@ class TestRoundTrip:
         motions = {id(hs.motion) for hs in loaded.environment.half_spaces}
         assert len(motions) == 1
 
+    def test_legacy_record_stride_records_every_step(self, tmp_path):
+        # Files written before every step became a row may still carry
+        # the key; like any key the format does not use, it is ignored.
+        s = builtin("revolving-door")
+        path = tmp_path / "door.json"
+        save(s, path)
+        config = json.loads(path.read_text())
+        config["sim"]["record_stride"] = 7
+        path.write_text(json.dumps(config))
+        assert run(load(path)) == run(s)
+
 
 def without_start(name):
     """A builtin with no sim.x0, which `Scenario` and `run` accept."""
@@ -202,7 +213,6 @@ class TestConfigValidation:
     def test_good_config_loads(self, tmp_path):
         s = load(self.write(tmp_path, self.good_config()))
         assert s.environment.num_half_spaces == 2
-        assert s.default_sim.record_stride == 1
 
     def test_out_of_range_region_names_region(self, tmp_path):
         config = self.good_config()
@@ -243,7 +253,6 @@ class TestConfigValidation:
                                               ("cbf", "alpha_gain"),
                                               ("sim", "dt"),
                                               ("sim", "t_end"),
-                                              ("sim", "record_stride"),
                                               ("controller", "gain"),
                                               ("controller", "u_max")])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -252,15 +261,6 @@ class TestConfigValidation:
         config[section][key] = value  # written as NaN / Infinity
         with pytest.raises(ScenarioError, match=key):
             load(self.write(tmp_path, config))
-
-    def test_fractional_record_stride_rejected(self, tmp_path):
-        config = self.good_config()
-        config["sim"]["record_stride"] = 2.5
-        with pytest.raises(ScenarioError, match="record_stride"):
-            load(self.write(tmp_path, config))
-        config["sim"]["record_stride"] = 2.0
-        loaded = load(self.write(tmp_path, config))
-        assert loaded.default_sim.record_stride == 2
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

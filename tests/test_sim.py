@@ -93,11 +93,12 @@ class TestRun:
             run(s, cfg)
 
     def test_wrong_size_start_refused(self):
-        # The start check rejects it before the float stages, whose zips
-        # would truncate it.
+        # run() names x0 before the first barrier call, and before the
+        # float stages, whose zips would truncate it.
         s = builtin("l-shape")
         cfg = dataclasses.replace(s.default_sim, x0=np.array([0.5, 0.5, 0.0]))
-        with pytest.raises(ValueError, match=r"center must .* \(2,\)"):
+        with pytest.raises(ValueError, match="^x0 has dimension 3, "
+                                             "expected 2$"):
             run(s, cfg)
         with pytest.raises(ValueError, match=r"state must .* \(2,\)"):
             step(cfg.x0, 0.0, s, 0.01)
@@ -157,15 +158,26 @@ class TestRun:
         assert res.constraint_active.shape == (n,)
         assert res.min_h == res.h_values.min()
 
-    def test_record_stride(self):
-        s = free_space_scenario(goal=(10.0, 0.0), x0=(0.0, 0.0))
-        cfg = dataclasses.replace(s.default_sim, record_stride=7)
-        res = run(s, cfg)
-        # every 7th step plus the final state
-        assert res.times[0] == 0.0
-        assert res.times[-1] == pytest.approx(1.0)
-        steps = np.round(res.times[:-1] / cfg.dt).astype(int)
-        assert np.all(steps % 7 == 0)
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_one_row_per_step_start(self, name, monkeypatch):
+        starts = []
+
+        def counted_step(*args):
+            starts.append(args[1])
+            return step(*args)
+
+        monkeypatch.setattr(polycbf.sim, "step", counted_step)
+        s = builtin(name)
+        res = run(s)
+        dt = s.default_sim.dt
+        assert (res.times.tobytes()
+                == (np.arange(res.times.size) * dt).tobytes())
+        assert starts == list(res.times[:-1])
+        if res.termination is Termination.GOAL:
+            assert res.reached_goal_at == res.times[-1]
+        else:
+            assert res.termination is Termination.HORIZON
+            assert len(starts) == round(s.default_sim.t_end / dt)
 
     def test_goal_step_does_not_integrate(self, monkeypatch):
         calls = []
@@ -546,8 +558,8 @@ class TestStageTimeBlocks:
     def test_door_time_bases_per_block(self, x0, monkeypatch):
         # One time basis for the start check, one batched one per block of
         # steps, and one per kernel block of the rows' h and psi, never one
-        # per state: every stage hits the memo.  At record_stride 1 each
-        # step start is one row.
+        # per state: every stage hits the memo.  Each step start is one
+        # row.
         s = builtin("revolving-door")
         calls = count_time_bases(monkeypatch)
         rows = run(s, dataclasses.replace(s.default_sim, x0=x0)).times.size
@@ -560,16 +572,13 @@ class TestStageTimeBlocks:
 
 def row_value_runs():
     """(scenario, config, termination): two builtins whose runs mix
-    certified and full steps, the door at record_stride 7, an error run,
-    and a goal run whose steps are almost all certified."""
-    door = builtin("revolving-door")
-    stride = dataclasses.replace(door.default_sim, record_stride=7)
+    certified and full steps, an error run, and a goal run whose steps are
+    almost all certified."""
     return [
         pytest.param(builtin("l-shape"), None, Termination.GOAL,
                      id="l-shape"),
-        pytest.param(door, None, Termination.GOAL, id="revolving-door"),
-        pytest.param(door, stride, Termination.GOAL,
-                     id="revolving-door-stride-7"),
+        pytest.param(builtin("revolving-door"), None, Termination.GOAL,
+                     id="revolving-door"),
         pytest.param(closing_walls(0.5), None, Termination.ERROR,
                      id="closing-walls-error"),
         pytest.param(builtin("convex-corner"), None, Termination.GOAL,
@@ -654,39 +663,22 @@ class TestSimConfig:
             SimConfig(dt=0.1, t_end=0.05)
         with pytest.raises(ValueError):
             SimConfig(goal_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SimConfig(record_stride=0)
 
-    @pytest.mark.parametrize("stride", [2.5, 1.000001, 7.999])
-    def test_rejects_fractional_record_stride(self, stride):
-        with pytest.raises(ValueError, match="record_stride"):
-            SimConfig(record_stride=stride)
-
-    def test_integral_float_record_stride_accepted(self):
-        config = SimConfig(record_stride=2.0)
-        assert config.record_stride == 2
-        assert isinstance(config.record_stride, int)
-
-    @pytest.mark.parametrize("field", ["dt", "t_end", "goal_tolerance",
-                                       "record_stride"])
+    @pytest.mark.parametrize("field", ["dt", "t_end", "goal_tolerance"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=field):
             SimConfig(**{field: value})
 
-    @given(st.floats(), st.floats(), st.floats(),
-           st.one_of(st.integers(), st.floats()))
-    def test_rejected_or_finite(self, dt, t_end, goal_tolerance,
-                                record_stride):
+    @given(st.floats(), st.floats(), st.floats())
+    def test_rejected_or_finite(self, dt, t_end, goal_tolerance):
         try:
             config = SimConfig(dt=dt, t_end=t_end,
-                               goal_tolerance=goal_tolerance,
-                               record_stride=record_stride)
+                               goal_tolerance=goal_tolerance)
         except ValueError:
             return
         assert all(map(math.isfinite, (config.dt, config.t_end,
                                        config.goal_tolerance,
-                                       config.record_stride,
                                        config.t_end / config.dt)))
 
     @pytest.mark.parametrize("dt, t_end", [(0.01, 1e308), (1e-300, 1e10),
