@@ -10,7 +10,8 @@ one vectorised call per face position, in the order `reduceat` takes along
 one centre's row, so a row's bits depend on neither the batch nor the BLAS
 thread count.  In a moving world its centre-independent terms at t are
 the agent shape's fixed coefficients times the environment's time basis
-b(t), one matrix-vector product per new time.
+b(t), one matrix-vector product per new time; a batch's per-centre times
+cost one per distinct time.
 """
 
 from __future__ import annotations
@@ -266,10 +267,14 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     rates of normals and levels, is a fixed combination of the time basis
     b(t) (see `PolytopeEnvironment._motion_law`), so a new t costs one
     `matvec` of the shape's coefficients with b(t) and the support
-    log-sum-exp, and a batch of times costs one batched call of each.  The
-    coefficients come from `_shape_law`, which builds them once per shape.
-    The terms at t[i] of a batch equal the scalar call's at t[i]
-    bit for bit, so an entry's terms do not depend on how they were built.
+    log-sum-exp, and a batch of times costs one batched call of each.  A
+    1-D t costs one evaluation per distinct time, times being distinct when
+    their bits differ, whose terms are then gathered to the times' rows:
+    times may repeat, as an audit's probes of one state do, at no extra
+    cost.  The coefficients come from `_shape_law`, which builds them once
+    per shape.  The terms at t[i] of a batch equal the scalar call's at
+    t[i] bit for bit, so an entry's terms do not depend on how they were
+    built.
 
     Returns
     -------
@@ -280,9 +285,7 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
         softmin-weighted mean of ndot_i . dp_k minus cdot_i.  Without kappa
         the soft and rate-offset terms are None; in a static world both
         rate terms are.  One time's terms are C-contiguous, and so is each
-        time's slice of a batch's terms, which `_hold_times` keeps; a
-        batch's normals and normal rates are views into its (M, X)
-        product and keep it alive.
+        time's slice of a batch's terms, which `_hold_times` keeps.
     """
     static = env.is_static
     memo = static or not isinstance(t, np.ndarray)
@@ -295,9 +298,16 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
         raise ValueError(
             f"agent dimension {shape.dimension} != environment dimension "
             f"{env.dimension}")
+    inverse = None
     if static:
         row_terms = _row_terms(env, shape, env.frame(t))
     else:
+        if not memo and t.ndim == 1:  # t is a 1-D ndarray
+            # Each distinct time once, told apart by its bits, so 0.0 and
+            # -0.0 and NaNs of other payloads keep terms of their own.
+            keys, inverse = np.unique(
+                np.asarray(t, dtype=float).view(np.int64), return_inverse=True)
+            t = keys.view(float)
         law = _shape_law(env, shape)
         row_terms = _unstack(np.matvec(law[0], env._time_basis(t)), law[1])
     normals, levels, vertex_dots, normal_rates, level_rates = row_terms
@@ -314,6 +324,9 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
                             / vertex_sums - level_rates)
     hard_offsets = hard - levels
     terms = (normals, hard_offsets, soft_offsets, normal_rates, rate_offsets)
+    if inverse is not None:  # each row takes the terms of its time
+        terms = tuple(None if term is None else term.take(inverse, axis=0)
+                      for term in terms)
     if memo:
         env._memo = (shape, kappa, terms if static else {t: terms})
     return terms
@@ -535,14 +548,16 @@ def _evaluate_batch(env: PolytopeEnvironment, centers, terms,
     The products are the one-row call's `np.matvec`/`np.vecmat`, one
     matrix-vector product per centre, and every other operation is
     elementwise or a reduction that keeps a row's order of operations.
-    The two region reductions and both maxima run down face-major (R, M)
-    and (N_p, M) arrays, one vectorised call per face or region position
-    across all M centres: `_reduce_regions` folds each region's faces in
-    `reduceat`'s order and `_column_max` keeps `_row_max`'s ties.  The sum
-    over regions runs along each centre's row of an (M, N_p) array, as
-    `np.add.reduce` does for one centre, and the gradient's weights are
-    laid out (M, R) for `np.vecmat`.  So row i equals the one-row call bit
-    for bit, whatever M and the BLAS thread count.
+    The two region reductions, both maxima and the soft max's sum over
+    regions run down face-major (R, M) and (N_p, M) arrays, one vectorised
+    call per face or region position across all M centres:
+    `_reduce_regions` folds each region's faces in `reduceat`'s order,
+    `_column_max` keeps `_row_max`'s ties, and `_pairwise` folds the N_p
+    soft-max terms in the order `np.add.reduce` takes along one centre's
+    row, numpy's pairwise sum of all of them rather than `reduceat`'s
+    first term plus the rest.  Only the gradient's weights are laid out
+    (M, R), for `np.vecmat`.  So row i equals the one-row call bit for
+    bit, whatever M and the BLAS thread count.
     """
     normals, hard_offsets, soft_offsets, normal_rates, rate_offsets = terms
     groups, count, row_region = env._groups, env.num_regions, env._row_region
@@ -568,20 +583,16 @@ def _evaluate_batch(env: PolytopeEnvironment, centers, terms,
     np.subtract(mins, soft_mins, out=soft_mins)
     del mins
     top = _column_max(soft_mins)
-    # Laid out column-major, the difference is C-contiguous (M, N_p) once
-    # transposed, so outer_total sums each centre's row pairwise.
-    outer = np.subtract(soft_mins, top, order="F").T
-    del soft_mins
+    outer = np.subtract(soft_mins, top, out=soft_mins)       # (N_p, M)
     outer *= kappa
     np.exp(outer, out=outer)
-    outer_total = np.add.reduce(outer, axis=-1)              # >= 1
+    outer_total = _pairwise(np.add, list(outer))             # >= 1
     h = top + (np.log(outer_total) - params.buffer) / kappa
     if not derivatives:
         return h, None, None, psi
 
     # Region weight times within-region softmin weight, laid out (M, R).
-    region_weights = np.divide(outer.T, outer_total * region_sums,
-                               out=outer.T)                  # (N_p, M)
+    region_weights = np.divide(outer, outer_total * region_sums, out=outer)
     weights = np.multiply(shifted.T, region_weights.take(row_region, axis=0).T,
                           order="C")
     del shifted, region_sums, region_weights, outer
@@ -620,7 +631,10 @@ def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     carries its own face terms, R (2p + 2 + N_v) floats (the row width of
     `_shape_law`), so a block has _CHUNK // (2p + 2 + N_v) rows, at least
     one, and its per-time terms hold no more floats than _CHUNK rows of
-    face values.  A row's bits depend on neither block size.
+    face values.  The size still holds when the block's times repeat:
+    `_face_terms` evaluates R (2p + 2 + N_v) floats per distinct time, at
+    most one per row, and gathers R (2p + 3) per row, fewer since N_v >= 1.
+    A row's bits depend on neither block size.
 
     Returns
     -------

@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .barrier import (CbfParams, _fields, barrier_field, margin_field,
-                      provable_buffer)
+from .barrier import (CbfParams, _fields, _pairwise, barrier_field,
+                      margin_field, provable_buffer)
 from .geometry import AgentShape
 from .safety_filter import _project_rows
 
@@ -138,34 +138,36 @@ def gradient_audit(scenario, n_states: int = 1000,
     Covers the spatial gradient and, for time-varying environments, the
     time partial.  Errors are measured relative to the larger of the
     finite-difference magnitude and one (the scale of unit normals).
-    Passes at worst <= 1e-5.
+    Passes at worst <= 1e-5.  Two kernel calls, each in blocks of rows at
+    their own times: the derivatives at the n centres, then the values
+    alone at the probes, whose h has the bits it has with derivatives.
     """
     rng = np.random.default_rng(seed)
     env, shape, params = scenario.environment, scenario.agent, scenario.cbf
     dim, step = env.dimension, 1e-5
     centers, times = _draw_states(scenario, rng, n_states)
 
-    # Rows: the centres, one +/- probe pair per axis per state and, in a
-    # moving world, each centre at t + step and t - step, every row at its
-    # own time, through one kernel call per block of rows.
+    # The derivatives at the centres, then the probe rows' values alone: one
+    # +/- probe pair per axis per state and, in a moving world, each centre
+    # at t + step and t - step, every row at its own time.
+    _, grads, partials, _ = _fields(env, shape, centers, times, params,
+                                    derivatives=True)
     probes = np.repeat(centers, 2 * dim, axis=0)
     signs = np.tile([1.0, -1.0], dim * n_states)
     axes = np.tile(np.repeat(np.arange(dim), 2), n_states)
     probes[np.arange(probes.shape[0]), axes] += signs * step
-    points, point_times = [centers, probes], [times, np.repeat(times, 2 * dim)]
+    points, point_times = [probes], [np.repeat(times, 2 * dim)]
     if not env.is_static:
         points += [centers, centers]
         point_times += [times + step, times - step]
-    h, grads, partials, _ = _fields(env, shape, np.concatenate(points),
-                                    np.concatenate(point_times), params,
-                                    derivatives=True)
-    grads, partials = grads[:n_states], partials[:n_states]
-    h_probe = h[n_states:n_states + probes.shape[0]]
+    h = barrier_field(env, shape, np.concatenate(points),
+                      np.concatenate(point_times), params)[0]
+    h_probe = h[:probes.shape[0]]
     fd_grads = (h_probe[0::2] - h_probe[1::2]).reshape(n_states, dim) \
         / (2.0 * step)
     fd_partials = np.zeros(n_states)
     if not env.is_static:
-        h_plus, h_minus = h[n_states + probes.shape[0]:].reshape(2, n_states)
+        h_plus, h_minus = h[probes.shape[0]:].reshape(2, n_states)
         fd_partials = (h_plus - h_minus) / (2.0 * step)
 
     grad_errors = np.linalg.norm(grads - fd_grads, axis=1) \
@@ -186,6 +188,8 @@ def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
     a desired input.  r = grad(h) . u + dh/dt + gamma * h is recomputed at
     the returned input, scaled by the sum of its terms' magnitudes.  Passes
     when -r and, where the filter changed the input, |r| stay <= 1e-12.
+    Both sums run down the five term columns of a block of problems, each
+    problem's terms added in order, as `sum(axis=1)` adds a row of five.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -206,8 +210,9 @@ def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
             u_safe[rows, :dim] = _project_rows(
                 grads[rows, :dim], u_des[rows, :dim], partials[rows],
                 gains[rows] * values[rows], params)[0]
-        terms = np.column_stack((grads * u_safe, partials, gains * values))
-        r, scale = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+        terms = [*(grads * u_safe).T, partials, gains * values]
+        r = _pairwise(np.add, terms)
+        scale = _pairwise(np.add, [np.abs(term) for term in terms])
         changed = np.any(u_safe != u_des, axis=1)
         worst = np.max(np.where(changed, abs(r), -r) / scale, initial=worst)
     return AuditReport(name="qp-closed-form", parameters={"n": n},

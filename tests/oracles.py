@@ -10,7 +10,8 @@ and `qp_bruteforce` solves the filter's QP on a dense grid.
 forms of the batched audits: one filter call per problem, or one state per
 kernel call.  `rk4_reference` is the closed loop as plain numpy RK4 with
 four full stages and no idle certificate.  `kernel_blocks` writes out the
-rule by which `barrier._fields` sizes its kernel calls.
+rule by which `barrier._fields` sizes its kernel calls, and
+`kernel_block_times` the time-basis rows that each of them evaluates.
 """
 
 import math
@@ -219,6 +220,20 @@ def kernel_blocks(rows, env, shape, per_row=True):
     if per_row and not env.is_static:
         size = max(1, size // (2 * env.dimension + 2 + shape.num_vertices))
     return [min(size, rows - start) for start in range(0, rows, size)]
+
+
+def kernel_block_times(times, env, shape):
+    """The number of distinct times in each kernel block that
+    `barrier._fields` makes for one time per centre, `times`, in a moving
+    world: the rows of the time basis that the block's face terms take.
+    Times count as one when their bits are equal, so +0.0 and -0.0 are
+    two."""
+    bits = np.asarray(times, dtype=float).view(np.int64).tolist()
+    blocks, start = [], 0
+    for rows in kernel_blocks(len(bits), env, shape):
+        blocks.append(len(set(bits[start:start + rows])))
+        start += rows
+    return blocks
 
 
 def qp_audit_loop(n, seed, block=4096):

@@ -697,11 +697,29 @@ def many_faced_env():
     return PolytopeEnvironment(walls, regions)
 
 
+# Region count of `many_regions_env`: above 128 and not a multiple of 8.
+MANY_REGIONS = 137
+
+
+def many_regions_env():
+    """A static world of MANY_REGIONS single-face regions, half-planes
+    u_k . p <= r_k around the origin.  Its soft max over regions takes
+    every branch of numpy's pairwise order: the split above 128 rows and
+    the rows left over past a multiple of 8."""
+    walls = []
+    for k in range(MANY_REGIONS):
+        angle = 2.0 * np.pi * k / MANY_REGIONS
+        outward = np.array([np.cos(angle), np.sin(angle)])
+        walls.append(HalfSpace(-outward, (1.0 + 0.01 * k) * outward))
+    return PolytopeEnvironment(walls, [[k] for k in range(MANY_REGIONS)])
+
+
 def invariance_cases():
     """(name, env, shape, params, bounds) for every builtin plus a 3D
-    moving world with two axis rates, which no builtin has, and a static
-    world of regions with up to 130 faces, where no builtin has more than
-    two."""
+    moving world with two axis rates, which no builtin has, a static world
+    of regions with up to 130 faces, where no builtin has more than two,
+    and a static world of 137 regions, where no builtin has more than 32.
+    The moving 3D world comes last."""
     cases = []
     for name in BUILTIN_NAMES:
         s = builtin(name)
@@ -711,6 +729,10 @@ def invariance_cases():
     cases.append(("many-faced", many_faced_env(),
                   AgentShape(rng.uniform(-0.2, 0.2, size=(4, 2))),
                   CbfParams(kappa=4.0, buffer=math.log(len(MANY_FACES))),
+                  (np.full(2, -3.5), np.full(2, 3.5))))
+    cases.append(("many-regions", many_regions_env(),
+                  AgentShape(rng.uniform(-0.2, 0.2, size=(3, 2))),
+                  CbfParams(kappa=4.0, buffer=math.log(MANY_REGIONS)),
                   (np.full(2, -3.5), np.full(2, 3.5))))
     rng = np.random.default_rng(83)
     cases.append(("moving-3d", random_moving_env(rng, 3),
@@ -1077,6 +1099,77 @@ class TestBatchOfOne:
                                [want[3]])
             if np.ndim(t) and not env.is_static:
                 assert env._memo is entry
+
+
+def repeated_times(rng):
+    """Per-row times that repeat: adjacent runs as `np.repeat` makes them,
+    scattered repeats, one time shared by every row, and +0.0, -0.0 and NaN
+    among repeated times."""
+    base = rng.uniform(0.0, 20.0, 6)
+    return {"adjacent": np.repeat(base, [5, 1, 3, 7, 2, 4]),
+            "scattered": rng.choice(base, size=22),
+            "shared": np.full(9, base[0]),
+            "zeros-nan": np.array([0.0, -0.0, base[1], -0.0, np.nan, 0.0,
+                                   base[1], np.nan, -0.0])}
+
+
+@pytest.mark.bits
+class TestRepeatedTimes:
+    """A moving world evaluates a batch's face terms once per distinct time,
+    times being distinct when their bits differ, and hands each row the
+    terms of its own; every row still equals the one-row call at its time
+    bit for bit, -0.0 apart from +0.0."""
+
+    @pytest.mark.parametrize("kind", ["adjacent", "scattered", "shared",
+                                      "zeros-nan"])
+    @pytest.mark.parametrize("name", [*MOVING_WORLDS, "moving-3d"])
+    def test_rows_equal_one_row_calls(self, name, kind, monkeypatch):
+        if name == "moving-3d":
+            _, env, shape, params, bounds = invariance_cases()[-1]
+        else:
+            s = MOVING_WORLDS[name]()
+            env, shape, params = s.environment, s.agent, s.cbf
+            bounds = scenario_bounds(s)
+        rng = np.random.default_rng(43)
+        times = repeated_times(rng)[kind]
+        centers = rng.uniform(*bounds, size=(len(times), env.dimension))
+        pristine = copy.deepcopy(env)
+
+        def one_row(fn, *args):
+            # A fresh env each call: its memo would serve -0.0 from +0.0.
+            return fn(copy.deepcopy(pristine), shape, *args)
+
+        face_terms = polycbf.barrier._face_terms
+        for kappa in (params.kappa, None):
+            batch = face_terms(env, shape, times, kappa)
+            for i, t in enumerate(times.tolist()):
+                for got, want in zip(batch, one_row(face_terms, t, kappa)):
+                    if want is None:
+                        assert got is None
+                    else:
+                        assert_bits_or_nan(got[i], want)
+        basis_rows = []
+        time_basis = PolytopeEnvironment._time_basis
+
+        def counted(on, t):
+            basis_rows.append(np.size(t))
+            return time_basis(on, t)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PolytopeEnvironment, "_time_basis", counted)
+            fields = polycbf.barrier._fields(env, shape, centers, times,
+                                             params, derivatives=True)
+        assert basis_rows == oracles.kernel_block_times(times, env, shape)
+        h, margin = barrier_field(env, shape, centers, times, params)
+        psi = margin_field(env, shape, centers, times)
+        evaluate = polycbf.barrier._evaluate
+        for i, (c, t) in enumerate(zip(centers, times.tolist())):
+            want = one_row(evaluate, c, t, params, True)
+            for got, w in zip(fields, want):
+                assert_bits_or_nan(got[i], w)
+            assert_bits_or_nan(h[i], want[0])
+            assert_bits_or_nan(margin[i], want[3])
+            assert_bits_or_nan(psi[i], one_row(evaluate, c, t)[3])
 
 
 STATIC_NAMES = [name for name in BUILTIN_NAMES

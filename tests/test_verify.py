@@ -134,7 +134,8 @@ class TestHullContainment:
 @pytest.mark.parametrize("audit", [gradient_audit, hull_containment_audit])
 def test_door_frames_do_not_grow_with_states(monkeypatch, audit):
     # Per-row times put every state of a kernel block into one time basis,
-    # so the audit evaluates one per kernel block, never one per state.
+    # one row per distinct time of the block, so the audit evaluates one
+    # basis per kernel block, never one per state.
     calls = []
     time_basis = PolytopeEnvironment._time_basis
 
@@ -144,15 +145,27 @@ def test_door_frames_do_not_grow_with_states(monkeypatch, audit):
 
     monkeypatch.setattr(PolytopeEnvironment, "_time_basis", counted)
     s = builtin("revolving-door")
-    env, point = s.environment, AgentShape.point(2)
+    env, point, step = s.environment, AgentShape.point(2), 1e-5
     for n_states in (20, 150):
         calls.clear()
         audit(s, n_states=n_states, seed=3)
-        if audit is gradient_audit:  # centre, 4 probes, t +/- step
-            blocks = oracles.kernel_blocks(7 * n_states, env, s.agent)
+        times = polycbf.verify._draw_states(s, np.random.default_rng(3),
+                                            n_states)[1]
+        if audit is gradient_audit:
+            # The centres, then 4 probes per state and t +/- step.
+            probes = np.concatenate((np.repeat(times, 4), times + step,
+                                     times - step))
+            blocks = (oracles.kernel_block_times(times, env, s.agent)
+                      + oracles.kernel_block_times(probes, env, s.agent))
         else:  # 20 hull points per state, then the agent at each state
-            blocks = (oracles.kernel_blocks(20 * n_states, env, point)
-                      + oracles.kernel_blocks(n_states, env, s.agent))
+            blocks = (oracles.kernel_block_times(np.repeat(times, 20), env,
+                                                 point)
+                      + oracles.kernel_block_times(times, env, s.agent))
+            # A block of point rows takes one basis row per state in it.
+            ends = np.cumsum(oracles.kernel_blocks(20 * n_states, env, point))
+            states = [(end - 1) // 20 - start // 20 + 1
+                      for start, end in zip([0, *ends[:-1]], ends)]
+            assert calls[:len(states)] == states
         assert calls == blocks
         assert len(calls) < n_states
 
