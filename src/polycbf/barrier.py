@@ -340,15 +340,15 @@ def _hold_times(env: PolytopeEnvironment, shape: AgentShape, times,
 
     A caller that knows the times of its next scalar calls, such as the
     RK4 stages of a block of steps, hands them here, and each of those
-    calls then hits the memo with terms equal to its own miss's.
+    calls then hits the memo with terms equal to its own miss's.  Times
+    may repeat: `_face_terms` evaluates each distinct time once.
     """
     if env.is_static:
         return
-    keys = list(dict.fromkeys(times.tolist()))  # each distinct time once
     # One view per time into each batched term, C-contiguous like a miss's.
     columns = [repeat(None) if term is None else list(term)
-               for term in _face_terms(env, shape, np.array(keys), kappa)]
-    env._memo = (shape, kappa, dict(zip(keys, zip(*columns))))
+               for term in _face_terms(env, shape, times, kappa)]
+    env._memo = (shape, kappa, dict(zip(times.tolist(), zip(*columns))))
 
 
 def _row_max(values, screen: bool = True):
@@ -370,12 +370,14 @@ def _row_max(values, screen: bool = True):
 
 def _column_max(values):
     """Max down axis 0 of (N, M) values, shape (M,), with `_row_max`'s
-    ties and NaN for M > 1.
+    NaN and, for M > 1, its ties.
 
     Down a C-contiguous array numpy vectorises across the M columns, and
     its column maximum keeps the last tied entry.  Numpy reduces a single
     column, shape (N, 1), as a 1-D array, which may keep the other zero of
-    a tie; a batch of one takes the one-row code instead (`_evaluate`).
+    a +0.0/-0.0 tie.  The kernel's maxima never meet one: `np.matvec` sums
+    from +0.0, so no face value, region minimum or soft minimum is -0.0,
+    and a batch of one takes this code like any other.
     """
     return np.maximum.reduce(values, axis=0)
 
@@ -457,11 +459,11 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     shifted by its group's exact minimum (or soft maximum), so no exponent
     exceeds ln N_v.
 
-    One centre goes to `_evaluate_row`, and so does a batch of one, which
-    costs less there; its per-row time stays an ndarray, so like any batch
-    of times it neither reads nor replaces the memo.  A larger batch goes
-    to `_evaluate_batch`, whose row i equals the one-row call bit for bit,
-    whatever M and the BLAS thread count.
+    The centres' rank alone picks the code: one centre, shape (p,), goes to
+    `_evaluate_row`, and a batch, shape (M, p), to `_evaluate_batch`, M = 1
+    included, whose row i equals the one-row call bit for bit, whatever M
+    and the BLAS thread count.  A per-row time is an ndarray for any M, so
+    it neither reads nor replaces the memo.
 
     Parameters
     ----------
@@ -480,16 +482,10 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
         the quantities not asked for are None.
     """
     kappa = None if params is None else params.kappa
-    batch_of_one = centers.shape[:-1] == (1,)
-    if batch_of_one and isinstance(t, np.ndarray):
-        t = np.reshape(t, ())
     terms = _face_terms(env, shape, t, kappa)
     if centers.ndim == 1:
         return _evaluate_row(env, centers, terms, params, derivatives)
-    if not batch_of_one:
-        return _evaluate_batch(env, centers, terms, params, derivatives)
-    row = _evaluate_row(env, centers[0], terms, params, derivatives)
-    return tuple(None if v is None else np.asarray(v)[None] for v in row)
+    return _evaluate_batch(env, centers, terms, params, derivatives)
 
 
 def _evaluate_row(env: PolytopeEnvironment, center, terms,

@@ -996,7 +996,8 @@ def one_row_edge_cases():
     float maxima and tail: NaN centres, centres with an infinite entry, and
     tied minima.  At (0.5, inf) in the tied world the minima are NaN
     (0.5 + 0 * inf) and inf, so Python's max of the reversed list alone
-    would give inf."""
+    would give inf.  At the tied world's corner, with either zero in
+    either entry, both minima are +0.0: `np.matvec` sums from +0.0."""
     nan, inf = math.nan, math.inf
     return [("convex-corner", (nan, 1.0), nan),
             ("convex-corner", (inf, 1.0), None),
@@ -1005,15 +1006,19 @@ def one_row_edge_cases():
             ("revolving-door", (0.5, -inf), None),
             ("pyramid", (0.1, inf, 0.2), None), ("tied", (0.5, inf), nan),
             ("tied", (inf, 0.5), nan), ("tied", (0.7, 0.7), 0.7),
-            ("tied", (-0.3, -0.3), -0.3)]
+            ("tied", (-0.3, -0.3), -0.3), ("tied", (0.0, 0.0), 0.0),
+            ("tied", (-0.0, 0.0), 0.0), ("tied", (0.0, -0.0), 0.0),
+            ("tied", (-0.0, -0.0), 0.0)]
 
 
 @pytest.mark.bits
 class TestOneRowEdges:
     """The one-row kernel takes its two maxima and the tail of h in Python
     floats; at the edges of that code it still equals a batch row bit for
-    bit, with NaN in the same places.  The edge centre is row 1 of three,
-    so the batch takes numpy's column maximum."""
+    bit, with NaN in the same places.  The edge centre is a batch of one,
+    whose column maximum numpy takes as a 1-D reduce, and row 1 of three,
+    whose column maximum numpy vectorises; a zero psi is +0.0 in all three
+    forms."""
 
     @staticmethod
     def world(name):
@@ -1037,15 +1042,21 @@ class TestOneRowEdges:
                                    (None, False)):
                 one = polycbf.barrier._evaluate(env, shape, centre, 0.37, p,
                                                 derivatives)
+                alone = polycbf.barrier._evaluate(env, shape, centre[None],
+                                                  0.37, p, derivatives)
                 batch = polycbf.barrier._evaluate(env, shape, rows, 0.37, p,
                                                   derivatives)
-                for got, want in zip(one, batch):
+                for got, single, want in zip(one, alone, batch):
                     if want is None:
-                        assert got is None
+                        assert got is None and single is None
                     else:
                         assert_bits_or_nan(got, want[1])
+                        assert_bits_or_nan(single, want[1:2])
                 if psi is not None:
                     assert_bits_or_nan(one[3], psi)
+                if psi == 0.0:  # +0.0 in all three forms
+                    zeros = [one[3], alone[3][0], batch[3][1]]
+                    assert not np.signbit(zeros).any()
 
     def test_row_max_ties_and_nan(self):
         # No centre gives a region minimum of -0.0, since the kernel's
@@ -1069,21 +1080,16 @@ class TestOneRowEdges:
 
 @pytest.mark.bits
 class TestBatchOfOne:
-    """A batch of one centre takes the one-row code, so every field equals
-    the one-row call bit for bit; a per-row time, like any batch of times,
-    neither reads nor replaces the memo."""
+    """A batch of one centre takes the batch code like any batch, and every
+    field equals the one-row call bit for bit; a per-row time, like any
+    batch of times, neither reads nor replaces the memo."""
 
     @pytest.mark.parametrize("name", dict.fromkeys([*BUILTIN_NAMES,
                                                     *MOVING_WORLDS]))
-    def test_fields_equal_one_row_call(self, name, monkeypatch):
+    def test_fields_equal_one_row_call(self, name):
         s = MOVING_WORLDS[name]() if name in MOVING_WORLDS else builtin(name)
         env, shape, params = s.environment, s.agent, s.cbf
         centers = s.default_sim.x0[None]
-
-        def no_batch(*args):
-            raise AssertionError("a batch of one took the batch code")
-
-        monkeypatch.setattr(polycbf.barrier, "_evaluate_batch", no_batch)
         for t in (1.3, np.array([1.3])):
             want = polycbf.barrier._evaluate(env, shape, centers[0], 1.3,
                                              params, derivatives=True)

@@ -5,6 +5,7 @@ import pytest
 
 import polycbf.cli
 import polycbf.verify
+from polycbf.barrier import margin_agent, smooth_barrier
 from polycbf.cli import main
 from polycbf.scenarios import BUILTIN_NAMES, builtin, save
 from polycbf.verify import SUITES
@@ -214,6 +215,20 @@ class TestFieldCommand:
         assert main(["field", "revolving-door", "--resolution", "20",
                      "--time", "5.0", "--out", str(b)]) == 0
         assert a.read_text() != b.read_text()
+
+    def test_resolution_one_is_the_one_row_call(self, tmp_path, capsys):
+        # A one-point grid makes `barrier_field` a batch of one.
+        out = tmp_path / "f.csv"
+        assert main(["field", "revolving-door", "--resolution", "1",
+                     "--time", "1.3", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == "x,y,psi,h" and len(rows) == 1
+        x, y, psi, h = rows[0].split(",")
+        s = builtin("revolving-door")
+        env, agent, point = s.environment, s.agent, [float(x), float(y)]
+        barrier = smooth_barrier(env, agent, point, 1.3, s.cbf)
+        assert psi == f"{margin_agent(env, agent, point, 1.3):.17g}"
+        assert h == f"{barrier.value:.17g}"
 
     def test_under_approximation_visible_in_field(self, tmp_path, capsys):
         # with the provable buffer b = ln(N_p), psi >= h on every grid row

@@ -572,8 +572,10 @@ class TestStageTimeBlocks:
 
 def row_value_runs():
     """(scenario, config, termination): two builtins whose runs mix
-    certified and full steps, an error run, and a goal run whose steps are
-    almost all certified."""
+    certified and full steps, an error run, a goal run whose steps are
+    almost all certified, and a run that starts at its goal, whose one row
+    makes the after-loop `barrier_field` call a batch of one."""
+    door = builtin("revolving-door")
     return [
         pytest.param(builtin("l-shape"), None, Termination.GOAL,
                      id="l-shape"),
@@ -583,6 +585,9 @@ def row_value_runs():
                      id="closing-walls-error"),
         pytest.param(builtin("convex-corner"), None, Termination.GOAL,
                      id="convex-corner-goal"),
+        pytest.param(door, dataclasses.replace(door.default_sim,
+                                               x0=door.controller.goal),
+                     Termination.GOAL, id="revolving-door-at-goal"),
     ]
 
 
