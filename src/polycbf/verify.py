@@ -55,6 +55,12 @@ class AuditReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _require_count(name: str, value: int) -> None:
+    """An audit that draws nothing would pass on no evidence."""
+    if not value >= 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _draw_states(scenario, rng: np.random.Generator, n: int):
     """n agent centres uniform in `scenario_bounds` and then, in a moving
     world only, n times uniform in [0, t_end]; a static world's times are
@@ -80,7 +86,10 @@ def hull_containment_audit(scenario, n_states: int = 500,
     taken: all centres, then all times (moving worlds only), then all
     weights.  Every point margin is taken in one `margin_field` call and
     every agent margin in another, each row at its own state's time.
+    n_states and n_weights must be at least 1.
     """
+    _require_count("n_states", n_states)
+    _require_count("n_weights", n_weights)
     rng = np.random.default_rng(seed)
     env, shape = scenario.environment, scenario.agent
     centers, times = _draw_states(scenario, rng, n_states)
@@ -107,7 +116,7 @@ def under_approximation_audit(scenario, params: CbfParams | None = None,
                               resolution: int | None = None) -> AuditReport:
     """Worst value of h - margin at t = 0 over a grid of agent centers
     spanning the scenario's bounding box, 200 points per axis in 2D and 50
-    in 3D unless resolution says otherwise.
+    in 3D unless resolution, at least 1, says otherwise.
 
     Nonpositive means the smooth barrier under-approximates the exact
     margin on the grid; guaranteed when buffer >= log(num regions), the
@@ -119,6 +128,7 @@ def under_approximation_audit(scenario, params: CbfParams | None = None,
         params = replace(scenario.cbf, buffer=provable_buffer(env))
     if resolution is None:
         resolution = 50 if env.dimension == 3 else 200
+    _require_count("resolution", resolution)
     grid = grid_points(*scenario_bounds(scenario), resolution)
     h, margin = barrier_field(env, scenario.agent, grid, 0.0, params)
     worst = float(np.max(h - margin))
@@ -141,7 +151,9 @@ def gradient_audit(scenario, n_states: int = 1000,
     Passes at worst <= 1e-5.  Two kernel calls, each in blocks of rows at
     their own times: the derivatives at the n centres, then the values
     alone at the probes, whose h has the bits it has with derivatives.
+    n_states must be at least 1.
     """
+    _require_count("n_states", n_states)
     rng = np.random.default_rng(seed)
     env, shape, params = scenario.environment, scenario.agent, scenario.cbf
     dim, step = env.dimension, 1e-5
@@ -182,7 +194,7 @@ def gradient_audit(scenario, n_states: int = 1000,
 
 
 def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
-    """KKT residuals of the closed-form filter on n random problems.
+    """KKT residuals of the closed-form filter on n random problems, n >= 1.
 
     Each problem draws a dimension, a barrier evaluation, a class-K gain and
     a desired input.  r = grad(h) . u + dh/dt + gamma * h is recomputed at
@@ -190,30 +202,41 @@ def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
     when -r and, where the filter changed the input, |r| stay <= 1e-12.
     Both sums run down the five term columns of a block of problems, each
     problem's terms added in order, as `sum(axis=1)` adds a row of five.
+
+    Each block is drawn in problem order and then put in dimension order,
+    stably, its planar problems first, so that each dimension's problems
+    are one contiguous slice of the block to filter and no boolean mask
+    gathers or scatters them.  worst is a maximum over problems, which
+    their order cannot change.
     """
+    _require_count("n", n)
     rng = np.random.default_rng(seed)
     worst = 0.0
+    # gamma * h is one rounded product either way, and the filter's
+    # 1.0 * (gamma h) keeps it exact, so each row sees the residual of its
+    # own one-problem call.
+    params = CbfParams(kappa=5.0, alpha_gain=1.0)
     for start in range(0, n, _QP_BLOCK):
         size = min(_QP_BLOCK, n - start)
         dims = 2 + rng.integers(2, size=size)
         values, partials = rng.normal(size=(2, size))
         grads, u_des = rng.normal(size=(2, size, 3))
-        grads[np.arange(3) >= dims[:, None]] = 0.0  # unused axis of 2D rows
         gains = rng.uniform(0.5, 4.0, size=size)
+        order = np.argsort(dims, kind="stable")
+        planar = np.count_nonzero(dims == 2)
+        partials, alphas = partials.take(order), (gains * values).take(order)
+        grads, u_des = grads.take(order, axis=0), u_des.take(order, axis=0)
+        grads[:planar, 2] = 0.0  # unused axis of the planar problems
         u_safe = u_des.copy()
-        # gamma * h is one rounded product either way, and the filter's
-        # 1.0 * (gamma h) keeps it exact, so each row sees the residual of
-        # its own one-problem call.
-        params = CbfParams(kappa=5.0, alpha_gain=1.0)
-        for dim in (2, 3):
-            rows = dims == dim
+        for rows, dim in ((slice(planar), 2), (slice(planar, size), 3)):
             u_safe[rows, :dim] = _project_rows(
                 grads[rows, :dim], u_des[rows, :dim], partials[rows],
-                gains[rows] * values[rows], params)[0]
-        terms = [*(grads * u_safe).T, partials, gains * values]
+                alphas[rows], params)[0]
+        terms = [*(grads * u_safe).T, partials, alphas]
         r = _pairwise(np.add, terms)
         scale = _pairwise(np.add, [np.abs(term) for term in terms])
-        changed = np.any(u_safe != u_des, axis=1)
+        moved = (u_safe != u_des).T  # its columns ORed: np.any(axis=1)
+        changed = moved[0] | moved[1] | moved[2]
         worst = np.max(np.where(changed, abs(r), -r) / scale, initial=worst)
     return AuditReport(name="qp-closed-form", parameters={"n": n},
                        worst=float(worst), passed=bool(worst <= 1e-12),

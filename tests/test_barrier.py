@@ -24,7 +24,7 @@ from polycbf.scenarios import BUILTIN_NAMES, builtin, load
 from polycbf.verify import hull_containment_audit, scenario_bounds
 
 import oracles
-from worlds import MOVING_WORLDS
+from worlds import MOVING_WORLDS, POLYGON_DOORS
 
 
 def box_env(width=4.0):
@@ -1124,16 +1124,21 @@ class TestRepeatedTimes:
     """A moving world evaluates a batch's face terms once per distinct time,
     times being distinct when their bits differ, and hands each row the
     terms of its own; every row still equals the one-row call at its time
-    bit for bit, -0.0 apart from +0.0."""
+    bit for bit, -0.0 apart from +0.0.  The agents have 1 to 8 vertices,
+    and the polygon doors 9 and 137, so a batch's fold of the vertex axis
+    runs every branch of numpy's pairwise order."""
+
+    worlds = {**MOVING_WORLDS, **POLYGON_DOORS}
 
     @pytest.mark.parametrize("kind", ["adjacent", "scattered", "shared",
                                       "zeros-nan"])
-    @pytest.mark.parametrize("name", [*MOVING_WORLDS, "moving-3d"])
+    @pytest.mark.parametrize("name", [*MOVING_WORLDS, "moving-3d",
+                                      *POLYGON_DOORS])
     def test_rows_equal_one_row_calls(self, name, kind, monkeypatch):
         if name == "moving-3d":
             _, env, shape, params, bounds = invariance_cases()[-1]
         else:
-            s = MOVING_WORLDS[name]()
+            s = self.worlds[name]()
             env, shape, params = s.environment, s.agent, s.cbf
             bounds = scenario_bounds(s)
         rng = np.random.default_rng(43)

@@ -272,13 +272,31 @@ class TestRandomizedAudits:
         assert not report.worst <= 1e-3
 
     @pytest.mark.bits
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_qp_closed_form_matches_loop_oracle(self, seed):
-        # Two `_project_rows` calls per block, np.vecdot on the rows,
-        # against one one-row `safe_velocity` call, ndarray.dot, per
-        # problem.
-        assert qp_closed_form_audit(5000, seed).worst == \
-            oracles.qp_audit_loop(5000, seed)
+    @pytest.mark.parametrize("n, seed", [
+        *(pytest.param(5000, seed, id=str(seed)) for seed in range(4)),
+        *(pytest.param(n, seed, id=f"n{n}-{seed}")
+          for n in (1, 2, 4097) for seed in range(4))])
+    def test_qp_closed_form_matches_loop_oracle(self, n, seed):
+        # Two `_project_rows` calls per block, np.vecdot on the rows of its
+        # planar and its spatial slice, against one one-row `safe_velocity`
+        # call, ndarray.dot, per problem.  A block of one problem leaves
+        # one slice empty; 4097 problems end on such a block.
+        assert qp_closed_form_audit(n, seed).worst == \
+            oracles.qp_audit_loop(n, seed)
+
+    @pytest.mark.parametrize("audit, kwargs, name", [
+        (qp_closed_form_audit, {"n": 0}, "n"),
+        (qp_closed_form_audit, {"n": -5}, "n"),
+        (gradient_audit, {"n_states": 0}, "n_states"),
+        (hull_containment_audit, {"n_states": 0}, "n_states"),
+        (hull_containment_audit, {"n_weights": 0}, "n_weights"),
+        (under_approximation_audit, {"resolution": 0}, "resolution"),
+    ])
+    def test_audit_that_samples_nothing_raises(self, audit, kwargs, name):
+        # An empty sample would pass on no evidence.
+        args = () if audit is qp_closed_form_audit else (builtin("l-shape"),)
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1"):
+            audit(*args, **kwargs)
 
     def test_under_approximation_defaults(self):
         s = builtin("l-shape")

@@ -4,6 +4,9 @@ RK4 stages, and frozen ones, for the tests that compare a moving world with
 its pose at t = 0."""
 
 import dataclasses
+from functools import partial
+
+import numpy as np
 
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
@@ -63,6 +66,19 @@ def mixed_world():
     return dataclasses.replace(builtin("crossroad"), name="mixed-world",
                                environment=env, agent=AgentShape.point(2))
 
+
+def polygon_door(n):
+    """The revolving door with a regular n-gon agent of the hexagon's
+    circumradius 0.5 in place of the hexagon."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    agent = AgentShape(0.5 * np.column_stack([np.cos(angles), np.sin(angles)]))
+    return dataclasses.replace(builtin("revolving-door"),
+                               name=f"door-{n}-gon", agent=agent)
+
+
+# Agents of 9 and 137 vertices: a fold of the vertex axis in numpy's pairwise
+# order then has a row left over past a multiple of 8, and splits above 128.
+POLYGON_DOORS = {f"door-{n}-gon": partial(polygon_door, n) for n in (9, 137)}
 
 MOVING_WORLDS = {
     "revolving-door": lambda: builtin("revolving-door"),
