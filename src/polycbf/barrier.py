@@ -5,13 +5,15 @@ min over faces and agent vertices) and their differentiable log-sum-exp
 counterpart with analytic gradient and time partial.  Both come from one
 kernel, `_evaluate`, which is stabilized so that exponents of magnitude up
 to ~1e4 cannot overflow.  It takes one centre or a batch, at one time or at
-one time per centre.  A batch reduces its regions down face-major arrays,
-one vectorised call per face position, in the order `reduceat` takes along
-one centre's row, so a row's bits depend on neither the batch nor the BLAS
-thread count.  In a moving world its centre-independent terms at t are
-the agent shape's fixed coefficients times the environment's time basis
-b(t), one matrix-vector product per new time; a batch's per-centre times
-cost one per distinct time.
+one time per centre.  One centre takes its matrix-vector products with
+`ndarray.dot` and a batch with one `np.matvec`/`np.vecmat` per centre;
+both reach the same BLAS product and round alike.  A batch reduces its
+regions down face-major arrays, one vectorised call per face position, in
+the order `reduceat` takes along one centre's row, so a row's bits depend
+on neither the batch nor the BLAS thread count.  In a moving world its
+centre-independent terms at t are the agent shape's fixed coefficients
+times the environment's time basis b(t), one matrix-vector product per new
+time; a batch's per-centre times cost one per distinct time.
 """
 
 from __future__ import annotations
@@ -511,12 +513,13 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
 def _evaluate_row(env: PolytopeEnvironment, center, terms,
                   params: CbfParams | None, derivatives: bool):
     """`_evaluate` at one centre, shape (p,), from the face terms at its
-    time: its terms lie along one row, reduced by `reduceat` per region
-    and by Python's max (`_row_max`)."""
+    time: its terms lie along one row, its products are `ndarray.dot`,
+    which costs less to call than `np.matvec`/`np.vecmat`, and it reduces
+    by `reduceat` per region and by Python's max (`_row_max`)."""
     normals, hard_offsets, soft_offsets, normal_rates, rate_offsets = terms
     segments, row_region = env._segments, env._row_region
     # Per region row, shape (R,); regions are segments of it.
-    spatial = np.matvec(normals, center)
+    spatial = normals.dot(center)
     mins = np.minimum.reduceat(spatial + hard_offsets, segments)
     if params is None:
         return None, None, None, _row_max(mins)
@@ -548,10 +551,10 @@ def _evaluate_row(env: PolytopeEnvironment, center, terms,
     # so the gradient is a convex combination of face normals.
     region_weights = outer / (outer_total * region_sums)
     weights = shifted * region_weights.take(row_region)
-    gradient = np.vecmat(weights, normals)
+    gradient = weights.dot(normals)
     if normal_rates is None:                                 # dh/dt = 0
         return h, gradient, h * 0.0, psi
-    rates = np.matvec(normal_rates, center) + rate_offsets
+    rates = normal_rates.dot(center) + rate_offsets
     time_partial = np.add.reduce(weights * rates)
     return h, gradient, time_partial, psi
 
@@ -561,9 +564,10 @@ def _evaluate_batch(env: PolytopeEnvironment, centers, terms,
     """`_evaluate` over a batch of centres, shape (M, p), from the face
     terms at their time or times.
 
-    The products are the one-row call's `np.matvec`/`np.vecmat`, one
-    matrix-vector product per centre, and every other operation is
-    elementwise or a reduction that keeps a row's order of operations.
+    The products are `np.matvec`/`np.vecmat`, one matrix-vector product
+    per centre, which round like the one-row call's `ndarray.dot`, and
+    every other operation is elementwise or a reduction that keeps a row's
+    order of operations.
     The two region reductions, both maxima and the soft max's sum over
     regions run down face-major (R, M) and (N_p, M) arrays, one vectorised
     call per face or region position across all M centres:

@@ -95,12 +95,13 @@ class DesiredController:
         # fused or not, within a few ulps of its square, so a hypot below
         # u_max (1 - 1e-12) proves speed <= u_max.  The bounds on u_max
         # keep the dot's square normal and finite; NaN fails the test.
-        if (math.hypot(*u) < self.u_max * (1.0 - 1e-12)
-                and 1e-140 < self.u_max < 1e150):
+        hypot = math.hypot(*u)
+        if hypot < self.u_max * (1.0 - 1e-12) and 1e-140 < self.u_max < 1e150:
             return u
         row = np.array(u)
-        # Small entries cannot overflow, and ndarray.dot warns if they do.
-        speed = math.sqrt(row.dot(row) if max(map(abs, u)) < _HUGE
+        # A hypot below _HUGE bounds every entry, whose squares then cannot
+        # overflow; ndarray.dot warns if they do.
+        speed = math.sqrt(row.dot(row) if hypot < _HUGE
                           else _squared_norms(row))
         if speed <= self.u_max:
             return u

@@ -23,8 +23,9 @@ from enum import Enum
 
 import numpy as np
 
-from .barrier import (BarrierEvaluation, _hold_times, barrier_field,
-                      curvature_bounds, gradient_bounds, smooth_barrier)
+from .barrier import (BarrierEvaluation, _evaluate, _hold_times,
+                      barrier_field, curvature_bounds, gradient_bounds,
+                      smooth_barrier)
 from .geometry import _as_point, _eq_by, _require_positive
 from .safety_filter import DegenerateGradientError, _project
 
@@ -188,16 +189,20 @@ def _stage(scenario, point: list, t: float, certificate):
     certificate), the point and inputs lists of floats.  A certified stage
     takes u_des, which its filter would return unchanged, without a barrier
     call; otherwise an inactive filter anchors a new certificate at the
-    stage and an active one drops it.  The filter is `_project`, which
+    stage and an active one drops it.  The barrier is the kernel entry
+    `_evaluate`, which `smooth_barrier` wraps, and only an anchoring stage
+    builds its `BarrierEvaluation`.  The filter is `_project`, which
     `safe_velocity` wraps, on the list u_des."""
     u_des = scenario.controller._law(point)
     if certificate is not None and certificate(point, t, u_des):
         return u_des, u_des, False, certificate
-    evaluation = smooth_barrier(scenario.environment, scenario.agent,
-                                np.array(point), t, scenario.cbf)
-    u_safe = _project(evaluation.gradient, u_des, evaluation.time_partial,
-                      evaluation.value, scenario.cbf)
+    h, gradient, time_partial, psi = _evaluate(
+        scenario.environment, scenario.agent, np.array(point), t,
+        scenario.cbf, derivatives=True)
+    h, time_partial = float(h), float(time_partial)
+    u_safe = _project(gradient, u_des, time_partial, h, scenario.cbf)
     if u_safe is u_des:
+        evaluation = BarrierEvaluation(h, gradient, time_partial, float(psi))
         return (u_des, u_des, False,
                 _idle_certificate(evaluation, point, t, scenario))
     return u_des, u_safe, True, None

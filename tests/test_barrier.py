@@ -1012,6 +1012,26 @@ def one_row_edge_cases():
 
 
 @pytest.mark.bits
+@pytest.mark.parametrize("rows", [*range(1, 10), 12, 16, 17, 32, 33, 137])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_row_products_equal_gufuncs(rows, dim):
+    # The one-row kernel takes its products with ndarray.dot and a batch
+    # with np.matvec/np.vecmat; both must round alike, so that a batch row
+    # equals the one-row call bit for bit.  Entries have magnitudes from
+    # 1e-2 to 1e2 and either sign.
+    rng = np.random.default_rng(rows * 10 + dim)
+
+    def draw(*shape):
+        return (rng.choice([-1.0, 1.0], size=shape)
+                * 10.0 ** rng.uniform(-2.0, 2.0, size=shape))
+
+    for _ in range(20):
+        a, c, w = draw(rows, dim), draw(dim), draw(rows)
+        assert a.dot(c).tobytes() == np.matvec(a, c).tobytes()
+        assert w.dot(a).tobytes() == np.vecmat(w, a).tobytes()
+
+
+@pytest.mark.bits
 class TestOneRowEdges:
     """The one-row kernel takes its two maxima and the tail of h in Python
     floats; at the edges of that code it still equals a batch row bit for

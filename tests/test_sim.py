@@ -9,8 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import polycbf.sim
-from polycbf.barrier import (BarrierEvaluation, CbfParams, margin_agent,
-                             smooth_barrier)
+from polycbf.barrier import CbfParams, margin_agent, smooth_barrier
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
 from polycbf.safety_filter import DesiredController, safe_velocity
@@ -237,12 +236,14 @@ class TestRun:
         # certificate would skip every evaluation after the first, so the
         # run takes full stages to reach the NaN.
         refuse_always(monkeypatch)
+        evaluate = polycbf.sim._evaluate
 
-        def nan_late(env, shape, x, t, params):
-            ev = smooth_barrier(env, shape, x, t, params)
-            return dataclasses.replace(ev, value=math.nan) if t >= 0.5 else ev
+        def nan_late(env, shape, x, t, params, derivatives):
+            h, gradient, time_partial, psi = evaluate(env, shape, x, t, params,
+                                                      derivatives)
+            return math.nan if t >= 0.5 else h, gradient, time_partial, psi
 
-        monkeypatch.setattr(polycbf.sim, "smooth_barrier", nan_late)
+        monkeypatch.setattr(polycbf.sim, "_evaluate", nan_late)
         res = run(free_space_scenario(goal=(0.9, 0.0), x0=(0.0, 0.0)))
         assert res.termination is Termination.ERROR
         assert res.error.startswith("non-finite constraint: residual nan")
@@ -259,15 +260,20 @@ class TestRun:
         config = dataclasses.replace(s.default_sim, t_end=1.0)
         want = run(s, config)
 
-        def scaled(env, shape, x, t, params):
-            ev = smooth_barrier(env, shape, x, t, params)
-            return BarrierEvaluation(ev.value * 2.0 ** 600,
-                                     ev.gradient * 2.0 ** 600,
-                                     ev.time_partial * 2.0 ** 600,
-                                     ev.nonsmooth_value)
+        evaluate, calls = polycbf.sim._evaluate, []
 
-        monkeypatch.setattr(polycbf.sim, "smooth_barrier", scaled)
+        def scaled(env, shape, x, t, params, derivatives):
+            calls.append(t)
+            h, gradient, time_partial, psi = evaluate(env, shape, x, t, params,
+                                                      derivatives)
+            return (h * 2.0 ** 600, gradient * 2.0 ** 600,
+                    time_partial * 2.0 ** 600, psi)
+
+        monkeypatch.setattr(polycbf.sim, "_evaluate", scaled)
         got = run(s, config)
+        # Every stage of every step, and the last row's, took the scaled
+        # kernel.
+        assert len(calls) == 4 * (got.times.shape[0] - 1) + 1
         assert got.termination is want.termination
         assert np.count_nonzero(want.constraint_active) > 10
         assert np.array_equal(got.constraint_active, want.constraint_active)
@@ -356,13 +362,19 @@ def refuse_always(monkeypatch):
 
 
 def count_barrier_calls(monkeypatch):
+    """Record the time of every barrier call: the start check's
+    `smooth_barrier` and the stages' kernel `_evaluate`."""
     calls = []
 
-    def counted(*args):
-        calls.append(args[3])
-        return smooth_barrier(*args)
+    def counting(evaluate):
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return evaluate(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(polycbf.sim, "smooth_barrier", counted)
+    for name in ("smooth_barrier", "_evaluate"):
+        monkeypatch.setattr(polycbf.sim, name,
+                            counting(getattr(polycbf.sim, name)))
     return calls
 
 
@@ -444,6 +456,24 @@ class TestIdleCertificate:
         assert len(calls) == 11
         assert calls[:1] == [0.0] and calls.count(0.0) == 1
         assert not res.constraint_active.any()
+
+    @pytest.mark.parametrize("name", ["convex-corner", "revolving-door"])
+    def test_anchor_is_smooth_barrier(self, name, monkeypatch):
+        # A stage calls the kernel entry, but the evaluation it anchors a
+        # certificate with is `smooth_barrier`'s at its point and time.
+        s = builtin(name)
+        anchors, certificate = [], polycbf.sim._idle_certificate
+
+        def recorded(evaluation, x, t, scenario):
+            anchors.append((evaluation, x, t))
+            return certificate(evaluation, x, t, scenario)
+
+        monkeypatch.setattr(polycbf.sim, "_idle_certificate", recorded)
+        run(s, dataclasses.replace(s.default_sim, t_end=2.0))
+        assert len(anchors) > 1  # the start check's and stages'
+        for evaluation, x, t in anchors:
+            assert_same_result(evaluation, smooth_barrier(
+                s.environment, s.agent, x, t, s.cbf))
 
     @pytest.mark.parametrize("name, x0", moving_starts())
     def test_moving_world_run_equals_full_stages(self, name, x0,
