@@ -77,16 +77,13 @@ def _open_outputs(*paths) -> None:
 def _apply_overrides(scenario, args) -> scenarios.Scenario:
     """Scenario with the command line's settings; an invalid value raises
     ScenarioError."""
-    # Precedence: command line > scenario file > builtin defaults.
+    # Precedence: command line > scenario file > builtin defaults.  A flag's
+    # dest is its file key; a key without a flag is never set here.
     try:
-        return dataclasses.replace(
-            scenario,
-            cbf=dataclasses.replace(
-                scenario.cbf, **_given(args, "kappa", "buffer", "alpha_gain")),
-            default_sim=dataclasses.replace(
-                scenario.default_sim, **_given(args, "dt", "t_end", "x0")),
-            controller=dataclasses.replace(
-                scenario.controller, **_given(args, "goal")))
+        return dataclasses.replace(scenario, **{
+            field: dataclasses.replace(getattr(scenario, field),
+                                       **_given(args, *keys))
+            for _, field, _, keys in scenarios._SECTIONS})
     except ValueError as err:
         raise scenarios.ScenarioError(str(err)) from None
 

@@ -290,6 +290,19 @@ def builtin(name: str) -> Scenario:
 
 _REQUIRED = object()
 
+# The flat sections in file order: the section's key, the Scenario field it
+# fills, the constructor of that field, and its keys, each True for a vector
+# of the scenario's dimension and False for a number.  The reader, the
+# writer and the command line's overrides all follow this table.
+_SECTIONS = (
+    ("controller", "controller", DesiredController,
+     {"goal": True, "gain": False, "u_max": False}),
+    ("cbf", "cbf", CbfParams,
+     {"kappa": False, "buffer": False, "alpha_gain": False}),
+    ("sim", "default_sim", SimConfig,
+     {"dt": False, "t_end": False, "x0": True, "goal_tolerance": False}),
+)
+
 
 def _get(obj, key: str, where: str, default=_REQUIRED):
     """Value of key in obj, the JSON object at path where."""
@@ -381,33 +394,23 @@ def _scenario_from_dict(data) -> Scenario:
     offsets = [_vector(row, dim, f"agent.offsets[{k}]") for k, row in
                enumerate(_array(_get(agent, "offsets", "agent"), "agent.offsets"))]
 
-    ctrl = _get(data, "controller", top)
-    cbf = _get(data, "cbf", top)
-    sim = _get(data, "sim", top)
+    # The sections are looked up here but read after the environment and
+    # agent are built: this order decides a faulty file's first error.
+    sections = [_get(data, section, top) for section, *_ in _SECTIONS]
     starts = _array(_get(data, "alternative_starts", top, []),
                     "alternative_starts")
+    name = str(_get(data, "name", top, "unnamed"))
+    environment = _build(top, PolytopeEnvironment, half_spaces, regions)
+    agent = _build("agent.offsets", AgentShape, offsets)
+    settings = {
+        field: _build(section, make, **{
+            key: _vector(_get(obj, key, section), dim, f"{section}.{key}")
+            if vector else _number(obj, key, section)
+            for key, vector in keys.items()})
+        for (section, field, make, keys), obj in zip(_SECTIONS, sections)}
     return _build(
-        top, Scenario,
-        name=str(_get(data, "name", top, "unnamed")),
-        environment=_build(top, PolytopeEnvironment, half_spaces, regions),
-        agent=_build("agent.offsets", AgentShape, offsets),
-        controller=_build(
-            "controller", DesiredController,
-            goal=_vector(_get(ctrl, "goal", "controller"), dim,
-                         "controller.goal"),
-            gain=_number(ctrl, "gain", "controller"),
-            u_max=_number(ctrl, "u_max", "controller")),
-        cbf=_build(
-            "cbf", CbfParams,
-            kappa=_number(cbf, "kappa", "cbf"),
-            buffer=_number(cbf, "buffer", "cbf"),
-            alpha_gain=_number(cbf, "alpha_gain", "cbf")),
-        default_sim=_build(
-            "sim", SimConfig,
-            dt=_number(sim, "dt", "sim"),
-            t_end=_number(sim, "t_end", "sim"),
-            x0=_vector(_get(sim, "x0", "sim"), dim, "sim.x0"),
-            goal_tolerance=_number(sim, "goal_tolerance", "sim")),
+        top, Scenario, name=name, environment=environment, agent=agent,
+        **settings,
         alternative_starts=tuple(
             _vector(s, dim, f"alternative_starts[{i}]")
             for i, s in enumerate(starts)),
@@ -421,6 +424,10 @@ def _scenario_to_dict(scenario: Scenario) -> dict:
         return {"center": m.center.tolist(),
                 "linear_velocity": m.linear_velocity.tolist(), **spin}
 
+    def setting_dict(obj, keys: dict) -> dict:
+        return {key: getattr(obj, key).tolist() if vector
+                else getattr(obj, key) for key, vector in keys.items()}
+
     env = scenario.environment
     return {
         "name": scenario.name,
@@ -432,22 +439,8 @@ def _scenario_to_dict(scenario: Scenario) -> dict:
         ],
         "regions": [r.indices.tolist() for r in env.regions],
         "agent": {"offsets": scenario.agent.offsets.tolist()},
-        "controller": {
-            "goal": scenario.controller.goal.tolist(),
-            "gain": scenario.controller.gain,
-            "u_max": scenario.controller.u_max,
-        },
-        "cbf": {
-            "kappa": scenario.cbf.kappa,
-            "buffer": scenario.cbf.buffer,
-            "alpha_gain": scenario.cbf.alpha_gain,
-        },
-        "sim": {
-            "dt": scenario.default_sim.dt,
-            "t_end": scenario.default_sim.t_end,
-            "x0": scenario.default_sim.x0.tolist(),
-            "goal_tolerance": scenario.default_sim.goal_tolerance,
-        },
+        **{section: setting_dict(getattr(scenario, field), keys)
+           for section, field, _, keys in _SECTIONS},
         "alternative_starts": [s.tolist() for s in scenario.alternative_starts],
     }
 

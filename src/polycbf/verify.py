@@ -9,7 +9,6 @@ is seeded and deterministic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -50,9 +49,6 @@ class AuditReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _require_count(name: str, value: int) -> None:
@@ -258,7 +254,7 @@ def smoothing_sandwich_audit(scenario, seed: int = 0) -> AuditReport:
     low, high = scenario_bounds(scenario)
     t_max = 0.0 if env.is_static else scenario.default_sim.t_end
     below = np.log(max(map(len, env.regions)) * shape.num_vertices)
-    above = np.log(env.num_regions)
+    above = provable_buffer(env)
     draws = [(*rng.uniform((0.3, 0.0), (60.0, t_max)),
               rng.uniform(low, high, size=(250, env.dimension)))
              for _ in range(8)]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -56,6 +57,44 @@ class TestSimulateCommand:
                      "--buffer", "0.1", "--alpha-gain", "1.0",
                      "--dt", "0.02", "--t-end", "5"])
         assert code == 0
+
+    @pytest.mark.parametrize("flag, values, field, key", [
+        ("--kappa", ["4"], "cbf", "kappa"),
+        ("--buffer", ["0.8"], "cbf", "buffer"),
+        ("--alpha-gain", ["1.5"], "cbf", "alpha_gain"),
+        ("--dt", ["0.02"], "default_sim", "dt"),
+        ("--t-end", ["8"], "default_sim", "t_end"),
+        ("--start", ["-1", "2.8"], "default_sim", "x0"),
+        ("--goal", ["3", "2.5"], "controller", "goal"),
+    ])
+    def test_override_lands_in_its_field(self, monkeypatch, flag, values,
+                                         field, key):
+        """The scenario that reaches `run` is the builtin with one field
+        replaced, and differs from it there."""
+        handed = []
+
+        class Handed(Exception):
+            pass
+
+        def capture(scenario):
+            handed.append(scenario)
+            raise Handed
+
+        monkeypatch.setattr(polycbf.cli, "run", capture)
+        with pytest.raises(Handed):
+            main(["simulate", "l-shape", flag, *values])
+        s = builtin("l-shape")
+        value = [float(v) for v in values] if len(values) > 1 \
+            else float(values[0])
+        expected = dataclasses.replace(s, **{field: dataclasses.replace(
+            getattr(s, field), **{key: value})})
+        assert handed == [expected]
+        assert handed[0] != s
+
+    @pytest.mark.parametrize("flag", ["--gain", "--u-max", "--goal-tolerance"])
+    def test_file_only_key_has_no_flag(self, capsys, flag):
+        assert main(["simulate", "l-shape", flag, "2"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_scenario_exits_2(self, capsys):
         code = main(["simulate", "no-such-place"])

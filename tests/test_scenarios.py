@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycbf.barrier import provable_buffer, smooth_barrier
-from polycbf.scenarios import (BUILTIN_NAMES, Scenario, ScenarioError,
-                               _scenario_to_dict, builtin, load, save)
+from polycbf.scenarios import (_SECTIONS, BUILTIN_NAMES, Scenario,
+                               ScenarioError, _scenario_to_dict, builtin,
+                               load, save)
 from polycbf.sim import UnsafeStartError, run
 from polycbf.verify import run_suite, scenario_bounds
 
@@ -140,6 +142,41 @@ class TestRoundTrip:
         path = tmp_path / f"{name}.json"
         save(s, path)
         assert load(path) == s
+
+    # The four builtins built from literal floats alone save the same bytes
+    # on every host; the others hold cos, sin or sqrt of their geometry.
+    @pytest.mark.parametrize("name, digest", [
+        ("convex-corner",
+         "aa15d86bd408a4b31ddff27428ec9230cc9a30673fffa03924a0b2d48cd65eb3"),
+        ("concave-corner",
+         "766d8cea8f72eaaf65445f72a2aac2874f2ea947023b64f0be092c2a3f4acae5"),
+        ("l-shape",
+         "21be81cfb5909f948f0d8a17cadc807cf430e625e84967a6c99aedf562f62550"),
+        ("crossroad",
+         "412b13df77ec91474d62406346dae1154d2daec7788d9e6ca32cfda2f532d7c5"),
+    ])
+    def test_saved_bytes(self, name, digest, tmp_path):
+        path = tmp_path / f"{name}.json"
+        save(builtin(name), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_resave_rewrites_same_bytes(self, name, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save(builtin(name), first)
+        save(load(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_saved_keys_in_table_order(self, name, tmp_path):
+        path = tmp_path / f"{name}.json"
+        save(builtin(name), path)
+        config = json.loads(path.read_text())
+        assert list(config) == ["name", "dimension", "halfspaces", "regions",
+                                "agent", "controller", "cbf", "sim",
+                                "alternative_starts"]
+        for section, _, _, keys in _SECTIONS:
+            assert list(config[section]) == list(keys)
 
     def test_shared_motion_preserved(self, tmp_path):
         s = builtin("revolving-door")

@@ -241,7 +241,7 @@ class TestHelpers:
     def test_audit_report_json(self):
         report = AuditReport(name="demo", parameters={"n": 3}, worst=-1e-13,
                              passed=True, seed=42)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["name"] == "demo"
         assert payload["passed"] is True
         assert payload["seed"] == 42
