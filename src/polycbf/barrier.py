@@ -634,13 +634,6 @@ def _as_center(env: PolytopeEnvironment, center) -> np.ndarray:
     return center
 
 
-def _as_centers(env: PolytopeEnvironment, centers) -> np.ndarray:
-    centers = np.asarray(centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != env.dimension:
-        raise ValueError(f"centers must have shape (M, {env.dimension})")
-    return centers
-
-
 def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
             params: CbfParams | None = None, derivatives: bool = False):
     """`_evaluate` over a batch of centers in blocks, which bounds peak
@@ -661,7 +654,9 @@ def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     (h, gradient, time_partial, psi)
         Arrays of leading length M, None where `_evaluate` computes none.
     """
-    centers = _as_centers(env, centers)
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != env.dimension:
+        raise ValueError(f"centers must have shape (M, {env.dimension})")
     m = centers.shape[0]
     per_row = np.ndim(t) > 0
     if per_row:

@@ -29,10 +29,10 @@ __all__ = [
 _ZERO_NORMAL_TOL = 1e-12
 
 
-def _as_point(value, dim: int | None = None, name: str = "point") -> np.ndarray:
-    """Coerce to a float vector, optionally checking its dimension.  Every
-    rejection, numpy's failed conversions included, is a ValueError that
-    names the field."""
+def _as_point(value, name: str, dim: int | None = None) -> np.ndarray:
+    """The value of the field called name as a float vector, optionally of
+    dimension dim.  Every rejection, numpy's failed conversions included,
+    is a ValueError that names the field."""
     try:
         arr = np.asarray(value, dtype=float)
     except (ValueError, TypeError, OverflowError) as err:
@@ -114,7 +114,7 @@ class RigidMotion:
 
     def __init__(self, center, *, omega: float | None = None, axis_rate=None,
                  linear_velocity=None):
-        self.center = _as_point(center, name="center")
+        self.center = _as_point(center, "center")
         self.dimension = self.center.shape[0]
         if (omega is None) == (axis_rate is None):
             raise ValueError("specify exactly one of omega (2D) or axis_rate (3D)")
@@ -128,7 +128,7 @@ class RigidMotion:
         else:
             if self.dimension != 3:
                 raise ValueError("axis_rate is the 3D spin; use omega in 2D")
-            self.spin = _as_point(axis_rate, 3, "axis_rate")
+            self.spin = _as_point(axis_rate, "axis_rate", 3)
             with np.errstate(over="ignore"):  # an overflow fails the check
                 self._rate = float(np.linalg.norm(self.spin))
             if not self._rate < np.inf:
@@ -137,8 +137,8 @@ class RigidMotion:
         if linear_velocity is None:
             self.linear_velocity = np.zeros(self.dimension)
         else:
-            self.linear_velocity = _as_point(linear_velocity, self.dimension,
-                                             "linear_velocity")
+            self.linear_velocity = _as_point(
+                linear_velocity, "linear_velocity", self.dimension)
 
     def _expansion(self) -> np.ndarray:
         """(P, Q, S), shape (3, p, p), with R(t) = P + cos(a) Q + sin(a) S
@@ -176,9 +176,9 @@ class HalfSpace:
     __slots__ = ("normal", "anchor", "motion", "dimension")
 
     def __init__(self, normal, anchor, motion: RigidMotion | None = None):
-        self.normal = _as_point(normal, name="normal")
+        self.normal = _as_point(normal, "normal")
         self.dimension = self.normal.shape[0]
-        self.anchor = _as_point(anchor, self.dimension, "anchor")
+        self.anchor = _as_point(anchor, "anchor", self.dimension)
         with np.errstate(all="ignore"):  # an overflow fails the checks below
             length = np.linalg.norm(self.normal)
             level = self.normal @ self.anchor

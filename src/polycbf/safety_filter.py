@@ -72,7 +72,7 @@ class DesiredController:
     u_max: float = 1.0
 
     def __post_init__(self):
-        self.goal = _as_point(self.goal, name="goal")
+        self.goal = _as_point(self.goal, "goal")
         _require_positive("gain", self.gain)
         _require_positive("u_max", self.u_max)
 

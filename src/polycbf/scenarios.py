@@ -52,7 +52,7 @@ class Scenario:
                 raise ScenarioError(
                     f"{label} has dimension {d}, environment has {dim}")
         self.alternative_starts = tuple(
-            _build(f"alternative_starts[{i}]", _as_point, s, dim, "start")
+            _build(f"alternative_starts[{i}]", _as_point, s, "start", dim)
             for i, s in enumerate(self.alternative_starts))
 
     def all_starts(self) -> list[np.ndarray]:
@@ -334,8 +334,8 @@ def _vector(value, dim: int | None, where: str) -> np.ndarray:
     return _build(where, np.array, value, dtype=float)
 
 
-def _number(obj, key: str, where: str, default=_REQUIRED) -> float:
-    value = _get(obj, key, where, default)
+def _number(obj, key: str, where: str) -> float:
+    value = _get(obj, key, where)
     if type(value) not in (int, float):
         raise ScenarioError(
             f"{where}.{key}: expected a number, got {json.dumps(value)}")

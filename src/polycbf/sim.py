@@ -71,7 +71,7 @@ class SimConfig:
                 f"dt={self.dt}")
         _require_positive("goal_tolerance", self.goal_tolerance)
         if self.x0 is not None:
-            self.x0 = _as_point(self.x0, name="x0")
+            self.x0 = _as_point(self.x0, "x0")
 
     __eq__ = _eq_by()
 
@@ -282,7 +282,7 @@ def run(scenario, config: SimConfig | None = None) -> SimResult:
     if x0 is None:
         raise ValueError("no initial state: set SimConfig.x0")
     env, agent, params = scenario.environment, scenario.agent, scenario.cbf
-    x = _as_point(x0, env.dimension, "x0")
+    x = _as_point(x0, "x0", env.dimension)
 
     evaluation = smooth_barrier(env, agent, x, 0.0, params)
     if not evaluation.value > 0.0:

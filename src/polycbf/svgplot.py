@@ -57,23 +57,20 @@ class _Panel:
         y = _SIZE - _MARGIN - (p[1] - self.low[1]) * self.scale
         return x, y
 
-    def polyline(self, points, stroke, width=1.5, dash=None, closed=False):
+    def polyline(self, points, stroke, width, closed=False):
         coords = " ".join(
             f"{_fmt(x)},{_fmt(y)}" for x, y in (self.to_px(p) for p in points))
         tag = "polygon" if closed else "polyline"
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<{tag} points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{width}"{dash_attr}/>')
+            f'stroke-width="{width}"/>')
 
-    def line(self, a, b, stroke, width=1.0, dash=None):
+    def line(self, a, b, stroke):
         ax, ay = self.to_px(a)
         bx, by = self.to_px(b)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<line x1="{_fmt(ax)}" y1="{_fmt(ay)}" x2="{_fmt(bx)}" '
-            f'y2="{_fmt(by)}" stroke="{stroke}" stroke-width="{width}"'
-            f'{dash_attr}/>')
+            f'y2="{_fmt(by)}" stroke="{stroke}" stroke-width="1.0"/>')
 
     def marker(self, p, fill, r=4.0):
         x, y = self.to_px(p)

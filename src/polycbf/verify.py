@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .barrier import (CbfParams, _fields, _pairwise, barrier_field,
-                      margin_field, provable_buffer)
+from .barrier import (CbfParams, _fields, barrier_field, margin_field,
+                      provable_buffer)
 from .geometry import AgentShape
 from .safety_filter import _project_rows
 
@@ -196,14 +196,13 @@ def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
     a desired input.  r = grad(h) . u + dh/dt + gamma * h is recomputed at
     the returned input, scaled by the sum of its terms' magnitudes.  Passes
     when -r and, where the filter changed the input, |r| stay <= 1e-12.
-    Both sums run down the five term columns of a block of problems, each
-    problem's terms added in order, as `sum(axis=1)` adds a row of five.
+    Each problem's five terms are added in order, in both sums.
 
-    Each block is drawn in problem order and then put in dimension order,
-    stably, its planar problems first, so that each dimension's problems
-    are one contiguous slice of the block to filter and no boolean mask
-    gathers or scatters them.  worst is a maximum over problems, which
-    their order cannot change.
+    A block of problems is filtered in one call as rows of three entries:
+    a planar problem's third gradient entry is +0.0, so its third input
+    entry passes through unchanged, and every product with it is an exact
+    zero that leaves its dot products, squared norm and step bit for bit
+    those of the problem's own two entries.
     """
     _require_count("n", n)
     rng = np.random.default_rng(seed)
@@ -214,23 +213,15 @@ def qp_closed_form_audit(n: int, seed: int = 0) -> AuditReport:
     params = CbfParams(kappa=5.0, alpha_gain=1.0)
     for start in range(0, n, _QP_BLOCK):
         size = min(_QP_BLOCK, n - start)
-        dims = 2 + rng.integers(2, size=size)
+        planar = rng.integers(2, size=size) == 0
         values, partials = rng.normal(size=(2, size))
         grads, u_des = rng.normal(size=(2, size, 3))
-        gains = rng.uniform(0.5, 4.0, size=size)
-        order = np.argsort(dims, kind="stable")
-        planar = np.count_nonzero(dims == 2)
-        partials, alphas = partials.take(order), (gains * values).take(order)
-        grads, u_des = grads.take(order, axis=0), u_des.take(order, axis=0)
-        grads[:planar, 2] = 0.0  # unused axis of the planar problems
-        u_safe = u_des.copy()
-        for rows, dim in ((slice(planar), 2), (slice(planar, size), 3)):
-            u_safe[rows, :dim] = _project_rows(
-                grads[rows, :dim], u_des[rows, :dim], partials[rows],
-                alphas[rows], params)[0]
-        terms = [*(grads * u_safe).T, partials, alphas]
-        r = _pairwise(np.add, terms)
-        scale = _pairwise(np.add, [np.abs(term) for term in terms])
+        alphas = rng.uniform(0.5, 4.0, size=size) * values
+        grads[planar, 2] = 0.0
+        u_safe = _project_rows(grads, u_des, partials, alphas, params)[0]
+        t0, t1, t2 = grads.T * u_safe.T
+        r = t0 + t1 + t2 + partials + alphas
+        scale = abs(t0) + abs(t1) + abs(t2) + abs(partials) + abs(alphas)
         moved = (u_safe != u_des).T  # its columns ORed: np.any(axis=1)
         changed = moved[0] | moved[1] | moved[2]
         worst = np.max(np.where(changed, abs(r), -r) / scale, initial=worst)

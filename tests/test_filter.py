@@ -333,6 +333,29 @@ class TestBatchedLaw:
         if m >= 7 and edge is None:  # the mix is really mixed
             assert 0 < np.count_nonzero(active) < m
 
+    @pytest.mark.parametrize("m", [1, 2, 7, 4096])
+    def test_planar_rows_padded_to_three(self, m):
+        # The qp audit filters planar problems as (M, 3) rows whose third
+        # gradient entry is +0.0.  Every product with that entry is an
+        # exact zero, so the first two columns keep the (M, 2) call's bits,
+        # inactive, active and rescaled rows alike.
+        rng = np.random.default_rng(3000 + m)
+        values, grads, partials, u_des = mixed_batch(rng, 2, m)
+        grads[2::5] *= 1e180  # squared norms overflow: rescaled rows
+        third = rng.normal(size=m) * 10.0 ** rng.integers(-300, 300, size=m)
+        third[1::7] = 0.0  # an active row's step turns -0.0 into +0.0
+        params = CbfParams(kappa=5.0, alpha_gain=1.7)
+        want, active = _project_rows(grads, u_des, partials, values, params)
+        got, got_active = _project_rows(
+            np.column_stack([grads, np.zeros(m)]),
+            np.column_stack([u_des, third]), partials, values, params)
+        assert same_bits(got[:, :2], want)
+        assert same_bits(got_active, active)
+        assert same_bits(got[:, 2], third)
+        if m == 4096:  # every kind of row occurs
+            assert 0 < np.count_nonzero(active) < m
+            assert np.any(active[2::5]) and not np.all(active[2::5])
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 7, 4096])
     def test_velocity_rows_match_one_row_calls(self, dim, m):

@@ -277,10 +277,10 @@ class TestRandomizedAudits:
         *(pytest.param(n, seed, id=f"n{n}-{seed}")
           for n in (1, 2, 4097) for seed in range(4))])
     def test_qp_closed_form_matches_loop_oracle(self, n, seed):
-        # Two `_project_rows` calls per block, np.vecdot on the rows of its
-        # planar and its spatial slice, against one one-row `safe_velocity`
-        # call, ndarray.dot, per problem.  A block of one problem leaves
-        # one slice empty; 4097 problems end on such a block.
+        # One `_project_rows` call per block, np.vecdot on (M, 3) rows, a
+        # planar problem's padded with a +0.0 gradient entry, against one
+        # one-row `safe_velocity` call, ndarray.dot, per problem and of its
+        # own dimension.  4097 problems end on a block of one problem.
         assert qp_closed_form_audit(n, seed).worst == \
             oracles.qp_audit_loop(n, seed)
 
