@@ -13,14 +13,16 @@ the order `reduceat` takes along one centre's row, so a row's bits depend
 on neither the batch nor the BLAS thread count.  In a moving world its
 centre-independent terms at t are the agent shape's fixed coefficients
 times the environment's time basis b(t), one matrix-vector product per new
-time; a batch's per-centre times cost one per distinct time.
+time; a batch's per-centre times cost one per distinct time.  A scalar
+time takes b(t) in Python floats and its product with `ndarray.dot`, a
+batch of times both in numpy, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul
 
 import numpy as np
@@ -227,8 +229,11 @@ def _row_terms(env: PolytopeEnvironment, shape: AgentShape, frame):
 
 def _shape_law(env: PolytopeEnvironment, shape: AgentShape):
     """The row terms of a moving world as coefficients (X, B) of its time
-    basis, with each term's trailing shape: `_row_terms` applied to the
-    frame's own coefficients.
+    basis: `_row_terms` applied to the frame's own coefficients.  With
+    them come each term's trailing shape, for a batch of times, and each
+    term's cut of the X rows, for one time: a slice and the shape to give
+    it, None for a term of one axis, so that one time's terms come apart
+    without any shape arithmetic.
 
     The law is kept in a one-entry cache on env, `_law_memo`, keyed by the
     shape's identity and replaced whole by a single assignment, like the
@@ -237,10 +242,14 @@ def _shape_law(env: PolytopeEnvironment, shape: AgentShape):
     if entry is None or entry[0] is not shape:
         law = env._law.T                                     # (B, X_f)
         terms = _row_terms(env, shape, _unstack(law, env._frame_shapes))
-        stacked = np.concatenate(
-            [term.reshape(len(law), -1) for term in terms], axis=1)
-        entry = (shape, (np.ascontiguousarray(stacked.T),
-                         tuple(term.shape[1:] for term in terms)))
+        columns = [term.reshape(len(law), -1) for term in terms]
+        shapes = tuple(term.shape[1:] for term in terms)
+        stops = list(accumulate(c.shape[1] for c in columns))
+        cuts = tuple(zip(map(slice, [0, *stops], stops),
+                         [term_shape if len(term_shape) > 1 else None
+                          for term_shape in shapes]))
+        stacked = np.concatenate(columns, axis=1)
+        entry = (shape, (np.ascontiguousarray(stacked.T), shapes, cuts))
         env._law_memo = entry
     return entry[1]
 
@@ -267,16 +276,20 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
 
     In a moving world each per-row normal, level and vertex dot, and the
     rates of normals and levels, is a fixed combination of the time basis
-    b(t) (see `PolytopeEnvironment._motion_law`), so a new t costs one
-    `matvec` of the shape's coefficients with b(t) and the support
-    log-sum-exp, and a batch of times costs one batched call of each.  A
-    1-D t costs one evaluation per distinct time, times being distinct when
-    their bits differ, whose terms are then gathered to the times' rows:
-    times may repeat, as an audit's probes of one state do, at no extra
-    cost.  The coefficients come from `_shape_law`, which builds them once
-    per shape.  The terms at t[i] of a batch equal the scalar call's at
-    t[i] bit for bit, so an entry's terms do not depend on how they were
-    built.
+    b(t) (see `PolytopeEnvironment._motion_law`).  A new scalar t, as each
+    tick of a controller in a moving world brings, costs b(t) in Python
+    floats, one `ndarray.dot` of the shape's coefficients with it, cut
+    apart at the slices `_shape_law` keeps, and the support log-sum-exp; a
+    batch of times costs one batched call of each, its product one
+    `np.matvec`.  A 1-D t costs one evaluation per distinct time, times
+    being distinct when their bits differ, whose terms are then gathered
+    to the times' rows: times may repeat, as an audit's probes of one
+    state do, at no extra cost.  The coefficients come from `_shape_law`,
+    which builds them once per shape.  The float basis has numpy's bits,
+    and `ndarray.dot` reaches the same BLAS product as `np.matvec` and
+    rounds alike (both checked by `bits` tests), so the terms at t[i] of a
+    batch equal the scalar call's at t[i] bit for bit, and an entry's
+    terms do not depend on how they were built.
 
     The rank of the vertex dots picks how the vertex axis reduces.  One
     time, shape (R, N_v), takes one `reduce` along it, as every static
@@ -314,15 +327,21 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     inverse = None
     if static:
         row_terms = _row_terms(env, shape, env.frame(t))
+    elif memo or t.ndim == 0:  # one time: a scalar, or a 0-d ndarray
+        law, _, cuts = _shape_law(env, shape)
+        stacked = law.dot(env._time_basis(t))
+        row_terms = [stacked[cut] if term_shape is None
+                     else stacked[cut].reshape(term_shape)
+                     for cut, term_shape in cuts]
     else:
-        if not memo and t.ndim == 1:  # t is a 1-D ndarray
+        if t.ndim == 1:
             # Each distinct time once, told apart by its bits, so 0.0 and
             # -0.0 and NaNs of other payloads keep terms of their own.
             keys, inverse = np.unique(
                 np.asarray(t, dtype=float).view(np.int64), return_inverse=True)
             t = keys.view(float)
-        law = _shape_law(env, shape)
-        row_terms = _unstack(np.matvec(law[0], env._time_basis(t)), law[1])
+        law, shapes, _ = _shape_law(env, shape)
+        row_terms = _unstack(np.matvec(law, env._time_basis(t)), shapes)
     normals, levels, vertex_dots, normal_rates, level_rates = row_terms
     # A batch of times folds its N_v (T, R) vertex columns (see above).
     batch = vertex_dots.ndim > 2
@@ -333,7 +352,9 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     soft_offsets = rate_offsets = None
     if kappa is not None:
         # Shifting by the hard support keeps every sum in [1, N_v].
-        vertex_exp = np.exp((hard[..., None] - vertex_dots) * kappa)
+        vertex_exp = np.subtract(hard[..., None], vertex_dots)
+        vertex_exp *= kappa
+        np.exp(vertex_exp, out=vertex_exp)
         if batch:
             vertex_sums = _pairwise(np.add,
                                     list(np.moveaxis(vertex_exp, -1, 0)))

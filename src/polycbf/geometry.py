@@ -416,9 +416,27 @@ class PolytopeEnvironment:
 
         This is the one place where time enters: `frame` and the barrier
         kernel both evaluate their moving terms as fixed coefficients times
-        b(t) (see `_motion_law`)."""
+        b(t) (see `_motion_law`).
+
+        A finite real scalar t, a control tick's time, builds b(t) in Python
+        floats, which saves the numpy calls that dominate six numbers.  Its
+        bits are numpy's: t * rate and t * term are the same IEEE products
+        as numpy's, and numpy's float64 cos and sin give libm's bits, as
+        `math.cos` and `math.sin` do (a `bits` test compares them on the
+        angles the kernel's worlds form).  Other times, and a finite t
+        whose angle overflows, take numpy's path, which warns where math
+        would raise."""
         if self._law is None:
             return None
+        if isinstance(t, (float, int)) and math.isfinite(t):
+            t = float(t)
+            angles = [t * rate for rate in self._frequencies.tolist()]
+            try:
+                trig = [*map(math.cos, angles), *map(math.sin, angles[1:])]
+            except ValueError:  # an angle overflowed to inf
+                pass
+            else:
+                return np.array(trig + [t * term for term in trig])
         t = np.asarray(t, dtype=float)
         # The leading frequency 0 gives the constant cos(0) = 1 exactly.
         angles = np.multiply.outer(t, self._frequencies)

@@ -1032,6 +1032,28 @@ def test_row_products_equal_gufuncs(rows, dim):
 
 
 @pytest.mark.bits
+@pytest.mark.parametrize("rows", [1, 2, 5, 8, 9, 17, 42, 144, 180, 300, 1716])
+@pytest.mark.parametrize("motions", [1, 2, 3])
+def test_one_time_law_product_equals_matvec(rows, motions):
+    # A moving world's face terms at one time are its shape law, shape
+    # (X, 2(1 + 2G)) for G motions, times the time basis, taken with
+    # ndarray.dot; a batch of times takes np.matvec.  Both must round
+    # alike, so that a control tick's terms equal a batch row's.  The laws
+    # of the test worlds have 42 to 1716 rows, many of them zero
+    # coefficients.
+    rng = np.random.default_rng(rows * 10 + motions)
+    width = 2 * (1 + 2 * motions)
+    for _ in range(20):
+        law = (rng.choice([-1.0, 0.0, 1.0], size=(rows, width))
+               * 10.0 ** rng.uniform(-2.0, 2.0, size=(rows, width)))
+        t = float(rng.uniform(-1e3, 1e3))
+        angles = t * np.concatenate(([0.0], rng.uniform(-1.0, 1.0, motions)))
+        trig = np.concatenate((np.cos(angles), np.sin(angles[1:])))
+        basis = np.concatenate((trig, t * trig))
+        assert law.dot(basis).tobytes() == np.matvec(law, basis).tobytes()
+
+
+@pytest.mark.bits
 class TestOneRowEdges:
     """The one-row kernel takes its two maxima and the tail of h in Python
     floats; at the edges of that code it still equals a batch row bit for
@@ -1129,14 +1151,18 @@ class TestBatchOfOne:
 
 def repeated_times(rng):
     """Per-row times that repeat: adjacent runs as `np.repeat` makes them,
-    scattered repeats, one time shared by every row, and +0.0, -0.0 and NaN
-    among repeated times."""
+    scattered repeats, one time shared by every row, +0.0, -0.0 and NaN
+    among repeated times, and far ones: negative, up to 1e6 in size, 1e300
+    and a subnormal."""
     base = rng.uniform(0.0, 20.0, 6)
     return {"adjacent": np.repeat(base, [5, 1, 3, 7, 2, 4]),
             "scattered": rng.choice(base, size=22),
             "shared": np.full(9, base[0]),
             "zeros-nan": np.array([0.0, -0.0, base[1], -0.0, np.nan, 0.0,
-                                   base[1], np.nan, -0.0])}
+                                   base[1], np.nan, -0.0]),
+            "far": np.concatenate([-base[:3], 5e4 * base[3:], -5e4 * base[:2],
+                                   [1e300, 5e-324, -1e6, 1e300, -base[0],
+                                    5e-324, -5e-324]])}
 
 
 @pytest.mark.bits
@@ -1144,14 +1170,37 @@ class TestRepeatedTimes:
     """A moving world evaluates a batch's face terms once per distinct time,
     times being distinct when their bits differ, and hands each row the
     terms of its own; every row still equals the one-row call at its time
-    bit for bit, -0.0 apart from +0.0.  The agents have 1 to 8 vertices,
-    and the polygon doors 9 and 137, so a batch's fold of the vertex axis
-    runs every branch of numpy's pairwise order."""
+    bit for bit, -0.0 apart from +0.0, although a finite scalar time takes
+    its time basis in Python floats and a batch in numpy.  The agents have
+    1 to 8 vertices, and the polygon doors 9 and 137, so a batch's fold of
+    the vertex axis runs every branch of numpy's pairwise order."""
 
     worlds = {**MOVING_WORLDS, **POLYGON_DOORS}
 
+    @pytest.mark.parametrize("name", MOVING_WORLDS)
+    def test_scalar_time_kinds(self, name):
+        # An int or np.float64 time gives the float call's bits.  An
+        # infinite time takes numpy's path, where math.cos would raise: it
+        # warns (an error under the test suite's filter) and, with the
+        # warning ignored, gives NaN terms.
+        s = self.worlds[name]()
+        env, shape, kappa = s.environment, s.agent, s.cbf.kappa
+        face_terms = polycbf.barrier._face_terms
+
+        def fresh(t):
+            return face_terms(copy.deepcopy(env), shape, t, kappa)
+
+        for t in (3, -2, np.int64(7), np.float64(1.3), np.float64(-4e5)):
+            assert_same_bits(fresh(t), fresh(float(t)))
+        for t in (math.inf, -math.inf):
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                fresh(t)
+            with np.errstate(invalid="ignore"):
+                terms = fresh(t)
+            assert all(np.isnan(term).all() for term in terms)
+
     @pytest.mark.parametrize("kind", ["adjacent", "scattered", "shared",
-                                      "zeros-nan"])
+                                      "zeros-nan", "far"])
     @pytest.mark.parametrize("name", [*MOVING_WORLDS, "moving-3d",
                                       *POLYGON_DOORS])
     def test_rows_equal_one_row_calls(self, name, kind, monkeypatch):

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
 from polycbf.safety_filter import DesiredController
+from polycbf.scenarios import BUILTIN_NAMES, builtin
 from polycbf.sim import SimConfig
 
 import oracles
+from worlds import MOVING_WORLDS, POLYGON_DOORS
 
 
 def frame(hs, t):
@@ -207,6 +210,69 @@ class TestRigidMotion:
             assert stacked.shape == (9, dim, dim)
             for t, matrix in zip(times, stacked):
                 assert np.array_equal(matrix, method(motion, float(t)))
+
+
+def moving_envs():
+    """{name: environment} of every moving builtin and test world."""
+    worlds = {name: (lambda name=name: builtin(name))
+              for name in BUILTIN_NAMES}
+    worlds.update(MOVING_WORLDS, **POLYGON_DOORS)
+    envs = {name: make().environment for name, make in worlds.items()}
+    return {name: env for name, env in envs.items() if not env.is_static}
+
+
+def basis_times():
+    """Times as a rollout, an audit and a far-off caller meet them: k * 0.01
+    for 1e4 steps, uniform draws in +-1e3 and +-1e6, huge and subnormal
+    times and both zeros."""
+    rng = np.random.default_rng(29)
+    return np.concatenate([
+        np.arange(10001) * 0.01, rng.uniform(-1e3, 1e3, 2000),
+        rng.uniform(-1e6, 1e6, 2000),
+        [1e300, -1e300, 5e-324, -5e-324, 0.0, -0.0]])
+
+
+@pytest.mark.bits
+class TestTimeBasis:
+    """A finite scalar time builds the time basis in Python floats with
+    math.cos and math.sin, and a batch of times in numpy; the two must
+    agree bit for bit, so that a control tick's face terms equal a batch
+    row's."""
+
+    def test_math_trig_equals_numpy(self):
+        # Every angle t * rate that the kernel forms, the leading rate 0
+        # included, over the rates of every moving world.
+        rates = sorted({rate for env in moving_envs().values()
+                        for rate in env._frequencies.tolist()})
+        angles = np.multiply.outer(basis_times(), rates).ravel()
+        for scalar, vector in ((math.cos, np.cos), (math.sin, np.sin)):
+            got = np.array([scalar(a) for a in angles.tolist()])
+            want = vector(angles)
+            differ = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+            assert differ.size == 0, (
+                f"{scalar.__name__} differs from numpy at {differ.size} "
+                f"angles, e.g. {angles[differ[:5]].tolist()}")
+
+    @pytest.mark.parametrize("name", list(moving_envs()))
+    def test_scalar_basis_equals_batch_row(self, name):
+        env = moving_envs()[name]
+        times = basis_times()
+        for t, row in zip(times.tolist(), env._time_basis(times)):
+            assert env._time_basis(t).tobytes() == row.tobytes()
+
+    def test_overflowing_angle_takes_numpy_path(self):
+        # A finite t whose angle overflows warns as numpy does (an error
+        # under the test suite's filter), and gives the batch row's NaNs.
+        spin = RigidMotion((0.0, 0.0), omega=10.0)
+        env = PolytopeEnvironment([HalfSpace((1.0, 0.0), (0.0, 0.0), spin)],
+                                  [[0]])
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            env._time_basis(1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = env._time_basis(1e308), env._time_basis(
+                np.array([1e308]))[0]
+        assert np.isnan(got[1:]).any()
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestConstruction:
