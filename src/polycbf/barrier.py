@@ -10,12 +10,17 @@ one time per centre.  One centre takes its matrix-vector products with
 both reach the same BLAS product and round alike.  A batch reduces its
 regions down face-major arrays, one vectorised call per face position, in
 the order `reduceat` takes along one centre's row, so a row's bits depend
-on neither the batch nor the BLAS thread count.  In a moving world its
-centre-independent terms at t are the agent shape's fixed coefficients
-times the environment's time basis b(t), one matrix-vector product per new
-time; a batch's per-centre times cost one per distinct time.  A scalar
-time takes b(t) in Python floats and its product with `ndarray.dot`, a
-batch of times both in numpy, with the same bits.
+on neither the batch nor the BLAS thread count.  In a world whose regions
+have one face each, both take no region reduction and no gather of region
+values to faces: `reduceat` over one-face segments returns each entry as it
+is, so the skipped calls change no bit.  One centre's row, of one to a few
+dozen entries, costs numpy's dispatch more than arithmetic, so it scales by
+kappa as a 0-d array and writes nothing in place (see `_evaluate_row`).  In
+a moving world the kernel's centre-independent terms at t are the agent
+shape's fixed coefficients times the environment's time basis b(t), one
+matrix-vector product per new time; a batch's per-centre times cost one per
+distinct time.  A scalar time takes b(t) in Python floats and its product
+with `ndarray.dot`, a batch of times both in numpy, with the same bits.
 """
 
 from __future__ import annotations
@@ -50,7 +55,14 @@ _CHUNK = 4096
 @dataclass(frozen=True)
 class CbfParams:
     """Smoothing sharpness kappa, buffer b (subtracted as b/kappa), and the
-    linear class-K gain gamma in alpha(h) = gamma * h."""
+    linear class-K gain gamma in alpha(h) = gamma * h.
+
+    Besides its fields it keeps `_kappa`, kappa as a read-only 0-d float64
+    array, built here and so refreshed by `dataclasses.replace`; it is no
+    field, so `==`, `repr` and the scenario file never see it.  The
+    one-row kernel scales its small arrays by it: numpy converts a Python
+    float operand on every call, and a 0-d array gives the same product
+    for less dispatch."""
 
     kappa: float
     buffer: float = 0.0
@@ -62,6 +74,9 @@ class CbfParams:
             raise ValueError(
                 f"buffer must be nonnegative and finite, got {self.buffer}")
         _require_positive("alpha_gain", self.alpha_gain)
+        kappa = np.array(self.kappa, dtype=float)
+        kappa.flags.writeable = False
+        object.__setattr__(self, "_kappa", kappa)
 
 
 @dataclass
@@ -462,24 +477,27 @@ def _pairwise(ufunc, rows):
     return total
 
 
-def _reduce_regions(ufunc, faces, groups, count: int):
-    """ufunc (np.minimum or np.add) over each region's faces of face-major
-    values, shape (R, M) with the regions' faces in region order, giving
-    (count, M): `ufunc.reduceat(faces.T, segments, axis=-1).T` bit for bit.
+def _reduce_regions(ufunc, faces, env: PolytopeEnvironment):
+    """ufunc (np.minimum or np.add) over each region's faces of env, from
+    face-major values, shape (R, M) with the regions' faces in region
+    order, giving (N_p, M): `ufunc.reduceat(faces.T, env._segments,
+    axis=-1).T` bit for bit.
 
     `reduceat` takes a region's first face and folds the rest into it in
-    numpy's pairwise order (`_pairwise`).  Here each group of `groups`
+    numpy's pairwise order (`_pairwise`).  Here each group of `env._groups`
     (`geometry._region_groups`) does the same with one vectorised ufunc
     call per face position and operation, across its regions and all M
-    columns.  A world of single-face regions needs no reduction at all.
-    The one bit a minimum may not share is the sign of a zero that +0.0
-    and -0.0 entries tie at, which `reduceat` takes from the CPU's SIMD
-    lanes; the kernel's face values are never -0.0.
+    columns.  In a world of single-face regions (`env._single_face`)
+    `reduceat` returns each entry as it is, and so does this: it returns
+    `faces` itself, with no reduction and no copy.  The one bit a minimum
+    may not share is the sign of a zero that +0.0 and -0.0 entries tie at,
+    which `reduceat` takes from the CPU's SIMD lanes; the kernel's face
+    values are never -0.0.
     """
-    if len(groups) == 1 and len(groups[0][1]) == 1:
+    if env._single_face:
         return faces
-    out = np.empty((count, faces.shape[1]))
-    for regions, rows in groups:
+    out = np.empty((env.num_regions, faces.shape[1]))
+    for regions, rows in env._groups:
         first, rest = faces[rows[0]], [faces[r] for r in rows[1:]]
         out[regions] = ufunc(first, _pairwise(ufunc, rest)) if rest else first
     return out
@@ -536,24 +554,45 @@ def _evaluate_row(env: PolytopeEnvironment, center, terms,
     """`_evaluate` at one centre, shape (p,), from the face terms at its
     time: its terms lie along one row, its products are `ndarray.dot`,
     which costs less to call than `np.matvec`/`np.vecmat`, and it reduces
-    by `reduceat` per region and by Python's max (`_row_max`)."""
+    by `reduceat` per region and by Python's max (`_row_max`).
+
+    The row has 1 to a few dozen entries, so its cost is numpy's dispatch
+    per call, and it makes as few calls as keep the batch's bits:
+
+    - In a world of single-face regions (`env._single_face`) each region
+      is one entry of the row, so `reduceat` would return its input entry
+      for entry and the gather of region values to their faces would be
+      the identity; the row skips both reductions and both gathers.
+    - Elsewhere the gathers index with `env._row_region`, an exact gather
+      that costs less than `take`.
+    - The three array-by-kappa operations take `params._kappa`, a 0-d
+      float64 array: a Python float operand costs a conversion on every
+      call, and the product and quotient are the same IEEE operations.
+      The float tail of h keeps the Python float kappa.
+    - No operation writes in place with `out=`: on arrays this small the
+      extra argument costs more than the array it saves.
+    """
     normals, hard_offsets, soft_offsets, normal_rates, rate_offsets = terms
-    segments, row_region = env._segments, env._row_region
+    single = env._single_face
     # Per region row, shape (R,); regions are segments of it.
     spatial = normals.dot(center)
-    mins = np.minimum.reduceat(spatial + hard_offsets, segments)
+    mins = spatial + hard_offsets
+    if not single:
+        mins = np.minimum.reduceat(mins, env._segments)
     if params is None:
         return None, None, None, _row_max(mins)
     # A NaN minimum makes h NaN, so psi is screened only then.
     psi = _row_max(mins, screen=False)
-    kappa = params.kappa
+    kappa = params._kappa
 
     # Soft values sit at most ln(N_v)/kappa below the exact ones and the
     # argmin term is at least one, so shifting by the exact region minima
     # keeps every sum in [1, R * N_v].
     values = spatial + soft_offsets
-    shifted = np.exp((mins.take(row_region) - values) * kappa)
-    region_sums = np.add.reduceat(shifted, segments)
+    shifted = np.exp(((mins if single else mins[env._row_region]) - values)
+                     * kappa)
+    region_sums = (shifted if single
+                   else np.add.reduceat(shifted, env._segments))
     soft_mins = mins - np.log(region_sums) / kappa
     # A NaN soft minimum makes outer_total NaN, and with it h and the
     # derivatives, whatever top is, so top needs no NaN screen.
@@ -562,7 +601,7 @@ def _evaluate_row(env: PolytopeEnvironment, center, terms,
     outer_total = np.add.reduce(outer)                       # >= 1
     # Float arithmetic rounds like numpy's, but math.log can differ from
     # np.log in the last bit, so only the log stays in numpy.
-    h = top + (float(np.log(outer_total)) - params.buffer) / kappa
+    h = top + (float(np.log(outer_total)) - params.buffer) / params.kappa
     if h != h:  # perhaps from a NaN minimum, which psi must show
         psi = _row_max(mins)
     if not derivatives:
@@ -571,7 +610,8 @@ def _evaluate_row(env: PolytopeEnvironment, center, terms,
     # Region weight times within-region softmin weight: they sum to one,
     # so the gradient is a convex combination of face normals.
     region_weights = outer / (outer_total * region_sums)
-    weights = shifted * region_weights.take(row_region)
+    weights = shifted * (region_weights if single
+                         else region_weights[env._row_region])
     gradient = weights.dot(normals)
     if normal_rates is None:                                 # dh/dt = 0
         return h, gradient, h * 0.0, psi
@@ -598,13 +638,18 @@ def _evaluate_batch(env: PolytopeEnvironment, centers, terms,
     row, numpy's pairwise sum of all of them rather than `reduceat`'s
     first term plus the rest.  Only the gradient's weights are laid out
     (M, R), for `np.vecmat`.  So row i equals the one-row call bit for
-    bit, whatever M and the BLAS thread count.
+    bit, whatever M and the BLAS thread count.  In a world of single-face
+    regions, as in the one-row call, the region reductions return the
+    face values themselves and the two (R, M) gathers of region values to
+    faces are skipped, since each would copy its input unchanged.
+    Elsewhere those gathers are `take` along axis 0, which on 2-D arrays
+    costs less than indexing, unlike the one-row call's 1-D gathers.
     """
     normals, hard_offsets, soft_offsets, normal_rates, rate_offsets = terms
-    groups, count, row_region = env._groups, env.num_regions, env._row_region
+    single = env._single_face
     spatial = np.matvec(normals, centers)                    # (M, R)
     mins = _reduce_regions(np.minimum, _face_major(spatial, hard_offsets),
-                           groups, count)                    # (N_p, M)
+                           env)                              # (N_p, M)
     psi = _column_max(mins)
     if params is None:
         return None, None, None, psi
@@ -615,10 +660,11 @@ def _evaluate_batch(env: PolytopeEnvironment, centers, terms,
     # shifted by the exact region minima, as for one centre.
     shifted = _face_major(spatial, soft_offsets)             # (R, M)
     del spatial
-    np.subtract(mins.take(row_region, axis=0), shifted, out=shifted)
+    np.subtract(mins if single else mins.take(env._row_region, axis=0),
+                shifted, out=shifted)
     shifted *= kappa
     np.exp(shifted, out=shifted)
-    region_sums = _reduce_regions(np.add, shifted, groups, count)
+    region_sums = _reduce_regions(np.add, shifted, env)
     soft_mins = np.log(region_sums)
     soft_mins /= kappa
     np.subtract(mins, soft_mins, out=soft_mins)
@@ -634,8 +680,9 @@ def _evaluate_batch(env: PolytopeEnvironment, centers, terms,
 
     # Region weight times within-region softmin weight, laid out (M, R).
     region_weights = np.divide(outer, outer_total * region_sums, out=outer)
-    weights = np.multiply(shifted.T, region_weights.take(row_region, axis=0).T,
-                          order="C")
+    if not single:
+        region_weights = region_weights.take(env._row_region, axis=0)
+    weights = np.multiply(shifted.T, region_weights.T, order="C")
     del shifted, region_sums, region_weights, outer
     gradient = np.vecmat(weights, normals)
     if normal_rates is None:                                 # dh/dt = 0

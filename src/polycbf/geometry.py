@@ -314,6 +314,8 @@ class PolytopeEnvironment:
         self._segments = np.concatenate(([0], np.cumsum(counts)[:-1]))
         self._row_region = np.repeat(np.arange(len(self.regions)), counts)
         self._groups = _region_groups(counts)
+        # Every region one face: each region reduction is the identity.
+        self._single_face = bool(np.all(counts == 1))
 
         self._normals0 = np.array([hs.normal for hs in self.half_spaces])
         anchors0 = np.array([hs.anchor for hs in self.half_spaces])

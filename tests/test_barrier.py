@@ -19,8 +19,8 @@ from polycbf.barrier import (BarrierEvaluation, CbfParams, barrier_field,
                              curvature_bounds, gradient_bounds, margin_agent,
                              margin_field, provable_buffer, smooth_barrier)
 from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
-                              PolytopeEnvironment, RigidMotion, _region_groups)
-from polycbf.scenarios import BUILTIN_NAMES, builtin, load
+                              PolytopeEnvironment, RigidMotion)
+from polycbf.scenarios import BUILTIN_NAMES, builtin, load, save
 from polycbf.verify import hull_containment_audit, scenario_bounds
 
 import oracles
@@ -903,6 +903,16 @@ def mixed_zero_minimum(values):
     return bool(signs.any() and not signs.all())
 
 
+def regions_of(counts):
+    """A static world whose regions have the given face counts, in order,
+    over copies of one half-plane: `_reduce_regions` reads only how the
+    faces fall into regions."""
+    stops = np.cumsum(counts).tolist()
+    return PolytopeEnvironment(
+        [HalfSpace((1.0, 0.0), (0.0, 0.0))] * stops[-1],
+        [list(range(a, b)) for a, b in zip([0, *stops], stops)])
+
+
 @pytest.mark.bits
 class TestRegionReductions:
     """`_reduce_regions` over a face-major (R, M) array equals `reduceat`
@@ -927,11 +937,11 @@ class TestRegionReductions:
     def test_matches_reduceat(self, m):
         rng = np.random.default_rng(41 + m)
         counts = rng.permutation(self.LENGTHS)
-        segments = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        groups = _region_groups(counts)
+        env = regions_of(counts)
+        segments = env._segments
         # Repeated lengths at uneven places give index arrays, the rest
         # slices, and the test covers both.
-        kinds = {type(index) for _, rows in groups for index in rows}
+        kinds = {type(index) for _, rows in env._groups for index in rows}
         assert kinds == {slice, np.ndarray}
         wide, special = self.draws(rng, m, counts.sum())
         naive_differs = False
@@ -941,8 +951,8 @@ class TestRegionReductions:
             with np.errstate(invalid="ignore"):
                 for ufunc in (np.add, np.minimum):
                     want = ufunc.reduceat(rows, segments, axis=-1)
-                    got = polycbf.barrier._reduce_regions(
-                        ufunc, faces, groups, len(counts)).T
+                    got = polycbf.barrier._reduce_regions(ufunc, faces,
+                                                          env).T
                     assert got.shape == want.shape
                     if ufunc is np.add:
                         assert_bits_or_nan(got, want)
@@ -967,10 +977,11 @@ class TestRegionReductions:
 
     def test_single_face_regions_reduce_to_nothing(self):
         faces = np.arange(12.0).reshape(4, 3)
-        groups = _region_groups([1, 1, 1, 1])
+        env = regions_of([1, 1, 1, 1])
+        assert env._single_face
+        assert not regions_of([1, 2, 1])._single_face
         for ufunc in (np.add, np.minimum):
-            assert polycbf.barrier._reduce_regions(ufunc, faces, groups,
-                                                   4) is faces
+            assert polycbf.barrier._reduce_regions(ufunc, faces, env) is faces
 
 
 def assert_bits_or_nan(got, want):
@@ -1424,3 +1435,59 @@ class TestCbfParams:
         with pytest.raises(ValueError, match="dimension"):
             smooth_barrier(s.environment, AgentShape.point(2), (0.0, 0.0, 0.0),
                            0.0, s.cbf)
+
+    def test_cached_kappa_is_not_part_of_the_value(self, tmp_path):
+        # The one-row kernel's 0-d kappa is no field: equality, hash, repr
+        # and the scenario file see the three fields only, and `replace`
+        # builds a fresh one.
+        params = CbfParams(kappa=5.0, buffer=0.7, alpha_gain=2.0)
+        cached = params._kappa
+        assert (cached.shape, cached.dtype, float(cached)) == ((), float, 5.0)
+        assert not cached.flags.writeable
+        twin = CbfParams(kappa=5.0, buffer=0.7, alpha_gain=2.0)
+        assert params == twin and hash(params) == hash(twin)
+        assert repr(params) == \
+            "CbfParams(kappa=5.0, buffer=0.7, alpha_gain=2.0)"
+        changed = replace(params, kappa=3)
+        assert changed._kappa.dtype == float and float(changed._kappa) == 3.0
+        assert params._kappa is cached and float(cached) == 5.0
+        scenario = replace(builtin("l-shape"), cbf=params)
+        path = tmp_path / "scenario.json"
+        save(scenario, path)
+        assert "_kappa" not in path.read_text(encoding="utf-8")
+        loaded = load(path)
+        assert loaded.cbf == params and loaded == scenario
+        assert float(loaded.cbf._kappa) == 5.0
+
+
+@pytest.mark.bits
+class TestKappaTypes:
+    """A kappa given as an int or an np.float64 gives the float kappa's
+    bits on the one-row and batch paths: the row scales by the 0-d float64
+    `CbfParams._kappa` and the batch by kappa itself, and numpy converts
+    either operand to the same float64."""
+
+    @pytest.mark.parametrize("name", ["ellipse", "l-shape"])
+    def test_kappa_types_give_float_bits(self, name):
+        s = builtin(name)
+        rng = np.random.default_rng(53)
+        centers = rng.uniform(*scenario_bounds(s),
+                              size=(40, s.environment.dimension))
+        evaluate = polycbf.barrier._evaluate
+
+        def outputs(kappa):
+            # A fresh env, so that the face terms too are built at kappa.
+            env = copy.deepcopy(s.environment)
+            params = replace(s.cbf, kappa=kappa)
+            rows = [evaluate(env, s.agent, c, 0.0, params, True)
+                    for c in centers]
+            return rows, evaluate(env, s.agent, centers, 0.0, params, True)
+
+        for kappa in (5, 2, np.float64(5.0), np.float64(0.7)):
+            rows, batch = outputs(kappa)
+            want_rows, want_batch = outputs(float(kappa))
+            for got, want in zip(rows, want_rows):
+                for g, w in zip(got, want):
+                    assert_bits_or_nan(g, w)
+            for g, w in zip(batch, want_batch):
+                assert_bits_or_nan(g, w)

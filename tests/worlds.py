@@ -45,6 +45,15 @@ def sliding_l_shape():
                         "sliding-l-shape")
 
 
+def spun_ellipse():
+    """The ellipse with all 32 faces turning about an off-centre pivot:
+    a moving world whose regions have one face each, so the kernel's row
+    and batch skip their region reductions at a nonzero dh/dt."""
+    spin = RigidMotion((0.3, -0.2), omega=0.15)
+    return with_motions(builtin("ellipse"), dict.fromkeys(range(32), spin),
+                        "spun-ellipse")
+
+
 def mixed_world():
     """A point agent, a static box far out at x in [18, 22], and two moving
     walls, each a region of its own: one turning clockwise (negative omega)
@@ -85,4 +94,5 @@ MOVING_WORLDS = {
     "spun-pyramid": spun_pyramid,
     "sliding-l-shape": sliding_l_shape,
     "mixed-world": mixed_world,
+    "spun-ellipse": spun_ellipse,
 }
