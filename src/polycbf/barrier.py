@@ -702,6 +702,27 @@ def _as_center(env: PolytopeEnvironment, center) -> np.ndarray:
     return center
 
 
+def _real_time(t, count: int | None = None):
+    """t, checked to be one real time or, given the count of centres, one
+    real time per centre, shape (count,), which it returns as float64.
+    Anything else raises ValueError naming t.
+
+    A real time is a Python or numpy bool, int or float, or a 0-d ndarray
+    of one, non-finite values included; one time is returned as it is.
+    Static and moving worlds check alike, though only a moving world reads
+    t: there None would become NaN and a 1-D t at one centre would fail
+    inside numpy."""
+    if type(t) is float:  # a control tick's time
+        return t
+    times = np.asarray(t)
+    if times.dtype.kind not in "biuf" or times.shape not in ((), (count,)):
+        per_centre = "" if count is None \
+            else f" or one time per centre, shape ({count},)"
+        raise ValueError(f"t must be one real time{per_centre}, got "
+                         f"{times.dtype} data of shape {times.shape}")
+    return t if times.ndim == 0 else times.astype(float, copy=False)
+
+
 def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
             params: CbfParams | None = None, derivatives: bool = False):
     """`_evaluate` over a batch of centers in blocks, which bounds peak
@@ -726,13 +747,8 @@ def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     if centers.ndim != 2 or centers.shape[1] != env.dimension:
         raise ValueError(f"centers must have shape (M, {env.dimension})")
     m = centers.shape[0]
+    t = _real_time(t, m)
     per_row = np.ndim(t) > 0
-    if per_row:
-        t = np.asarray(t, dtype=float)
-        if t.shape != (m,):
-            raise ValueError(
-                f"t must be one time or one time per centre, shape ({m},), "
-                f"got shape {t.shape}")
     size = _CHUNK
     if per_row and not env.is_static:
         size = max(1, _CHUNK // (2 * env.dimension + 2 + shape.num_vertices))
@@ -757,15 +773,16 @@ def margin_agent(env: PolytopeEnvironment, shape: AgentShape, center,
 
     Nonnegative values certify that the agent's convex hull lies inside the
     environment.  The max-of-mins order is essential: all vertices must sit
-    in a common convex region.
+    in a common convex region.  t is one real time (`_real_time`).
     """
+    t = _real_time(t)
     return float(_evaluate(env, shape, _as_center(env, center), t)[3])
 
 
 def margin_field(env: PolytopeEnvironment, shape: AgentShape, centers,
                  t=0.0) -> np.ndarray:
     """Exact nonsmooth margins over a batch of agent centers, shape (M,);
-    t is one time or one time per centre, shape (M,)."""
+    t is one real time or one per centre, shape (M,) (`_real_time`)."""
     return _fields(env, shape, centers, t)[3]
 
 
@@ -780,6 +797,7 @@ def smooth_barrier(env: PolytopeEnvironment, shape: AgentShape, center,
     values psi_ik.  The gradient with respect to the agent center is the
     convex combination of face normals induced by the soft weights; the
     time partial applies the identical weights to the face-value time rates.
+    t is one real time (`_real_time`).
 
     Returns
     -------
@@ -787,6 +805,7 @@ def smooth_barrier(env: PolytopeEnvironment, shape: AgentShape, center,
         value, gradient (shape (p,)), time_partial, and the exact nonsmooth
         margin for diagnostics.
     """
+    t = _real_time(t)
     h, gradient, time_partial, psi = _evaluate(
         env, shape, _as_center(env, center), t, params, derivatives=True)
     return BarrierEvaluation(float(h), gradient, float(time_partial),
@@ -806,7 +825,7 @@ def barrier_field(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     ----------
     centers : array_like, shape (M, p)
     t : float or array_like, shape (M,)
-        One time for every centre, or one per centre.
+        One real time for every centre, or one per centre (`_real_time`).
 
     Returns
     -------

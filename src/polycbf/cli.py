@@ -136,12 +136,10 @@ def cmd_field(args) -> int:
     grid = verify.grid_points(low, high, args.resolution)
     h, margin = barrier_field(scenario.environment, scenario.agent, grid,
                               args.time, scenario.cbf)
-    axes = "xyz"[:dim]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(",".join(list(axes) + ["psi", "h"]) + "\n")
-        for point, m, hv in zip(grid, margin, h):
-            cells = [f"{v:.17g}" for v in (*point, m, hv)]
-            fh.write(",".join(cells) + "\n")
+        np.savetxt(fh, np.column_stack((grid, margin, h)), fmt="%.17g",
+                   delimiter=",", header=",".join([*"xyz"[:dim], "psi", "h"]),
+                   comments="")
     print(f"wrote {grid.shape[0]} grid rows to {args.out}")
     return EXIT_OK
 

@@ -16,7 +16,6 @@ config give bit-identical results.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -107,29 +106,20 @@ class SimResult:
 
     def write_csv(self, path) -> None:
         """Trajectory CSV: t, position, desired input, safe input, h, and
-        the active flag, at 17 significant digits."""
-        dim = self.positions.shape[1]
-        axes = "xyz"[:dim]
-        header = (
-            ["t"]
-            + [f"p_{a}" for a in axes]
-            + [f"udes_{a}" for a in axes]
-            + [f"usafe_{a}" for a in axes]
-            + ["h", "constraint_active"]
-        )
+        the active flag, the floats at 17 significant digits and every line
+        ended by CRLF; a run without rows writes the header alone."""
+        axes = "xyz"[:self.positions.shape[1]]
+        header = ",".join(["t", *(f"{kind}_{a}" for kind in
+                                  ("p", "udes", "usafe") for a in axes),
+                           "h", "constraint_active"])
+        columns = np.column_stack((self.times, self.positions, self.u_desired,
+                                   self.u_safe, self.h_values,
+                                   self.constraint_active))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for i in range(self.times.shape[0]):
-                row = (
-                    [self.times[i]]
-                    + list(self.positions[i])
-                    + list(self.u_desired[i])
-                    + list(self.u_safe[i])
-                    + [self.h_values[i]]
-                )
-                writer.writerow([f"{v:.17g}" for v in row]
-                                + [int(self.constraint_active[i])])
+            np.savetxt(fh, columns,
+                       fmt=["%.17g"] * (columns.shape[1] - 1) + ["%d"],
+                       delimiter=",", newline="\r\n", header=header,
+                       comments="")
 
 
 def _idle_certificate(evaluation: BarrierEvaluation, x: list, t: float,

@@ -1491,3 +1491,80 @@ class TestKappaTypes:
                     assert_bits_or_nan(g, w)
             for g, w in zip(batch, want_batch):
                 assert_bits_or_nan(g, w)
+
+
+class TestTimeArgument:
+    """The four kernel entry points take one real time, a Python or numpy
+    int or float or a 0-d array of one, non-finite ones included, and the
+    two fields also one real time per centre.  Anything else raises a
+    ValueError naming t, in a static world, which ignores t, as in a moving
+    one, where None would become NaN and a 1-D t at one centre would fail
+    inside numpy."""
+
+    ENTRY_POINTS = ["smooth_barrier", "margin_agent", "barrier_field",
+                    "margin_field"]
+    WORLDS = ["l-shape", "revolving-door"]
+
+    @staticmethod
+    def call(entry, s, t):
+        env, agent, params = s.environment, s.agent, s.cbf
+        x = s.default_sim.x0
+        if entry == "smooth_barrier":
+            return np.hstack(astuple(smooth_barrier(env, agent, x, t, params)))
+        if entry == "margin_agent":
+            return margin_agent(env, agent, x, t)
+        centers = x + np.array([[0.0, 0.0], [0.25, 0.0], [0.0, -0.25]])
+        if entry == "barrier_field":
+            return barrier_field(env, agent, centers, t, params)
+        return margin_field(env, agent, centers, t)
+
+    @pytest.mark.parametrize("t", [
+        None, np.array([0.0, 1.0]), [1.0], np.zeros((3, 1)), "1.0", 1j,
+        [None, None, None], [1.0, None, 2.0], np.array(["0", "1", "2"])],
+        ids=["None", "pair", "list-of-one", "column", "str", "complex",
+             "Nones", "one-None", "str-array"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("name", WORLDS)
+    def test_refuses_bad_times(self, name, entry, t):
+        with pytest.raises(ValueError, match="^t must be one real time"):
+            self.call(entry, builtin(name), t)
+
+    @pytest.mark.parametrize("entry", ["smooth_barrier", "margin_agent"])
+    @pytest.mark.parametrize("name", WORLDS)
+    def test_one_centre_refuses_a_time_per_centre(self, name, entry):
+        # Three times are one per centre for the fields' three centres,
+        # but not one time for one centre.
+        with pytest.raises(ValueError, match="^t must be one real time, "):
+            self.call(entry, builtin(name), [0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("t", [
+        0, 2, np.int64(2), np.float32(1.5), np.float64(1.5), np.array(1.5),
+        np.array(2), True, math.inf, -math.inf, math.nan],
+        ids=["0", "2", "int64", "float32", "float64", "0-d", "0-d-int",
+             "True", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("name", WORLDS)
+    def test_accepts_real_times(self, name, entry, t):
+        # A static world gives t = 0's bits at every t; a moving one the
+        # float time's bits at a finite t and NaN, as before, at an
+        # infinite one, whose angles warn.
+        s = builtin(name)
+        with np.errstate(invalid="ignore"):
+            got = self.call(entry, s, t)
+        if s.environment.is_static:
+            assert_bits_or_nan(got, self.call(entry, s, 0.0))
+        elif math.isfinite(t):
+            assert_bits_or_nan(got, self.call(entry, s, float(t)))
+
+    @pytest.mark.parametrize("times", [
+        [0, 1, 2], np.array([0.5, 1.5, 2.5], dtype=np.float32),
+        [math.inf, math.nan, -0.0]], ids=["ints", "float32", "non-finite"])
+    @pytest.mark.parametrize("entry", ["barrier_field", "margin_field"])
+    @pytest.mark.parametrize("name", WORLDS)
+    def test_fields_accept_one_real_time_per_centre(self, name, entry,
+                                                    times):
+        s = builtin(name)
+        with np.errstate(invalid="ignore"):
+            got = self.call(entry, s, times)
+            want = self.call(entry, s, np.array(times, dtype=float))
+        assert_bits_or_nan(got, want)

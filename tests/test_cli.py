@@ -269,6 +269,17 @@ class TestFieldCommand:
         assert psi == f"{margin_agent(env, agent, point, 1.3):.17g}"
         assert h == f"{barrier.value:.17g}"
 
+    def test_3d_header_and_line_ends(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert main(["field", "pyramid", "--resolution", "3",
+                     "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert data.startswith(b"x,y,z,psi,h\n") and data.endswith(b"\n")
+        assert b"\r" not in data
+        rows = data.decode().splitlines()[1:]
+        assert len(rows) == 27
+        assert all(len(row.split(",")) == 5 for row in rows)
+
     def test_under_approximation_visible_in_field(self, tmp_path, capsys):
         # with the provable buffer b = ln(N_p), psi >= h on every grid row
         out = tmp_path / "f.csv"

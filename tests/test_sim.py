@@ -14,7 +14,8 @@ from polycbf.geometry import (AgentShape, ConvexRegion, HalfSpace,
                               PolytopeEnvironment, RigidMotion)
 from polycbf.safety_filter import DesiredController, safe_velocity
 from polycbf.scenarios import BUILTIN_NAMES, Scenario, builtin
-from polycbf.sim import SimConfig, Termination, UnsafeStartError, run, step
+from polycbf.sim import (SimConfig, SimResult, Termination, UnsafeStartError,
+                         run, step)
 from polycbf.verify import scenario_bounds
 
 import oracles
@@ -752,3 +753,46 @@ class TestCsv:
         header = path.read_text().splitlines()[0].split(",")
         assert header[1:4] == ["p_x", "p_y", "p_z"]
         assert len(header) == 1 + 3 * 3 + 2
+
+    @staticmethod
+    def hand_made(times, positions, u_desired, u_safe, h, active):
+        """A SimResult with the given rows, psi equal to h; the fields the
+        CSV does not show are placeholders."""
+        dim = len(positions[0]) if len(positions) else 2
+        h = np.array(h, dtype=float)
+        return SimResult(
+            times=np.array(times, dtype=float),
+            positions=np.array(positions, dtype=float).reshape(-1, dim),
+            h_values=h, psi_values=h,
+            u_desired=np.array(u_desired, dtype=float).reshape(-1, dim),
+            u_safe=np.array(u_safe, dtype=float).reshape(-1, dim),
+            constraint_active=np.array(active, dtype=bool),
+            min_h=0.0, min_psi=0.0, reached_goal_at=None,
+            termination=Termination.HORIZON, certified=True)
+
+    # The bytes the writer gave when it formatted each cell with
+    # f"{v:.17g}" and wrote rows through csv.writer.
+    @pytest.mark.parametrize("rows, expected", [
+        (([], [], [], [], [], []),
+         b"t,p_x,p_y,udes_x,udes_y,usafe_x,usafe_y,h,constraint_active\r\n"),
+        (([0.0, 0.01], [[1.0, 2.0, 3.5], [1.25, -2.0, 0.5]],
+          [[0.5, 0.0, -1.0], [0.25, 1.0, 2.0]],
+          [[0.5, 0.0, -1.0], [0.125, 0.75, 2.0]], [0.75, 1.5],
+          [False, True]),
+         b"t,p_x,p_y,p_z,udes_x,udes_y,udes_z,usafe_x,usafe_y,usafe_z,h,"
+         b"constraint_active\r\n"
+         b"0,1,2,3.5,0.5,0,-1,0.5,0,-1,0.75,0\r\n"
+         b"0.01,1.25,-2,0.5,0.25,1,2,0.125,0.75,2,1.5,1\r\n"),
+        (([0.0, 0.1 + 0.2], [[math.nan, math.inf], [-math.inf, -0.0]],
+          [[5e-324, -5e-324], [0.1 + 0.2, 1e300]],
+          [[-0.0, 0.0], [math.nan, 2.0]], [math.inf, -0.0], [True, False]),
+         b"t,p_x,p_y,udes_x,udes_y,usafe_x,usafe_y,h,constraint_active\r\n"
+         b"0,nan,inf,4.9406564584124654e-324,-4.9406564584124654e-324,-0,"
+         b"0,inf,1\r\n"
+         b"0.30000000000000004,-inf,-0,0.30000000000000004,"
+         b"1.0000000000000001e+300,nan,2,-0,0\r\n"),
+    ], ids=["no-rows", "3d", "special-values"])
+    def test_bytes(self, tmp_path, rows, expected):
+        path = tmp_path / "traj.csv"
+        self.hand_made(*rows).write_csv(path)
+        assert path.read_bytes() == expected
