@@ -712,14 +712,17 @@ def _real_time(t, count: int | None = None):
     Static and moving worlds check alike, though only a moving world reads
     t: there None would become NaN and a 1-D t at one centre would fail
     inside numpy."""
-    if type(t) is float:  # a control tick's time
-        return t
-    times = np.asarray(t)
-    if times.dtype.kind not in "biuf" or times.shape not in ((), (count,)):
+    try:
+        times = np.asarray(t)
+    except ValueError:  # a ragged sequence, which has no one shape
+        times = None
+    if times is None or times.dtype.kind not in "biuf" \
+            or times.shape not in ((), (count,)):
         per_centre = "" if count is None \
             else f" or one time per centre, shape ({count},)"
-        raise ValueError(f"t must be one real time{per_centre}, got "
-                         f"{times.dtype} data of shape {times.shape}")
+        got = "a ragged sequence" if times is None \
+            else f"{times.dtype} data of shape {times.shape}"
+        raise ValueError(f"t must be one real time{per_centre}, got {got}")
     return t if times.ndim == 0 else times.astype(float, copy=False)
 
 

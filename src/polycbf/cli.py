@@ -136,7 +136,7 @@ def cmd_field(args) -> int:
     grid = verify.grid_points(low, high, args.resolution)
     h, margin = barrier_field(scenario.environment, scenario.agent, grid,
                               args.time, scenario.cbf)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         np.savetxt(fh, np.column_stack((grid, margin, h)), fmt="%.17g",
                    delimiter=",", header=",".join([*"xyz"[:dim], "psi", "h"]),
                    comments="")

@@ -1520,9 +1520,10 @@ class TestTimeArgument:
 
     @pytest.mark.parametrize("t", [
         None, np.array([0.0, 1.0]), [1.0], np.zeros((3, 1)), "1.0", 1j,
-        [None, None, None], [1.0, None, 2.0], np.array(["0", "1", "2"])],
+        [None, None, None], [1.0, None, 2.0], np.array(["0", "1", "2"]),
+        [[1.0], [1.0, 2.0]]],
         ids=["None", "pair", "list-of-one", "column", "str", "complex",
-             "Nones", "one-None", "str-array"])
+             "Nones", "one-None", "str-array", "ragged"])
     @pytest.mark.parametrize("entry", ENTRY_POINTS)
     @pytest.mark.parametrize("name", WORLDS)
     def test_refuses_bad_times(self, name, entry, t):
