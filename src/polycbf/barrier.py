@@ -19,21 +19,22 @@ kappa as a 0-d array and writes nothing in place (see `_evaluate_row`).  In
 a moving world the kernel's centre-independent terms at t are the agent
 shape's fixed coefficients times the environment's time basis b(t), one
 matrix-vector product per new time; a batch's per-centre times cost one per
-distinct time.  A scalar time takes b(t) in Python floats and its product
-with `ndarray.dot`, a batch of times both in numpy, with the same bits.
+distinct time.  One float time takes b(t) in Python floats and its product
+with `ndarray.dot`, a float64 vector of times both in numpy, with the same
+bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import mul
 
 import numpy as np
 
-from .geometry import (AgentShape, PolytopeEnvironment, _eq_by,
-                       _require_positive, _unstack)
+from .geometry import (AgentShape, PolytopeEnvironment, _cuts, _eq_by,
+                       _require_positive, _split)
 
 __all__ = [
     "CbfParams",
@@ -244,27 +245,20 @@ def _row_terms(env: PolytopeEnvironment, shape: AgentShape, frame):
 
 def _shape_law(env: PolytopeEnvironment, shape: AgentShape):
     """The row terms of a moving world as coefficients (X, B) of its time
-    basis: `_row_terms` applied to the frame's own coefficients.  With
-    them come each term's trailing shape, for a batch of times, and each
-    term's cut of the X rows, for one time: a slice and the shape to give
-    it, None for a term of one axis, so that one time's terms come apart
-    without any shape arithmetic.
+    basis, `_row_terms` applied to the frame's own coefficients, and the
+    cut table (`geometry._cuts`) that splits the X rows back into the terms.
 
-    The law is kept in a one-entry cache on env, `_law_memo`, keyed by the
-    shape's identity and replaced whole by a single assignment, like the
-    face-term memo."""
+    The pair (law, cuts) is kept in a one-entry cache on env, `_law_memo`,
+    keyed by the shape's identity and replaced whole by a single
+    assignment, like the face-term memo."""
     entry = env._law_memo
     if entry is None or entry[0] is not shape:
         law = env._law.T                                     # (B, X_f)
-        terms = _row_terms(env, shape, _unstack(law, env._frame_shapes))
-        columns = [term.reshape(len(law), -1) for term in terms]
-        shapes = tuple(term.shape[1:] for term in terms)
-        stops = list(accumulate(c.shape[1] for c in columns))
-        cuts = tuple(zip(map(slice, [0, *stops], stops),
-                         [term_shape if len(term_shape) > 1 else None
-                          for term_shape in shapes]))
-        stacked = np.concatenate(columns, axis=1)
-        entry = (shape, (np.ascontiguousarray(stacked.T), shapes, cuts))
+        terms = _row_terms(env, shape, _split(law, env._frame_cuts))
+        stacked = np.concatenate([term.reshape(len(law), -1)
+                                  for term in terms], axis=1)
+        entry = (shape, (np.ascontiguousarray(stacked.T),
+                         _cuts([term.shape[1:] for term in terms])))
         env._law_memo = entry
     return entry[1]
 
@@ -279,43 +273,46 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
     the soft support -(1/kappa) ln sum_k exp(-kappa n_i . dp_k) for h, since
     sum_k exp(-kappa psi_ik) = exp(-kappa (n_i . p - c_i)) sum_k
     exp(-kappa n_i . dp_k).  None of this depends on the centre, so it is
-    kept in a one-entry memo on env keyed by (shape identity, kappa).  In a
-    static world the entry holds the terms; in a moving one it maps each of
-    its times to the terms there.  A scalar t that misses replaces the entry
-    with one of that time alone, and `_hold_times` replaces it with a block
-    of times that a rollout will ask for.  The entry is read once and
-    replaced by a single assignment, so concurrent callers each see a whole
-    entry.  An ndarray t in a moving world gives one set of terms per time,
-    with t.shape prepended to every shape below; it neither reads the
+    kept in a one-entry memo on env keyed by (shape identity, kappa).  The
+    entry is read once and replaced by a single assignment, so concurrent
+    callers each see a whole entry.
+
+    t takes two forms, as `_real_time` hands them over.  One float time
+    reads the memo: a static world's entry holds the terms for every t, and
+    a moving world's maps each of its times to the terms there.  A moving
+    world's miss replaces the entry with one of that time alone, and
+    `_hold_times` replaces it with a block of times that a rollout will ask
+    for.  A float64 vector of times, shape (T,), gives one set of terms per
+    time, with T prepended to every shape below; it neither reads the
     memo's terms nor replaces the entry.
 
     In a moving world each per-row normal, level and vertex dot, and the
     rates of normals and levels, is a fixed combination of the time basis
-    b(t) (see `PolytopeEnvironment._motion_law`).  A new scalar t, as each
-    tick of a controller in a moving world brings, costs b(t) in Python
-    floats, one `ndarray.dot` of the shape's coefficients with it, cut
-    apart at the slices `_shape_law` keeps, and the support log-sum-exp; a
-    batch of times costs one batched call of each, its product one
-    `np.matvec`.  A 1-D t costs one evaluation per distinct time, times
-    being distinct when their bits differ, whose terms are then gathered
-    to the times' rows: times may repeat, as an audit's probes of one
-    state do, at no extra cost.  The coefficients come from `_shape_law`,
-    which builds them once per shape.  The float basis has numpy's bits,
-    and `ndarray.dot` reaches the same BLAS product as `np.matvec` and
-    rounds alike (both checked by `bits` tests), so the terms at t[i] of a
-    batch equal the scalar call's at t[i] bit for bit, and an entry's
-    terms do not depend on how they were built.
+    b(t) (see `PolytopeEnvironment._motion_law`), with the coefficients and
+    cut table of `_shape_law`.  A new float time, as each tick of a
+    controller in a moving world brings, costs b(t) in Python floats, one
+    `ndarray.dot` of the coefficients with it, cut apart at plain slices,
+    and the support log-sum-exp.  A vector of times costs each distinct
+    time once, times being distinct when their bits differ: one `np.matvec`
+    of the coefficients with the batch of bases, split by `_split`, one
+    batched log-sum-exp, and a gather of each time's terms to its rows, so
+    times may repeat, as an audit's probes of one state do, at no extra
+    cost.  The float basis has numpy's bits, and `ndarray.dot` reaches the
+    same BLAS product as `np.matvec` and rounds alike (both checked by
+    `bits` tests), so the terms at t[i] of a batch equal the float call's
+    at t[i] bit for bit, and an entry's terms do not depend on how they
+    were built.
 
-    The rank of the vertex dots picks how the vertex axis reduces.  One
-    time, shape (R, N_v), takes one `reduce` along it, as every static
-    world and scalar miss does.  A batch of times, shape (T, R, N_v), folds
-    its N_v column views of shape (T, R) with `_pairwise`, the order of
-    numpy's `reduce`: numpy runs that reduce slowly along a short trailing
-    axis, and the fold costs a few vectorised calls.  A minimum is exact
-    and the sums add in the same order, so the bits are the same.  One
-    time keeps its `reduce`: on R rows the fold's fixed calls cost more
-    than the slow reduce, and a control tick in the door is a scalar miss
-    (folding one time too raised the door's median tick by about 40 %).
+    One time's vertex dots, shape (R, N_v), take one `reduce` along the
+    vertex axis, as every static world and float miss does.  A batch of
+    times, shape (T, R, N_v), folds its N_v column views of shape (T, R)
+    with `_pairwise`, the order of numpy's `reduce`: numpy runs that reduce
+    slowly along a short trailing axis, and the fold costs a few vectorised
+    calls.  A minimum is exact and the sums add in the same order, so the
+    bits are the same.  One time keeps its `reduce`: on R rows the fold's
+    fixed calls cost more than the slow reduce, and a control tick in the
+    door is a float miss (folding one time too raised the door's median
+    tick by about 40 %).
 
     Returns
     -------
@@ -339,27 +336,25 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
         raise ValueError(
             f"agent dimension {shape.dimension} != environment dimension "
             f"{env.dimension}")
-    inverse = None
+    batch = not memo
     if static:
         row_terms = _row_terms(env, shape, env.frame(t))
-    elif memo or t.ndim == 0:  # one time: a scalar, or a 0-d ndarray
-        law, _, cuts = _shape_law(env, shape)
+    elif memo:
+        # Plain slices: a `_split` call here costs the door's tick 1 %.
+        law, cuts = _shape_law(env, shape)
         stacked = law.dot(env._time_basis(t))
         row_terms = [stacked[cut] if term_shape is None
                      else stacked[cut].reshape(term_shape)
                      for cut, term_shape in cuts]
     else:
-        if t.ndim == 1:
-            # Each distinct time once, told apart by its bits, so 0.0 and
-            # -0.0 and NaNs of other payloads keep terms of their own.
-            keys, inverse = np.unique(
-                np.asarray(t, dtype=float).view(np.int64), return_inverse=True)
-            t = keys.view(float)
-        law, shapes, _ = _shape_law(env, shape)
-        row_terms = _unstack(np.matvec(law, env._time_basis(t)), shapes)
+        # Each distinct time once, told apart by its bits, so 0.0 and -0.0
+        # and NaNs of other payloads keep terms of their own.
+        keys, inverse = np.unique(t.view(np.int64), return_inverse=True)
+        law, cuts = _shape_law(env, shape)
+        row_terms = _split(np.matvec(law, env._time_basis(keys.view(float))),
+                           cuts)
     normals, levels, vertex_dots, normal_rates, level_rates = row_terms
     # A batch of times folds its N_v (T, R) vertex columns (see above).
-    batch = vertex_dots.ndim > 2
     if batch:
         hard = _pairwise(np.minimum, list(np.moveaxis(vertex_dots, -1, 0)))
     else:
@@ -382,21 +377,22 @@ def _face_terms(env: PolytopeEnvironment, shape: AgentShape, t,
                             / vertex_sums - level_rates)
     hard_offsets = hard - levels
     terms = (normals, hard_offsets, soft_offsets, normal_rates, rate_offsets)
-    if inverse is not None:  # each row takes the terms of its time
-        terms = tuple(None if term is None else term.take(inverse, axis=0)
-                      for term in terms)
-    if memo:
-        env._memo = (shape, kappa, terms if static else {t: terms})
+    if batch:  # each row takes the terms of its time
+        return tuple(None if term is None else term.take(inverse, axis=0)
+                     for term in terms)
+    env._memo = (shape, kappa, terms if static else {t: terms})
     return terms
 
 
 def _hold_times(env: PolytopeEnvironment, shape: AgentShape, times,
                 kappa: float | None) -> None:
     """Replace env's memo entry with the face terms at each of `times`, a
-    1-D ndarray, from one batched `_face_terms` call; a no-op in a static
-    world, whose entry serves every t.
+    float64 vector, from one batched `_face_terms` call; a no-op in a
+    static world, whose entry serves every t.  The times must be float64,
+    as `run()`'s `np.arange(...) * dt` stage times are, since the batch
+    tells times apart by viewing their bits as int64.
 
-    A caller that knows the times of its next scalar calls, such as the
+    A caller that knows the times of its next float calls, such as the
     RK4 stages of a block of steps, hands them here, and each of those
     calls then hits the memo with terms equal to its own miss's.  Times
     may repeat: `_face_terms` evaluates each distinct time once.
@@ -523,13 +519,14 @@ def _evaluate(env: PolytopeEnvironment, shape: AgentShape, centers, t,
     The centres' rank alone picks the code: one centre, shape (p,), goes to
     `_evaluate_row`, and a batch, shape (M, p), to `_evaluate_batch`, M = 1
     included, whose row i equals the one-row call bit for bit, whatever M
-    and the BLAS thread count.  A per-row time is an ndarray for any M, so
-    it neither reads nor replaces the memo.
+    and the BLAS thread count.  t takes `_face_terms`' two forms: one
+    float time reads the memo, and a per-row time, a float64 vector for any
+    M, neither reads nor replaces it.
 
     Parameters
     ----------
     centers : array_like, shape (p,) or (M, p)
-    t : float or ndarray, shape (M,)
+    t : float or float64 ndarray, shape (M,)
         One time for every centre, or one per centre.
     params : CbfParams, optional
         Without it only psi is computed.
@@ -704,14 +701,14 @@ def _as_center(env: PolytopeEnvironment, center) -> np.ndarray:
 
 def _real_time(t, count: int | None = None):
     """t, checked to be one real time or, given the count of centres, one
-    real time per centre, shape (count,), which it returns as float64.
+    real time per centre, shape (count,), in the kernel's two forms of
+    time: one time as a Python float, one per centre as a float64 vector.
     Anything else raises ValueError naming t.
 
-    A real time is a Python or numpy bool, int or float, or a 0-d ndarray
-    of one, non-finite values included; one time is returned as it is.
-    Static and moving worlds check alike, though only a moving world reads
-    t: there None would become NaN and a 1-D t at one centre would fail
-    inside numpy."""
+    A real time is a Python or numpy bool, int or float, or a 0-d array
+    of one, non-finite values included.  Static and moving worlds check
+    alike, though only a moving world reads t: there None would become NaN
+    and a vector t at one centre would fail inside numpy."""
     try:
         times = np.asarray(t)
     except ValueError:  # a ragged sequence, which has no one shape
@@ -723,7 +720,7 @@ def _real_time(t, count: int | None = None):
         got = "a ragged sequence" if times is None \
             else f"{times.dtype} data of shape {times.shape}"
         raise ValueError(f"t must be one real time{per_centre}, got {got}")
-    return t if times.ndim == 0 else times.astype(float, copy=False)
+    return float(t) if times.ndim == 0 else times.astype(float, copy=False)
 
 
 def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
@@ -751,7 +748,7 @@ def _fields(env: PolytopeEnvironment, shape: AgentShape, centers, t,
         raise ValueError(f"centers must have shape (M, {env.dimension})")
     m = centers.shape[0]
     t = _real_time(t, m)
-    per_row = np.ndim(t) > 0
+    per_row = isinstance(t, np.ndarray)
     size = _CHUNK
     if per_row and not env.is_static:
         size = max(1, _CHUNK // (2 * env.dimension + 2 + shape.num_vertices))

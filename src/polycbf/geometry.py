@@ -14,6 +14,7 @@ entries, so NaN is unequal to itself, as for floats.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -77,16 +78,22 @@ def _eq_by(*names):
     return __eq__
 
 
-def _unstack(stacked: np.ndarray, shapes) -> list[np.ndarray]:
-    """Split the last axis of `stacked` into consecutive blocks, one per
-    trailing shape in `shapes`; the leading axes carry through."""
-    lead, start, blocks = stacked.shape[:-1], 0, []
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        block = stacked[..., start:stop]
-        blocks.append(block.reshape(lead + shape) if len(shape) > 1 else block)
-        start = stop
-    return blocks
+def _cuts(shapes) -> tuple:
+    """The cut table of consecutive blocks along a last axis, one per
+    trailing shape in `shapes`: each block's slice of that axis and the
+    shape to give it, None for a block of one axis."""
+    stops = list(itertools.accumulate(map(math.prod, shapes)))
+    return tuple((slice(start, stop), shape if len(shape) > 1 else None)
+                 for start, stop, shape in zip([0, *stops], stops, shapes))
+
+
+def _split(stacked: np.ndarray, cuts) -> list[np.ndarray]:
+    """The blocks of `stacked`'s last axis at `cuts` (`_cuts`); the leading
+    axes carry through."""
+    lead = stacked.shape[:-1]
+    return [stacked[..., cut] if shape is None
+            else stacked[..., cut].reshape(lead + shape)
+            for cut, shape in cuts]
 
 
 class RigidMotion:
@@ -331,8 +338,8 @@ class PolytopeEnvironment:
             (abs(m._rate), m.center.tolist(), m.linear_velocity.tolist())
             for m in motions)
         self._frequencies, self._law = self._motion_law(motions)
-        self._frame_shapes = ((n_w, self.dimension), (n_w,),
-                              (n_w, self.dimension), (n_w,))
+        self._frame_cuts = _cuts(((n_w, self.dimension), (n_w,),
+                                  (n_w, self.dimension), (n_w,)))
         self._memo = self._law_memo = None
 
     def _motion_law(self, motions):
@@ -451,9 +458,10 @@ class PolytopeEnvironment:
 
         Half-space i reads n_i . p - c_i, so the levels carry everything
         the anchors contribute.  In a moving world the frame is one
-        `matvec` of fixed coefficients with the time basis b(t); t is one
-        time or an array of times, and the frame at t[i] equals the frame
-        at the scalar t[i] bit for bit.
+        `matvec` of fixed coefficients with the time basis b(t), split at
+        the cut table `_frame_cuts`; t is one time or an array of times,
+        and the frame at t[i] equals the frame at the scalar t[i] bit for
+        bit.
 
         Returns
         -------
@@ -465,8 +473,7 @@ class PolytopeEnvironment:
         basis = self._time_basis(t)
         if basis is None:
             return self._normals0, self._levels0, None, None
-        return tuple(_unstack(np.matvec(self._law, basis),
-                              self._frame_shapes))
+        return tuple(_split(np.matvec(self._law, basis), self._frame_cuts))
 
     __eq__ = _eq_by("half_spaces", "regions")
 

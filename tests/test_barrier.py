@@ -1386,6 +1386,67 @@ class TestCurvatureBounds:
         s = MOVING_WORLDS[name]() if name in MOVING_WORLDS else builtin(name)
         self.assert_lower_bounds(s, kappa, 2.0, 2.0, backward=True)
 
+    @staticmethod
+    def single_pair_draw(rng, dim, family):
+        """One face under one drifting motion at a small kappa, where h is
+        the pair's psi and only the pair-Hessian terms of `quad` and `cross`
+        bound its curvature, with a state (x, t) and a step (delta, tau, k).
+
+        "generic" draws |omega| in [0.5, 5], a drift up to 3, ||delta|| <= 1
+        and |tau| <= 1.  "along-ndot" drifts along +-dn/dt at t, at speed 1
+        to 4, from a state within 0.3 of the drifted pivot, with ||delta||
+        <= 0.05 and |tau| <= 2, where d2psi/dt2 meets the 2 w nu ||v|| of
+        C2."""
+        def ball(radius):
+            v = rng.normal(size=dim)
+            return v * (rng.uniform(0.0, radius) / np.linalg.norm(v))
+
+        normal = rng.normal(size=dim)
+        anchor, center = rng.uniform(-2.0, 2.0, (2, dim))
+        rate = rng.uniform(0.5, 5.0) * rng.choice([-1.0, 1.0])
+        if dim == 2:
+            spin = {"omega": rate}
+        else:
+            axis = rng.normal(size=3)
+            spin = {"axis_rate": rate * axis / np.linalg.norm(axis)}
+        t = rng.uniform(0.0, 10.0)
+        if family == "generic":
+            drift = ball(3.0)
+            offset, reach, span = rng.uniform(-2.0, 2.0, dim), 1.0, 1.0
+        else:
+            turning = HalfSpace(normal, anchor, RigidMotion(center, **spin))
+            n_rate = oracles.halfspace_frame(turning, t)[2]
+            drift = (rng.uniform(1.0, 4.0) * rng.choice([-1.0, 1.0])
+                     * n_rate / np.linalg.norm(n_rate))
+            offset, reach, span = ball(0.3), 0.05, 2.0
+        motion = RigidMotion(center, linear_velocity=drift, **spin)
+        env = PolytopeEnvironment([HalfSpace(normal, anchor, motion)], [[0]])
+        x = center + t * drift + offset
+        return (env, 10.0 ** rng.uniform(-6.0, -1.0), x, t, ball(reach),
+                rng.uniform(-span, span), ball(1.0))
+
+    @pytest.mark.parametrize("family", ["generic", "along-ndot"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_lower_bounds_hold_for_single_pairs(self, dim, family):
+        # A point agent and one face at kappa in [1e-6, 0.1]: the kappa
+        # terms nearly vanish, so a pair-Hessian term of `quad` or `cross`
+        # that is too small shows as a violation.
+        rng = np.random.default_rng(71 + dim)
+        shape = AgentShape.point(dim)
+        for _ in range(600):
+            env, kappa, x, t, delta, tau, k = self.single_pair_draw(
+                rng, dim, family)
+            params = CbfParams(kappa)
+            ev = smooth_barrier(env, shape, x, t, params)
+            h_low, rate_low = curvature_bounds(env, shape, kappa, ev,
+                                               x.tolist(), t)(
+                delta.tolist(), tau, k.tolist())
+            there = smooth_barrier(env, shape, x + delta, t + tau, params)
+            rate = float(there.gradient @ k) + there.time_partial
+            tol = 1e-9 * (1.0 + abs(there.value) + abs(rate))
+            assert there.value >= h_low - tol, (env, x, t, delta, tau)
+            assert rate >= rate_low - tol, (env, x, t, delta, tau, k)
+
     def test_static_world_gives_the_gradient_bounds(self):
         s = builtin("l-shape")
         nu, lipschitz = gradient_bounds(s.environment, s.cbf.kappa)
@@ -1548,7 +1609,8 @@ class TestTimeArgument:
     def test_accepts_real_times(self, name, entry, t):
         # A static world gives t = 0's bits at every t; a moving one the
         # float time's bits at a finite t and NaN, as before, at an
-        # infinite one, whose angles warn.
+        # infinite one, whose angles warn.  The kernel gets one Python float.
+        assert type(polycbf.barrier._real_time(t)) is float
         s = builtin(name)
         with np.errstate(invalid="ignore"):
             got = self.call(entry, s, t)

@@ -336,3 +336,82 @@ class TestRandomizedAudits:
         report = smoothing_sandwich_audit(builtin(name), seed=3)
         assert report.passed is False
         assert not report.worst <= 5e-10
+
+
+def _raise_h(monkeypatch, scenario, shift):
+    barrier_field = polycbf.verify.barrier_field
+
+    def raised(env, shape, centers, t, params):
+        h, psi = barrier_field(env, shape, centers, t, params)
+        return h + shift, psi
+
+    monkeypatch.setattr(polycbf.verify, "barrier_field", raised)
+
+
+def _raise_agent_margins(monkeypatch, scenario, shift):
+    margin_field = polycbf.verify.margin_field
+
+    def raised(env, shape, centers, t):
+        margins = margin_field(env, shape, centers, t)
+        return margins + shift if shape is scenario.agent else margins
+
+    monkeypatch.setattr(polycbf.verify, "margin_field", raised)
+
+
+def _scale_gradients(monkeypatch, scenario, shift):
+    fields = polycbf.verify._fields
+
+    def scaled(*args, **kwargs):
+        h, gradient, time_partial, psi = fields(*args, **kwargs)
+        return h, gradient * (1.0 + shift), time_partial, psi
+
+    monkeypatch.setattr(polycbf.verify, "_fields", scaled)
+
+
+def _nudge_active_row(monkeypatch, scenario, shift):
+    # The first active row moves along its gradient until its scaled
+    # residual has grown by shift.
+    project_rows = polycbf.verify._project_rows
+
+    def nudged(grad, u, time_partial, value, params):
+        u_safe, active = project_rows(grad, u, time_partial, value, params)
+        i = np.flatnonzero(active)[0]
+        scale = np.abs(grad[i] * u_safe[i]).sum() + abs(time_partial[i]) \
+            + abs(value[i])
+        u_safe = u_safe.copy()
+        u_safe[i] += shift * scale * grad[i] / (grad[i] @ grad[i])
+        return u_safe, active
+
+    monkeypatch.setattr(polycbf.verify, "_project_rows", nudged)
+
+
+class TestPassThresholds:
+    """Each audit passes as it is, and fails once a planted defect moves its
+    worst 1e-6 past its pass threshold: a loosened threshold shows.  The
+    shift is sized from the clean run's worst, which may sit well inside
+    the threshold."""
+
+    # audit, its threshold, +1 if it passes at worst <= threshold and -1
+    # at worst >= threshold, and the defect, planted with a shift >= 0.
+    # Raising h moves the sandwich's upper breach, which is the door's
+    # worst; the closing `approx` would show if that changed.
+    CASES = {
+        "hull": (hull_containment_audit, -1e-12, -1, _raise_agent_margins),
+        "under": (under_approximation_audit, 1e-12, 1, _raise_h),
+        "sandwich": (smoothing_sandwich_audit, 1e-12, 1, _raise_h),
+        "gradients": (gradient_audit, 1e-5, 1, _scale_gradients),
+        "qp": (lambda s: qp_closed_form_audit(500, seed=3), 1e-12, 1,
+               _nudge_active_row),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_defect_past_threshold_fails(self, name, monkeypatch):
+        audit, threshold, side, plant = self.CASES[name]
+        s = builtin("revolving-door")
+        clean = audit(s)
+        assert clean.passed
+        target = threshold + side * 1e-6
+        plant(monkeypatch, s, side * (target - clean.worst))
+        planted = audit(s)
+        assert planted.passed is False
+        assert planted.worst == pytest.approx(target, rel=1e-3)
